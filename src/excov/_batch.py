@@ -1,366 +1,196 @@
 """Vectorized arithmetic over every element of a finite field at once.
 
-Elements are rows of prime-field digits in enumeration order, so row i of
-the element table is the base-p expansion of the index i.  All operations
-work on (N, D) int arrays where D is the absolute degree; multiplication
-recurses through the extension chain so relative towers cost no more than
-their flat description.
+Field elements exist here only as int64 element indices: index i is the
+element whose base-p digits, low first, are its prime-field coefficients
+(``FieldElem.index``).  Each field F_Q gets three tables, built once from
+a fixed multiplicative generator g, with m = Q - 1:
+
+- ``exp[j]``, the index of g**j for 0 <= j < m;
+- ``log``, its inverse, with ``log[0] = m`` standing for the log of zero;
+- ``zech[n] = log(1 + g**n)``, Zech's logarithm, or m where 1 + g**n = 0.
+
+Products and powers are then sums and multiples of logs mod m, and sums
+follow Zech's rule a + b = a * (1 + b/a).  Adding 1 to an element changes
+only its lowest base-p digit, so the "+1" step behind ``zech`` is index
+arithmetic: i + 1, or i - (p - 1) when i % p == p - 1.
+
+All index arithmetic is int64, and a product of two logs is below m**2,
+so fields with m**2 >= 2**63 are refused with ``CapExceededError`` before
+any table is built rather than allowed to wrap.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InternalInvariantError, ValidationError
-from .gf import FieldCtx, FieldElem
+from .errors import CapExceededError, InternalInvariantError
+from .gf import FieldCtx, FieldElem, _prime_factors
+from .projmap import _lift
 
-# Work width depends on the characteristic: a single digit product is
-# (p-1)^2 and the dlog matmul sums D of them, so int16 only covers small p.
-# _WORK remains only for modulus-row storage, whose entries stay below p.
-_WORK = np.int16
-
-
-def _work_dtype(p: int):
-    return np.int16 if p <= 61 else np.int32
-
-
-def _digit_dtype(p: int):
-    return np.int8 if p <= 127 else np.int16
-
-
-class _Level:
-    """One relative extension step: degree, sub-field width, modulus rows."""
-
-    __slots__ = ("deg", "sub_width", "mod_rows", "mod_nonzero")
-
-    def __init__(self, deg: int, sub_width: int, mod_rows: np.ndarray):
-        self.deg = deg
-        self.sub_width = sub_width
-        self.mod_rows = mod_rows  # (deg, sub_width), coeffs m_0..m_{deg-1}
-        self.mod_nonzero = [bool(mod_rows[i].any()) for i in range(deg)]
-
-
-def _chain_levels(ctx: FieldCtx) -> list[_Level]:
-    """Extension steps from the prime field up to ctx, bottom first."""
-    steps: list[FieldCtx] = []
-    cur = ctx
-    while cur.base is not None:
-        steps.append(cur)
-        cur = cur.base
-    steps.reverse()
-    levels = []
-    for step in steps:
-        sub = step.base
-        assert sub is not None
-        d = step.rel_degree
-        rows = np.zeros((d, sub.k), dtype=_WORK)
-        for i in range(d):
-            coeff = step.modulus[i]
-            if sub.base is None:
-                rows[i, 0] = int(coeff)  # type: ignore[arg-type]
-            else:
-                e = FieldElem(sub, coeff)  # type: ignore[arg-type]
-                rows[i] = e.prime_coeffs()
-        levels.append(_Level(d, sub.k, rows))
-    return levels
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+# rows of the exp digit table multiplied per matmul, to bound temporaries
+_CHUNK = 1 << 12
 
 
 class BatchField:
     """All-elements arithmetic for one field context."""
 
     def __init__(self, ctx: FieldCtx):
+        if (ctx.order - 1) ** 2 >= 2**63:
+            raise CapExceededError(
+                f"field of order {ctx.order} is too large for int64 log arithmetic"
+            )
         self.ctx = ctx
         self.p = ctx.p
         self.D = ctx.k
         self.order = ctx.order
-        self.work = _work_dtype(ctx.p)
-        self.digit = _digit_dtype(ctx.p)
-        # how many unreduced multiply-adds fit before a modulo pass
-        self.budget = min(
-            128, int(np.iinfo(self.work).max) // max(1, (ctx.p - 1) ** 2)
-        )
-        self.levels = _chain_levels(ctx)
-        self._elements: np.ndarray | None = None
-        self._powers: dict[int, np.ndarray] = {}
-        # tables of scalar-multiplied power tables: (exp, scalar ctx key, digit)
-        self._scaled: dict[tuple, np.ndarray] = {}
-        self._pack_weights = np.array(
-            [self.p**i for i in range(self.D)], dtype=np.int64
-        )
-        self._gen: FieldElem | None = None
-        self._exp_digits: np.ndarray | None = None
-        self._exp_idx: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-
-    # -- element tables ----------------------------------------------------
-
-    def elements(self) -> np.ndarray:
-        """(order, D) digit matrix; row i is the element of index i."""
-        if self._elements is None:
-            idx = np.arange(self.order, dtype=np.int64)
-            out = np.empty((self.order, self.D), dtype=self.digit)
-            for j in range(self.D):
-                out[:, j] = idx % self.p
-                idx //= self.p
-            self._elements = out
-        return self._elements
+        self._pack_weights = [self.p**i for i in range(self.D)]
+        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
-        """Digit rows back to element indices."""
+        """Digit rows (entries in [0, p), low first) to element indices."""
         digits = np.asarray(digits)
         out = np.zeros(digits.shape[:-1], dtype=np.int64)
         for j in range(self.D):
-            out += (digits[..., j].astype(np.int64) % self.p) * self._pack_weights[j]
+            out += digits[..., j].astype(np.int64) * self._pack_weights[j]
         return out
-
-    def unpack(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64).copy()
-        out = np.empty(idx.shape + (self.D,), dtype=self.digit)
-        for j in range(self.D):
-            out[..., j] = idx % self.p
-            idx //= self.p
-        return out
-
-    def scalar_digits(self, value: FieldElem | int) -> np.ndarray:
-        """(D,) digit vector of a constant, lifted into this field."""
-        if isinstance(value, int):
-            elem = self.ctx.from_int(value)
-        elif value.ctx == self.ctx:
-            elem = value
-        elif self.ctx.in_chain(value.ctx):
-            elem = self.ctx.embed(value)
-        else:
-            raise ValidationError(
-                f"constant from {value.ctx} does not lie under {self.ctx}"
-            )
-        return np.array(elem.prime_coeffs(), dtype=self.digit)
-
-    # -- ring operations on digit arrays ------------------------------------
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a.astype(self.work) + b.astype(self.work)) % self.p
-
-    def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a.astype(self.work) - b.astype(self.work)) % self.p
-
-    def neg(self, a: np.ndarray) -> np.ndarray:
-        return (-a.astype(self.work)) % self.p
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self._mul(len(self.levels), a.astype(self.work), b.astype(self.work))
-
-    def _mul(self, level: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if level == 0:
-            return (a * b) % self.p
-        lv = self.levels[level - 1]
-        d, w = lv.deg, lv.sub_width
-        a = a.reshape(a.shape[:-1] + (d, w))
-        b = b.reshape(b.shape[:-1] + (d, w))
-        lead_shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-        conv = np.zeros(lead_shape + (2 * d - 1, w), dtype=self.work)
-        for i in range(d):
-            for j in range(d):
-                conv[..., i + j, :] += self._mul(level - 1, a[..., i, :], b[..., j, :])
-        conv %= self.p
-        for s in range(2 * d - 2, d - 1, -1):
-            lead = conv[..., s, :]
-            for i in range(d):
-                if lv.mod_nonzero[i]:
-                    t = conv[..., s - d + i, :]
-                    t -= self._mul(level - 1, lead, lv.mod_rows[i])
-                    t %= self.p
-        out = conv[..., :d, :] % self.p
-        return out.reshape(lead_shape + (d * w,))
 
     # -- discrete-log layer ---------------------------------------------------
     #
-    # Whole-field power maps would need thousands of elementwise products, so
-    # instead tabulate g**j once (multiplication by g is linear over the prime
-    # field, so blocks double with one integer matmul) and read any x**n off
-    # as a single gather.
+    # Three tables per field: exp, log and zech.  Multiplication by g is
+    # linear over the prime field, so the digit rows of g**j double block by
+    # block with one matmul per block; they are packed to indices once and
+    # freed.  log scatters exp's positions; zech gathers log at each exp
+    # entry plus one, a step on the lowest base-p digit that wraps at p - 1.
+    # Logs stay below m, so a product of two fits int64 once m**2 < 2**63,
+    # the bound __init__ enforces.
 
     def generator(self) -> FieldElem:
         """A fixed multiplicative generator, smallest by element index."""
-        if self._gen is None:
+        g = _GENERATORS.get(self.ctx.key)
+        if g is None:
             m = self.order - 1
             checks = [m // r for r in _prime_factors(m)]
             one = self.ctx.one()
             for i in range(1, self.order):
                 e = self.ctx.from_index(i)
                 if all((e**c) != one for c in checks):
-                    self._gen = e
+                    g = _GENERATORS[self.ctx.key] = e
                     break
             else:  # pragma: no cover - the group is always cyclic
                 raise InternalInvariantError("no multiplicative generator found")
-        return self._gen
+        return g
 
-    def _mul_by_matrix(self, elem: FieldElem) -> np.ndarray:
-        """(D, D) matrix of y -> elem*y acting on digit rows from the right."""
-        rows = np.zeros((self.D, self.D), dtype=self.work)
-        for b in range(self.D):
-            basis = self.ctx.from_index(self.p**b)
-            rows[b] = (elem * basis).prime_coeffs()
-        return rows
+    def _exp_digits(self) -> np.ndarray:
+        """(m, D) digit rows of g**j, j < m."""
+        m, p = self.order - 1, self.p
+        # BLAS float64 products are exact while D * (p-1)**2 < 2**53, which
+        # D >= 2 guarantees (p**2 <= Q); a prime field's 1x1 products need
+        # int64 once p passes 2**26
+        work = np.int64 if self.D == 1 else np.float64
+        gen = self.generator()
+        gmat = np.array(
+            [(gen * self.ctx.from_index(p**b)).prime_coeffs() for b in range(self.D)],
+            dtype=work,
+        )
+        exp = np.zeros((m, self.D), dtype=np.min_scalar_type(p - 1))
+        exp[0, 0] = 1
+        filled = 1
+        while filled < m:
+            step = min(filled, m - filled)
+            for s in range(0, step, _CHUNK):
+                e = min(s + _CHUNK, step)
+                block = (exp[s:e] @ gmat).astype(np.int64)
+                exp[filled + s : filled + e] = block % p
+            filled += step
+            if filled < m:
+                gmat = (gmat @ gmat) % p
+        return exp
 
-    def _dlog(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._log is None:
-            m = self.order - 1
-            g = self.generator()
-            exp = np.zeros((max(m, 1), self.D), dtype=self.digit)
-            exp[0] = self.scalar_digits(1)
-            gmat = self._mul_by_matrix(g)
-            filled = 1
-            while filled < m:
-                step = min(filled, m - filled)
-                block = exp[:step].astype(self.work) @ gmat
-                exp[filled : filled + step] = block % self.p
-                filled += step
-                if filled < m:
-                    gmat = (gmat @ gmat) % self.p
-            eidx = self.pack(exp).astype(np.int64)
-            log = np.zeros(self.order, dtype=np.int64)
-            log[eidx] = np.arange(max(m, 1), dtype=np.int64)
-            self._exp_digits, self._exp_idx, self._log = exp, eidx, log
-        return self._exp_digits, self._exp_idx, self._log  # type: ignore[return-value]
-
-    def log_table(self) -> np.ndarray:
-        """log base generator() per element index; entry 0 is meaningless."""
-        return self._dlog()[2]
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(exp, log, zech) as described in the module docstring."""
+        if self._tables is None:
+            m, p = self.order - 1, self.p
+            exp = self.pack(self._exp_digits())
+            log = np.empty(self.order, dtype=np.int64)
+            log[exp] = np.arange(m, dtype=np.int64)
+            log[0] = m
+            plus_one = exp + 1
+            plus_one[exp % p == p - 1] -= p
+            self._tables = (exp, log, log[plus_one])
+        return self._tables
 
     def pow_indices(self, idx: np.ndarray, e: int) -> np.ndarray:
-        """Index array of x**e; zero stays zero (so e <= 0 needs no x=0)."""
+        """Index array of x**e; zero stays zero for every e, even e <= 0."""
         m = self.order - 1
-        exp, eidx, log = self._dlog()
-        out = eidx[(e % m) * log[idx] % m]
+        exp, log, _ = self.tables()
+        out = exp[(e % m) * log[idx] % m]
         return np.where(idx == 0, 0, out)
 
     def mul_indices(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         m = self.order - 1
-        exp, eidx, log = self._dlog()
-        out = eidx[(log[a_idx] + log[b_idx]) % m]
+        exp, log, _ = self.tables()
+        out = exp[(log[a_idx] + log[b_idx]) % m]
         return np.where((a_idx == 0) | (b_idx == 0), 0, out)
 
-    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
-        """Elementwise e-th power of digit rows; zeros stay zero."""
-        idx = self.pack(a)
-        if e == 0:
-            out = np.broadcast_to(self.scalar_digits(1), a.shape).copy()
-            return out
-        exp, eidx, log = self._dlog()
+    # -- whole-field evaluation ------------------------------------------------
+
+    def eval_sparse(self, terms: Sequence[tuple[int, FieldElem | int]]) -> np.ndarray:
+        """Index table of sum(c * x**e) over every x, in index order.
+
+        Coefficients may come from any field below this one.  At x = g**j
+        the term c * x**e has log (e*j + log c) mod m, which needs no
+        gather; each further term is added in log order by one Zech gather,
+        and one scatter moves the sums to index order.  x = 0 takes the
+        constant term.
+        """
+        exp, log, zech = self.tables()
         m = self.order - 1
-        res = exp[(e % m) * log[idx] % m]
-        res[idx == 0] = 0
-        return res
-
-    def inverse(self, a: np.ndarray) -> np.ndarray:
-        """Elementwise inverse; zeros stay zero (caller masks)."""
-        return self.pow(a, self.order - 2)
-
-    # -- power tables --------------------------------------------------------
-
-    def _power_digits(self, n: int, shift: int) -> np.ndarray:
-        """Digit table of (g**shift) * x**n over all x.  Requires n >= 1."""
-        exp, eidx, log = self._dlog()
-        m = self.order - 1
-        t = exp[((n % m) * log + shift) % m]
-        t[0] = 0
-        return t
+        const = self.ctx.zero()
+        logs = []  # (e mod m, log c) per nonzero term
+        for e, c in terms:
+            c = _lift(self.ctx, c)
+            if c.is_zero():
+                continue
+            if e == 0:
+                const = const + c
+            logs.append((e % m, int(log[c.index])))
+        out = np.zeros(self.order, dtype=np.int64)
+        if logs:
+            j = np.arange(m, dtype=np.int64)
+            (s, lc), rest = logs[0], logs[1:]
+            acc = j * s  # the running sum's log at each j
+            acc += lc
+            acc %= m
+            d = np.empty_like(acc)
+            zeros = np.empty(0, dtype=np.int64)  # the j where the sum is 0
+            for s, lc in rest:
+                # log(a + b) = log a + Z(log b - log a), where Z = m for a + b = 0;
+                # j*s + lc + m - acc stays below m**2
+                np.multiply(j, s, out=d)
+                d += lc + m
+                d -= acc
+                d %= m
+                z = zech[d]
+                acc += z
+                acc %= m
+                sums_zero = np.flatnonzero(z == m)
+                del z
+                # where the sum was 0, the new sum is the term itself
+                acc[zeros] = (s * zeros + lc) % m
+                zeros = np.setdiff1d(sums_zero, zeros, assume_unique=True)
+            del j, d
+            vals = exp[acc]
+            vals[zeros] = 0
+            out[exp] = vals
+        out[0] = const.index
+        return out
 
     def power_table(self, n: int) -> np.ndarray:
-        """Digits of x**n for every x, cached.  n >= 0."""
-        if n in self._powers:
-            return self._powers[n]
-        if n == 0:
-            t = np.broadcast_to(self.scalar_digits(1), (self.order, self.D)).copy()
-        elif n == 1:
-            t = self.elements()
-        else:
-            t = self._power_digits(n, 0)
-        self._powers[n] = t
-        return t
-
-    def _scaled_power(
-        self, n: int, coeff_ctx: FieldCtx, digit: int, cache: bool
-    ) -> np.ndarray:
-        """Power table times the digit-th power of coeff_ctx's generator."""
-        if digit == 0:
-            return self.power_table(n)
-        key = (n, coeff_ctx.key, digit)
-        if key in self._scaled:
-            return self._scaled[key]
-        g = self.ctx.embed(coeff_ctx.gen() ** digit)
-        shift = int(self.log_table()[g.index])
-        if n == 0:
-            t = np.broadcast_to(
-                self.scalar_digits(g), (self.order, self.D)
-            ).copy()
-        else:
-            t = self._power_digits(n, shift)
-        if cache:
-            self._scaled[key] = t
-        return t
-
-    def eval_sparse(
-        self,
-        terms: Sequence[tuple[int, FieldElem | int]],
-        cache: bool = True,
-    ) -> np.ndarray:
-        """Values of sum(c * x**e) at every x.
-
-        Each coefficient is split over its own field's prime digits so the
-        inner loop is plain integer multiply-add on shared power tables.
-        """
-        acc = np.zeros((self.order, self.D), dtype=self.work)
-        budget = 0
-        for exp, coeff in terms:
-            if isinstance(coeff, int):
-                coeff = self.ctx.from_int(coeff)
-            for m, c in enumerate(coeff.prime_coeffs()):
-                c = int(c)
-                if c == 0:
-                    continue
-                tab = self._scaled_power(exp, coeff.ctx, m, cache)
-                acc += np.multiply(tab, c, dtype=self.work)
-                budget += 1
-                if budget >= self.budget:  # keep partial sums inside the work width
-                    acc %= self.p
-                    budget = 0
-        acc %= self.p
-        return acc
-
-    def eval_dense(self, coeffs: Sequence[FieldElem | int]) -> np.ndarray:
-        """Horner evaluation for arbitrary coefficients, low to high."""
-        x = self.elements().astype(self.work)
-        acc = np.broadcast_to(
-            self.scalar_digits(coeffs[-1]) if coeffs else self.scalar_digits(0),
-            (self.order, self.D),
-        ).copy().astype(self.work)
-        for c in reversed(list(coeffs)[:-1]):
-            acc = self.mul(acc, x)
-            cd = self.scalar_digits(c).astype(self.work)
-            acc = (acc + cd) % self.p
-        return acc
-
-    def drop_power_cache(self) -> None:
-        self._powers.clear()
-        self._scaled.clear()
+        """Index table of x**n for every x, with 0**0 = 1.  n >= 0."""
+        return self.eval_sparse([(n, 1)])
 
 
 # -- permutation and multiset utilities --------------------------------------
@@ -407,6 +237,8 @@ def permutation_period(perm: np.ndarray) -> int:
 
 _CACHE: dict[tuple, BatchField] = {}
 _CACHE_CAP = 3
+# generators per ctx.key; one element each, kept when _CACHE drops a field
+_GENERATORS: dict[tuple, FieldElem] = {}
 
 
 def get_batch(ctx: FieldCtx) -> BatchField:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import frobset
-from ._batch import _CACHE as _batch_cache
 from .excscan import dp_range_test, exceptionality_scan
 from .gf import FieldCtx, make_extension, make_field
 from .grouptheory import (
@@ -88,13 +87,6 @@ def _capped(cap: int = SCAN_CAP):
             os.environ.pop("EXCOV_CAP", None)
         else:
             os.environ["EXCOV_CAP"] = old
-
-
-def _drop_batch_tables() -> None:
-    # large-field power tables are rebuilt cheaply; dropping them keeps the
-    # composition sweep from pinning hundreds of MB
-    for bf in _batch_cache.values():
-        bf.drop_power_cache()
 
 
 def _char(q: int) -> int:
@@ -356,7 +348,6 @@ def check_composition_law() -> CheckResult:
             rep_f = exceptionality_scan(f, 12, desc="f")
             rep_g = exceptionality_scan(g, 12, desc="g")
             rep_h = exceptionality_scan(h, 12, desc="h")
-            _drop_batch_tables()
             if rep_f.fitted is None or rep_g.fitted is None or rep_h.fitted is None:
                 continue
             want = frobset.intersect(rep_f.fitted, rep_g.fitted)

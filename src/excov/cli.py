@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import excscan, frobset, grouptheory, lattes, nielsen, pencil, projmap
 from .errors import CapExceededError, ExcovError, ValidationError
-from .gf import FieldCtx, make_field
+from .gf import FieldCtx, _is_prime, make_field
 
 
 # -- spec parsing ---------------------------------------------------------------
@@ -217,6 +217,8 @@ def cmd_nielsen(ns) -> dict:
 
 
 def cmd_oit(ns) -> dict:
+    if ns.p == 2 or not _is_prime(ns.p):
+        raise ValidationError(f"--p must be an odd prime, got {ns.p}")
     e = parse_curve_spec(ns.curve)
     report = lattes.oit_scan(e, ns.p, ns.lmax, ns.tmax)
     return report.to_json_dict()

@@ -35,7 +35,7 @@ def _poly_terms(p: Poly) -> list[tuple[int, object]]:
     return [(i, c) for i, c in enumerate(p.coeffs) if not c.is_zero()]
 
 
-def value_table(f: Union[RationalMap, Poly], t: int, cache: bool = True) -> np.ndarray:
+def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     """Value of f at every point of P1(F_{q^t}), as element indices.
 
     Slot i < q^t holds the image of the i-th field element; the last slot
@@ -48,11 +48,11 @@ def value_table(f: Union[RationalMap, Poly], t: int, cache: bool = True) -> np.n
     Q = K.order
     out = np.empty(Q + 1, dtype=np.int64)
     if f.is_polynomial:
-        out[:Q] = bf.pack(bf.eval_sparse(_poly_terms(f.num), cache=cache))
+        out[:Q] = bf.eval_sparse(_poly_terms(f.num))
         out[Q] = Q if f.degree >= 1 else out[0]
         return out
-    num_idx = bf.pack(bf.eval_sparse(_poly_terms(f.num), cache=cache))
-    den_idx = bf.pack(bf.eval_sparse(_poly_terms(f.den), cache=cache))
+    num_idx = bf.eval_sparse(_poly_terms(f.num))
+    den_idx = bf.eval_sparse(_poly_terms(f.den))
     vals = bf.mul_indices(num_idx, bf.pow_indices(den_idx, -1))
     vals[den_idx == 0] = Q  # poles; numerator is nonzero there by coprimality
     out[:Q] = vals
@@ -66,9 +66,9 @@ def value_table(f: Union[RationalMap, Poly], t: int, cache: bool = True) -> np.n
     return out
 
 
-def is_bijective_on(f: Union[RationalMap, Poly], t: int, cache: bool = True) -> bool:
+def is_bijective_on(f: Union[RationalMap, Poly], t: int) -> bool:
     """Is f one-to-one on P1(F_{q^t})?  (Equivalently onto, by finiteness.)"""
-    tab = value_table(f, t, cache=cache)
+    tab = value_table(f, t)
     return is_permutation(tab, tab.shape[0])
 
 

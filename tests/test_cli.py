@@ -176,6 +176,13 @@ def test_bad_field_spec_exits_2(capsys):
     assert "prime power" in json.loads(err)["error"]["message"]
 
 
+def test_oit_non_prime_p_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["oit", "--curve", "ogg", "--p", "9", "--lmax", "20"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "ValidationError"
+
+
 def test_nielsen_without_selector_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["nielsen"])
     assert code == 2
