@@ -153,20 +153,24 @@ def horner(ctx, coeffs, x):
     return acc
 
 
-def test_eval_sparse_matches_horner():
-    # dense coefficients from the field itself, and a 200-term sum whose
-    # partial sums pass through zero many times on the way
-    f16 = make_field(2, 4)
-    f101 = make_field(101, 1)
+def test_eval_dense_matches_horner():
+    # a dense coefficient list, every exponent 0..4 present
+    ctx = make_field(2, 4)
+    coeffs = [ctx.from_index(i) for i in (5, 0, 9, 1, 14)]
+    vals = BatchField(ctx).eval_sparse(list(enumerate(coeffs)))
+    for i in range(ctx.order):
+        assert vals[i] == horner(ctx, coeffs, ctx.from_index(i)).index
+
+
+def test_budget_forces_reduction_passes_on_long_sums():
+    # a 200-term polynomial over F_101 whose partial sums pass through zero
+    # many times on the way must still come out exactly
+    ctx = make_field(101, 1)
     rng = random.Random(11)
-    cases = [
-        (f16, [f16.from_index(i) for i in (5, 0, 9, 1, 14)]),
-        (f101, [f101.from_int(rng.randrange(101)) for _ in range(200)] + [f101.one()]),
-    ]
-    for ctx, coeffs in cases:
-        vals = BatchField(ctx).eval_sparse(list(enumerate(coeffs)))
-        for i in range(ctx.order):
-            assert vals[i] == horner(ctx, coeffs, ctx.from_index(i)).index
+    coeffs = [ctx.from_int(rng.randrange(101)) for _ in range(200)] + [ctx.one()]
+    vals = BatchField(ctx).eval_sparse(list(enumerate(coeffs)))
+    for i in range(ctx.order):
+        assert vals[i] == horner(ctx, coeffs, ctx.from_index(i)).index
 
 
 def test_is_permutation_and_histogram():
