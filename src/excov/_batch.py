@@ -86,9 +86,10 @@ class BatchField:
     def _exp_digits(self) -> np.ndarray:
         """(m, D) digit rows of g**j, j < m."""
         m, p = self.order - 1, self.p
-        # BLAS float64 products are exact while D * (p-1)**2 < 2**53, which
-        # D >= 2 guarantees (p**2 <= Q); a prime field's 1x1 products need
-        # int64 once p passes 2**26
+        # float64 goes through BLAS, 1.5-5x faster here than numpy's integer
+        # matmul loop.  Its products are exact while D * (p-1)**2 < 2**53,
+        # which D >= 2 guarantees (p**2 <= Q); a prime field's 1x1 products
+        # need int64 once p passes 2**26
         work = np.int64 if self.D == 1 else np.float64
         gen = self.generator()
         gmat = np.array(

@@ -5,8 +5,6 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from excov.errors import CapExceededError, ValidationError
 from excov.excscan import (
@@ -20,7 +18,7 @@ from excov.excscan import (
 )
 from excov.frobset import from_residues
 from excov.gf import make_extension, make_field
-from excov.projmap import P1Point, Poly, RationalMap, cyclic, dickson, eval_p1, parse_map_spec
+from excov.projmap import Poly, RationalMap, cyclic, dickson, parse_map_spec
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -206,42 +204,3 @@ def test_cubing_permutes_p1_over_f65537():
     assert math.gcd(3, 65536) == 1
     assert rep.records[0].bijective
     assert rep.records[0].value_counts == {1: 65538}
-
-
-# both sides of the int8/int16 digit, int16/int32 work and int32 product
-# widths of the earlier digit engine
-BOUNDARY_PRIMES = (61, 67, 127, 131, 32749, 32771, 46337, 46349)
-
-
-@st.composite
-def maps_and_points(draw, p):
-    """A sparse polynomial or rational map over F_{p^k}, a t with
-    p^(kt) <= 2*10^5, and sample slots of P1(F_{p^(kt)})."""
-    n_max = max(n for n in (1, 2, 3) if p**n <= 2 * 10**5)
-    k = draw(st.integers(1, n_max))
-    t = draw(st.integers(1, n_max // k))
-    ctx = make_field(p, k)
-
-    def sparse_poly():
-        coeffs = [ctx.zero()] * 41
-        for e in draw(st.lists(st.integers(0, 40), min_size=1, max_size=5, unique=True)):
-            coeffs[e] = ctx.from_index(draw(st.integers(1, ctx.order - 1)))
-        return Poly(ctx, coeffs)
-
-    num = sparse_poly()
-    f = RationalMap(num, sparse_poly()) if draw(st.booleans()) else RationalMap(num)
-    size = ctx.order**t + 1
-    points = draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=30))
-    return f, t, points + [size - 1]
-
-
-@pytest.mark.parametrize("p", BOUNDARY_PRIMES)
-@settings(derandomize=True, max_examples=20, deadline=None)
-@given(data=st.data())
-def test_value_table_matches_eval_p1_across_width_boundaries(p, data):
-    f, t, points = data.draw(maps_and_points(p))
-    K = make_extension(f.ctx, t)
-    tab = value_table(f, t)
-    for i in points:
-        x = P1Point.infinity(K) if i == K.order else P1Point.of(K.from_index(i))
-        assert tab[i] == eval_p1(f, x).index(), (f, t, i)
