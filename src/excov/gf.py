@@ -495,19 +495,25 @@ def _mk_ctx(p: int, k: int, base: Optional[FieldCtx], modulus: tuple) -> FieldCt
     return ctx
 
 
-@lru_cache(maxsize=None)
 def make_field(p: int, k: int) -> FieldCtx:
     """The field F_{p^k} with the least monic irreducible modulus.
 
     Candidate moduli of equal degree are ordered by their low-to-high
     coefficient lists read as little-endian base-p integers; the first
-    irreducible one wins.  Deterministic by construction.
+    irreducible one wins.  Deterministic by construction.  The arguments
+    and the field cap are checked on every call; only the construction
+    is cached, so a lowered cap also refuses fields built before.
     """
     if not _is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
     if k < 1:
         raise ValidationError(f"extension degree must be >= 1, got {k}")
     check_field_cap(p ** k)
+    return _least_field(p, k)
+
+
+@lru_cache(maxsize=None)
+def _least_field(p: int, k: int) -> FieldCtx:
     prime = _mk_ctx(p, 1, None, (0, 1))
     if k == 1:
         return prime

@@ -8,14 +8,17 @@ import pytest
 
 from excov._batch import (
     _CACHE,
+    _RULING_MIN,
     BatchField,
+    _index_dtype,
     get_batch,
     is_permutation,
-    multiplicity_histogram,
     permutation_period,
 )
 from excov.errors import CapExceededError
+from excov.excscan import value_table
 from excov.gf import make_extension, make_field
+from excov.projmap import cyclic
 
 
 FIELDS = [
@@ -177,8 +180,23 @@ def test_is_permutation_and_histogram():
     assert is_permutation(np.array([2, 0, 1]), 3)
     assert not is_permutation(np.array([2, 2, 1]), 3)
     assert not is_permutation(np.array([0, 1]), 3)
-    hist = multiplicity_histogram(np.array([0, 0, 3, 3, 3, 1]), 5)
-    assert hist == {0: 2, 1: 1, 2: 1, 3: 1}
+
+
+def cycle_walk_period(perm):
+    """Oracle: lcm of the cycle lengths, found by walking each cycle once."""
+    perm = [int(v) for v in perm]
+    seen = [False] * len(perm)
+    want = 1
+    for s in range(len(perm)):
+        if seen[s]:
+            continue
+        ln, c = 0, s
+        while not seen[c]:
+            seen[c] = True
+            c = perm[c]
+            ln += 1
+        want = math.lcm(want, ln)
+    return want
 
 
 def test_permutation_period_known_cycles():
@@ -187,24 +205,67 @@ def test_permutation_period_known_cycles():
     assert permutation_period(perm) == 6
     assert permutation_period(np.arange(9)) == 1
     rng = random.Random(11)
-    for _ in range(10)          :
+    for _ in range(10):
         n = rng.randrange(2, 60)
         p = list(range(n))
         rng.shuffle(p)
-        arr = np.array(p)
-        # reference lcm from explicit cycle walk
-        seen = [False] * n
-        want = 1
-        for s in range(n):
-            if seen[s]:
-                continue
-            ln, c = 0, s
-            while not seen[c]:
-                seen[c] = True
-                c = p[c]
-                ln += 1
-            want = math.lcm(want, ln)
-        assert permutation_period(arr) == want
+        assert permutation_period(np.array(p)) == cycle_walk_period(p)
+
+
+# sizes on both sides of the doubling/ruling-set crossover, and one past
+# 16 crossovers so that a contracted level is contracted again
+RULING_SIZES = [_RULING_MIN - 1, _RULING_MIN, 3 * _RULING_MIN + 5, 17 * _RULING_MIN]
+
+
+@pytest.mark.parametrize("n", RULING_SIZES)
+def test_permutation_period_random_matches_cycle_walk(n):
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        perm = rng.permutation(n)
+        assert permutation_period(perm) == cycle_walk_period(perm)
+
+
+@pytest.mark.parametrize("n", RULING_SIZES)
+def test_permutation_period_structured_shapes(n):
+    n -= n % 2  # even, for the all-2-cycles shape
+    ident = np.arange(n)
+    assert permutation_period(ident) == 1
+    assert permutation_period(np.roll(ident, 1)) == n  # a single n-cycle
+    assert permutation_period(ident ^ 1) == 2
+    # fixed points and one long cycle through a random third of the nodes
+    rng = np.random.default_rng(7)
+    on = rng.choice(n, n // 3, replace=False)
+    perm = ident.copy()
+    perm[on] = np.roll(on, 1)
+    assert permutation_period(perm) == n // 3
+
+
+def test_permutation_period_of_frobenius():
+    # x -> x^3 on P1(F_{3^13}): 13-cycles and fixed points, 1.6e6 points
+    tab = value_table(cyclic(make_field(3, 1), 3), 13)
+    assert tab.shape[0] > 16 * _RULING_MIN
+    assert permutation_period(tab) == 13
+
+
+def mult_order(a, m):
+    x, k = a % m, 1
+    while x != 1:
+        x, k = x * a % m, k + 1
+    return k
+
+
+@pytest.mark.parametrize("n", [7, 11, 19, 23])
+def test_power_map_period_is_multiplicative_order(n):
+    # x^n permutes g^j by j -> n j mod (Q - 1) and fixes 0 and infinity
+    tab = value_table(cyclic(make_field(5, 1), n), 8)
+    Q = 5**8
+    assert math.gcd(n, Q - 1) == 1
+    assert permutation_period(tab) == mult_order(n, Q - 1)
+
+
+def test_index_dtype_narrows_below_2_31():
+    assert _index_dtype(2**31 - 1) is np.int32
+    assert _index_dtype(2**31) is np.int64
 
 
 def test_index_space_multiplication():

@@ -1,6 +1,7 @@
 """CLI surface: schema-valid JSON, byte determinism, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import excov
 from excov import cli
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -204,22 +206,23 @@ def test_argparse_rejects_unknown_subcommand(capsys):
 # -- installed console script -------------------------------------------------------
 
 
-def test_console_script_end_to_end():
-    proc = subprocess.run(
-        [sys.executable, "-m", "excov.cli", "frobset", "--mod", "12", "--residues", "2"],
-        capture_output=True,
-        text=True,
+def run_module(*argv):
+    """``python -m excov.cli`` in a child that imports the excov under test."""
+    path = [str(Path(excov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return subprocess.run(
+        [sys.executable, "-m", "excov.cli", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_console_script_end_to_end():
+    proc = run_module("frobset", "--mod", "12", "--residues", "2")
     assert proc.returncode == 0
     assert proc.stdout == '{"modulus":12,"residues":[2,10]}\n'
 
 
 def test_console_script_error_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "excov.cli", "field", "--field", "0"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("field", "--field", "0")
     assert proc.returncode == 2
 
 

@@ -189,6 +189,16 @@ def test_cap_enforced(monkeypatch):
     monkeypatch.delenv("EXCOV_CAP")
 
 
+def test_cap_holds_for_fields_built_before(monkeypatch):
+    # the construction is cached, the cap check is not
+    ctx = make_field(3, 5)
+    monkeypatch.setenv("EXCOV_CAP", "100")
+    with pytest.raises(CapExceededError):
+        make_field(3, 5)
+    monkeypatch.delenv("EXCOV_CAP")
+    assert make_field(3, 5) is ctx
+
+
 def test_determinism_of_make_field():
     a = make_field(5, 3)
     b = make_field(5, 3)
