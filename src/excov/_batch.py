@@ -47,6 +47,8 @@ class BatchField:
         self.D = ctx.k
         self.order = ctx.order
         self._pack_weights = [self.p**i for i in range(self.D)]
+        # int64 exp, log and zech of Q - 1, Q and Q - 1 entries, once built
+        self.table_bytes = 8 * (3 * self.order - 2)
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
@@ -313,20 +315,32 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 # -- instance cache -----------------------------------------------------------
 
-_CACHE: dict[tuple, BatchField] = {}
-_CACHE_CAP = 3
+# Bytes of tables the cached fields may hold together.  Every field of F_3
+# up to t = 12 (19.1 MB), the largest tower under a 600000-point scan cap,
+# fits, so repeated scans up one tower build each field once; a larger
+# budget only raises peak RSS.
+_CACHE_BYTES = 24 << 20
+_CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field
 _GENERATORS: dict[tuple, FieldElem] = {}
 
 
 def get_batch(ctx: FieldCtx) -> BatchField:
-    """Shared BatchField per field; a few live at a time, oldest dropped."""
+    """Shared BatchField per field, kept while its tables fit _CACHE_BYTES.
+
+    A hit makes the field the most recent.  A miss adds a new BatchField
+    and drops the least recently used others until the cache's
+    ``table_bytes`` fit the budget; the new field stays even when it alone
+    does not, so a second scan over the same large field reuses it.
+    """
     key = ctx.key
-    if key in _CACHE:
-        return _CACHE[key]
-    if len(_CACHE) >= _CACHE_CAP:
-        oldest = next(iter(_CACHE))
-        del _CACHE[oldest]
-    bf = BatchField(ctx)
+    bf = _CACHE.pop(key, None)
+    if bf is None:
+        bf = BatchField(ctx)
     _CACHE[key] = bf
+    total = sum(f.table_bytes for f in _CACHE.values())
+    for old in list(_CACHE)[:-1]:
+        if total <= _CACHE_BYTES:
+            break
+        total -= _CACHE.pop(old).table_bytes
     return bf

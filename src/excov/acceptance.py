@@ -11,13 +11,12 @@ few mismatches in the detail string.
 from __future__ import annotations
 
 import math
-import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import frobset
+from .errors import field_cap_scope
 from .excscan import dp_range_test, exceptionality_scan
 from .gf import FieldCtx, make_extension, make_field
 from .grouptheory import (
@@ -76,17 +75,9 @@ class _Tally:
         return CheckResult(name, True, f"{summary}; {self.count} comparisons")
 
 
-@contextmanager
 def _capped(cap: int = SCAN_CAP):
-    old = os.environ.get("EXCOV_CAP")
-    os.environ["EXCOV_CAP"] = str(cap)
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("EXCOV_CAP", None)
-        else:
-            os.environ["EXCOV_CAP"] = old
+    """Scope every scan in the block to cap points, whatever EXCOV_CAP says."""
+    return field_cap_scope(cap)
 
 
 def _char(q: int) -> int:

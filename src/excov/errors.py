@@ -9,11 +9,16 @@ Invariant violations are never downgraded or silently repaired.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Iterator
 
 DEFAULT_FIELD_CAP = 2 ** 24
 DEFAULT_GROUP_CAP = 10 ** 6
 
 _CAP_ENV = "EXCOV_CAP"
+# a cap set for one block by field_cap_scope; it wins over EXCOV_CAP
+_CAP_SCOPE: ContextVar[int | None] = ContextVar("excov_field_cap", default=None)
 
 
 class ExcovError(Exception):
@@ -41,7 +46,14 @@ class InternalInvariantError(ExcovError):
 
 
 def field_cap() -> int:
-    """Current cap on enumerated field size, overridable via EXCOV_CAP."""
+    """Current cap on enumerated field size.
+
+    The innermost ``field_cap_scope`` decides, then EXCOV_CAP, then
+    DEFAULT_FIELD_CAP.
+    """
+    scoped = _CAP_SCOPE.get()
+    if scoped is not None:
+        return scoped
     raw = os.environ.get(_CAP_ENV)
     if raw is None:
         return DEFAULT_FIELD_CAP
@@ -52,6 +64,16 @@ def field_cap() -> int:
     if cap < 2:
         raise ValidationError(f"{_CAP_ENV} must be at least 2, got {cap}")
     return cap
+
+
+@contextmanager
+def field_cap_scope(cap: int) -> Iterator[None]:
+    """Make ``field_cap()`` return cap inside the block, leaving os.environ."""
+    token = _CAP_SCOPE.set(cap)
+    try:
+        yield
+    finally:
+        _CAP_SCOPE.reset(token)
 
 
 def check_field_cap(size: int, what: str = "field") -> None:

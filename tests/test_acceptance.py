@@ -6,11 +6,14 @@ reports are memoized inside the suite module, so ordering between these
 tests only shifts where the cost lands, never the verdict.
 """
 
+import os
 import time
 
 import pytest
 
 from excov import acceptance
+from excov.errors import CapExceededError, field_cap
+from excov.gf import make_field
 
 
 def _run(fn, budget=None):
@@ -82,3 +85,19 @@ def test_run_all_filter():
     results = acceptance.run_all(only="reflection")
     assert [r.name for r in results] == ["reflection-classes"]
     assert results[0].ok
+
+
+def test_capped_leaves_environ_alone(monkeypatch):
+    monkeypatch.setenv("EXCOV_CAP", "1000")
+    before = dict(os.environ)
+    with acceptance._capped(50):
+        assert dict(os.environ) == before
+        assert field_cap() == 50
+        with pytest.raises(CapExceededError):
+            make_field(7, 3)
+        with acceptance._capped():
+            assert field_cap() == acceptance.SCAN_CAP
+        assert field_cap() == 50
+    assert dict(os.environ) == before
+    assert field_cap() == 1000
+    assert make_field(7, 3).order == 343

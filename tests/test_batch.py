@@ -6,8 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from excov import _batch
 from excov._batch import (
     _CACHE,
+    _CACHE_BYTES,
     _RULING_MIN,
     BatchField,
     _index_dtype,
@@ -17,7 +19,7 @@ from excov._batch import (
 )
 from excov.errors import CapExceededError
 from excov.excscan import value_table
-from excov.gf import make_extension, make_field
+from excov.gf import _is_prime, make_extension, make_field
 from excov.projmap import cyclic
 
 
@@ -312,21 +314,90 @@ def test_frobenius_power_is_linear_over_base():
     assert len(fixed) == base.order
 
 
-def test_get_batch_caches_and_evicts():
+@pytest.fixture
+def empty_cache():
+    _CACHE.clear()
+    yield
+    _CACHE.clear()
+
+
+def primes_above(n, k=1):
+    out = []
+    while len(out) < k:
+        n += 1
+        if _is_prime(n):
+            out.append(n)
+    return out
+
+
+def over_budget_field():
+    """A prime field whose tables alone exceed the cache budget.
+
+    Tables are built lazily, so caching it allocates no large array.
+    """
+    return make_field(primes_above(_CACHE_BYTES // 24)[0], 1)
+
+
+def test_get_batch_caches_and_evicts(empty_cache):
     a = get_batch(make_field(3, 1))
     assert get_batch(make_field(3, 1)) is a
-    for p in (5, 7, 11, 13):
-        get_batch(make_field(p, 1))
+    get_batch(over_budget_field())
     assert get_batch(make_field(3, 1)) is not a
 
 
-def test_generator_survives_table_eviction():
+def test_generator_survives_table_eviction(empty_cache):
     ctx = make_field(17, 1)
     g = get_batch(ctx).generator()
-    for p in (19, 23, 29, 31):
-        get_batch(make_field(p, 1))
+    get_batch(over_budget_field())
     assert ctx.key not in _CACHE
     assert get_batch(ctx).generator() is g
+
+
+def test_tower_walk_builds_each_field_once(monkeypatch, empty_cache):
+    # F_3 up to t = 12 is the largest tower a scan under the acceptance
+    # suite's cap climbs; its tables take 19.1 MB together
+    built = []
+
+    class Counting(BatchField):
+        def __init__(self, ctx):
+            built.append(ctx.key)
+            super().__init__(ctx)
+
+    monkeypatch.setattr(_batch, "BatchField", Counting)
+    tower = [make_extension(make_field(3, 1), t) for t in range(1, 13)]
+    for _ in range(2):
+        for K in tower:
+            get_batch(K)
+    assert len(built) == len(tower)
+    assert set(built) == {K.key for K in tower}
+
+
+def test_get_batch_drops_least_recently_used(empty_cache):
+    # each field's tables take about 0.4 of the budget: two fit, three do not
+    a, b, c = (make_field(q, 1) for q in primes_above(_CACHE_BYTES // 60, 3))
+    bf_a = get_batch(a)
+    get_batch(b)
+    assert get_batch(a) is bf_a
+    get_batch(c)
+    assert list(_CACHE) == [a.key, c.key]
+
+
+def test_over_budget_field_is_kept_alone(empty_cache):
+    get_batch(make_field(3, 1))
+    big = over_budget_field()
+    bf = get_batch(big)
+    assert bf.table_bytes > _CACHE_BYTES
+    assert list(_CACHE) == [big.key]
+    assert get_batch(big) is bf
+    assert bf._tables is None
+
+
+def test_accounted_bytes_match_built_tables(empty_cache):
+    for ctx in FIELDS + [make_field(101, 1)]:
+        bf = get_batch(ctx)
+        assert bf.table_bytes == sum(t.nbytes for t in bf.tables())
+    accounted = sum(bf.table_bytes for bf in _CACHE.values())
+    assert accounted == sum(t.nbytes for bf in _CACHE.values() for t in bf.tables())
 
 
 def test_wide_characteristic_agrees_with_scalar_engine():
