@@ -198,15 +198,6 @@ class BatchField:
 
 # -- permutation utilities ----------------------------------------------------
 
-
-def is_permutation(values: np.ndarray, size: int) -> bool:
-    """Does the index array hit every slot in [0, size) exactly once?"""
-    if values.shape[0] != size:
-        return False
-    counts = np.bincount(values, minlength=size)
-    return bool(counts.max(initial=0) == 1) and counts.size == size
-
-
 # levels below this many nodes go straight to _doubling (measured crossover)
 _RULING_MIN = 1 << 14
 # a node is a splitter when the top _SPLIT_BITS bits of its hash are 0

@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import frobset
 from .errors import field_cap_scope
 from .excscan import dp_range_test, exceptionality_scan
-from .gf import FieldCtx, make_extension, make_field
+from .gf import FieldCtx, _prime_list, make_extension, make_field, parse_field_spec
 from .grouptheory import (
     component_count,
     coset_exceptionality,
@@ -80,39 +80,23 @@ def _capped(cap: int = SCAN_CAP):
     return field_cap_scope(cap)
 
 
-def _char(q: int) -> int:
-    d = 2
-    while q % d:
-        d += 1
-    return d
-
-
-@lru_cache(maxsize=None)
-def _field(q: int) -> FieldCtx:
-    p = _char(q)
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    return make_field(p, k)
-
-
 def _family_ns(q: int) -> list[int]:
-    p = _char(q)
+    p = parse_field_spec(str(q)).p
     return [n for n in range(1, 16, 2) if math.gcd(n, p) == 1]
 
 
 @lru_cache(maxsize=None)
 def _family_report(kind: str, q: int, n: int, a_idx: int):
     """Scan one family member; shared across the family checks."""
-    ctx = _field(q)
+    ctx = parse_field_spec(str(q))
     if kind == "cyclic":
         f = cyclic(ctx, n)
     else:
         f = dickson(ctx, n, ctx.from_index(a_idx))
     with _capped():
-        return exceptionality_scan(f, _FAMILY_T_MAX, desc=f"{kind}:{n}/{q}:{a_idx}")
+        return exceptionality_scan(
+            f, _FAMILY_T_MAX, desc=f"{kind}:{n}/{q}:{a_idx}", with_periods=False
+        )
 
 
 def _dickson_instances():
@@ -217,7 +201,7 @@ def _mat2_mul(a, b):
 def check_family_identities() -> CheckResult:
     tally = _Tally()
     for q in _IDENTITY_QS:
-        ctx = _field(q)
+        ctx = parse_field_spec(str(q))
         two = ctx.from_int(2)
         half = two.inverse()
         K2 = make_extension(ctx, 2)
@@ -305,7 +289,7 @@ def check_family_identities() -> CheckResult:
 
 
 def _composition_pool(q: int) -> list[tuple[str, int]]:
-    p = _char(q)
+    p = parse_field_spec(str(q)).p
     pool: list[tuple[str, int]] = []
     pool += [("cyclic", n) for n in (2, 3, 4, 5, 7) if math.gcd(n, p) == 1]
     pool += [("dickson", n) for n in (3, 5, 7) if math.gcd(n, p) == 1]
@@ -327,7 +311,7 @@ def check_composition_law() -> CheckResult:
         while accepted < 20 and draws < 400:
             draws += 1
             q = rng.choice((3, 5, 7))
-            ctx = _field(q)
+            ctx = parse_field_spec(str(q))
             pool = _composition_pool(q)
             kind_f, n_f = rng.choice(pool)
             kind_g, n_g = rng.choice(pool)
@@ -336,9 +320,9 @@ def check_composition_law() -> CheckResult:
             f = _pool_map(ctx, kind_f, n_f, a_f)
             g = _pool_map(ctx, kind_g, n_g, a_g)
             h = compose(f, g)
-            rep_f = exceptionality_scan(f, 12, desc="f")
-            rep_g = exceptionality_scan(g, 12, desc="g")
-            rep_h = exceptionality_scan(h, 12, desc="h")
+            rep_f = exceptionality_scan(f, 12, desc="f", with_periods=False)
+            rep_g = exceptionality_scan(g, 12, desc="g", with_periods=False)
+            rep_h = exceptionality_scan(h, 12, desc="h", with_periods=False)
             if rep_f.fitted is None or rep_g.fitted is None or rep_h.fitted is None:
                 continue
             want = frobset.intersect(rep_f.fitted, rep_g.fitted)
@@ -447,7 +431,7 @@ def check_fiber_components() -> CheckResult:
         )
     # collision counts of the actual maps stay inside the square-root envelope
     # of the component prediction
-    for p in _odd_primes_upto(101):
+    for p in _prime_list(101, lo=3):
         ctx = make_field(p, 1)
         cases = []
         if p != 3:
@@ -468,21 +452,13 @@ def check_fiber_components() -> CheckResult:
     )
 
 
-def _odd_primes_upto(n: int) -> list[int]:
-    out = []
-    for m in range(3, n + 1, 2):
-        if all(m % d for d in range(3, int(math.isqrt(m)) + 1, 2)):
-            out.append(m)
-    return out
-
-
 # -- 7: the summed square identity W = p * N_f on random polynomials ----------------
 
 
 def check_pencil_identity() -> CheckResult:
     rng = random.Random(SEED)
     tally = _Tally()
-    primes = _odd_primes_upto(101)
+    primes = _prime_list(101, lo=3)
     for _ in range(50):
         p = rng.choice(primes)
         ctx = make_field(p, 1)
@@ -581,7 +557,7 @@ def check_supersingular_median() -> CheckResult:
     e = ogg_curve()
     found = []
     with _capped():
-        for ell in _odd_primes_upto(60):
+        for ell in _prime_list(60, lo=3):
             if not e.has_good_reduction(ell):
                 continue
             red = reduce_curve(e, ell)
@@ -609,7 +585,7 @@ def check_supersingular_median() -> CheckResult:
 
 def check_value_set_pairs() -> CheckResult:
     tally = _Tally()
-    for p in _odd_primes_upto(199):
+    for p in _prime_list(199, lo=3):
         ctx = make_field(p, 1)
         f = Poly(ctx, [0] * 8 + [1])
         g = Poly(ctx, [0] * 8 + [ctx.from_int(16)])

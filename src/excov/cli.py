@@ -16,46 +16,10 @@ from typing import Optional
 
 from . import excscan, frobset, grouptheory, lattes, nielsen, pencil, projmap
 from .errors import CapExceededError, ExcovError, ValidationError
-from .gf import FieldCtx, _is_prime, make_field
+from .gf import FieldCtx, _is_prime, make_field, parse_field_spec
 
 
 # -- spec parsing ---------------------------------------------------------------
-
-
-def parse_field_spec(spec: str) -> FieldCtx:
-    """Accept "p^k" or a plain prime power like "9"."""
-    s = spec.strip()
-    if "^" in s:
-        base, _, exp = s.partition("^")
-        try:
-            p, k = int(base), int(exp)
-        except ValueError:
-            raise ValidationError(f"field spec {spec!r}: expected p^k with integers") from None
-        return make_field(p, k)
-    try:
-        n = int(s)
-    except ValueError:
-        raise ValidationError(f"field spec {spec!r}: expected p^k or an integer") from None
-    if n < 2:
-        raise ValidationError(f"field spec {spec!r}: order must be at least 2")
-    p = _least_prime_factor(n)
-    k = 0
-    m = n
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
-        raise ValidationError(f"field spec {spec!r}: {n} is not a prime power")
-    return make_field(p, k)
-
-
-def _least_prime_factor(n: int) -> int:
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return d
-        d += 1
-    return n
 
 
 def parse_curve_spec(spec: str) -> lattes.EllipticCurveQ:

@@ -14,7 +14,6 @@ from contextvars import ContextVar
 from typing import Iterator
 
 DEFAULT_FIELD_CAP = 2 ** 24
-DEFAULT_GROUP_CAP = 10 ** 6
 
 _CAP_ENV = "EXCOV_CAP"
 # a cap set for one block by field_cap_scope; it wins over EXCOV_CAP

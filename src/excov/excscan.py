@@ -10,12 +10,12 @@ pairs live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from . import frobset
-from ._batch import get_batch, is_permutation, permutation_period
+from ._batch import get_batch, permutation_period
 from .errors import CapExceededError, ValidationError, check_field_cap
 from .frobset import FrobeniusSet
 from .gf import FieldCtx, make_extension
@@ -64,27 +64,6 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     else:
         out[Q] = K.embed(f.num.lead / f.den.lead).index
     return out
-
-
-def is_bijective_on(f: Union[RationalMap, Poly], t: int) -> bool:
-    """Is f one-to-one on P1(F_{q^t})?  (Equivalently onto, by finiteness.)"""
-    tab = value_table(f, t)
-    return is_permutation(tab, tab.shape[0])
-
-
-def surjective_union(fs: Sequence[Union[RationalMap, Poly]], t: int) -> bool:
-    """Do the images of the listed maps jointly cover P1(F_{q^t})?"""
-    if not fs:
-        raise ValidationError("need at least one map")
-    first = fs[0] if isinstance(fs[0], RationalMap) else RationalMap(fs[0])
-    K = _scan_field(first, t)
-    hit = np.zeros(K.order + 1, dtype=bool)
-    for f in fs:
-        fr = f if isinstance(f, RationalMap) else RationalMap(f)
-        if fr.ctx != first.ctx:
-            raise ValidationError("maps over different fields")
-        hit[value_table(fr, t)] = True
-    return bool(hit.all())
 
 
 @dataclass(frozen=True)

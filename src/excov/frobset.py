@@ -115,10 +115,6 @@ def union(a: FrobeniusSet, b: FrobeniusSet) -> FrobeniusSet:
     return from_residues(d, a.expand(d) | b.expand(d))
 
 
-def contains(a: FrobeniusSet, t: int) -> bool:
-    return a.contains(t)
-
-
 def fit_from_samples(
     samples: Sequence[bool], d_max: int
 ) -> Optional[FrobeniusSet]:

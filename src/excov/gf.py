@@ -50,6 +50,19 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _prime_list(hi: int, lo: int = 2) -> list[int]:
+    """The primes p with lo <= p <= hi, increasing (sieve of Eratosthenes)."""
+    sieve = bytearray([1]) * (hi + 1)
+    out = []
+    for i in range(2, hi + 1):
+        if sieve[i]:
+            if i >= lo:
+                out.append(i)
+            for j in range(i * i, hi + 1, i):
+                sieve[j] = 0
+    return out
+
+
 @dataclass(frozen=True)
 class FieldCtx:
     """A finite field, possibly a relative extension of another FieldCtx.
@@ -501,14 +514,15 @@ def make_field(p: int, k: int) -> FieldCtx:
     Candidate moduli of equal degree are ordered by their low-to-high
     coefficient lists read as little-endian base-p integers; the first
     irreducible one wins.  Deterministic by construction.  The arguments
-    and the field cap are checked on every call; only the construction
-    is cached, so a lowered cap also refuses fields built before.
+    and the field cap are checked on every call, the cap before the
+    trial division that tests p; only the construction is cached, so a
+    lowered cap also refuses fields built before.
     """
-    if not _is_prime(p):
-        raise ValidationError(f"p must be prime, got {p}")
     if k < 1:
         raise ValidationError(f"extension degree must be >= 1, got {k}")
     check_field_cap(p ** k)
+    if not _is_prime(p):
+        raise ValidationError(f"p must be prime, got {p}")
     return _least_field(p, k)
 
 
@@ -565,18 +579,32 @@ def enumerate_field(ctx: FieldCtx) -> Iterator[FieldElem]:
 
 
 def parse_field_spec(spec: str) -> FieldCtx:
-    """Parse "p^k" or "p" into a field."""
+    """Accept "p^k" or a plain prime power like "9".
+
+    The field cap is checked before any factoring, so an oversized order
+    is refused at once.
+    """
     s = spec.strip()
     if "^" in s:
-        ps, ks = s.split("^", 1)
-    else:
-        ps, ks = s, "1"
+        base, _, exp = s.partition("^")
+        try:
+            p, k = int(base), int(exp)
+        except ValueError:
+            raise ValidationError(f"field spec {spec!r}: expected p^k with integers") from None
+        return make_field(p, k)
     try:
-        p, k = int(ps), int(ks)
-    except ValueError as exc:
-        raise ValidationError(
-            f"field spec {spec!r}: expected p^k with integers (col {len(ps) + 1})"
-        ) from exc
+        n = int(s)
+    except ValueError:
+        raise ValidationError(f"field spec {spec!r}: expected p^k or an integer") from None
+    if n < 2:
+        raise ValidationError(f"field spec {spec!r}: order must be at least 2")
+    check_field_cap(n)
+    factors = _prime_factors(n)
+    if len(factors) != 1:
+        raise ValidationError(f"field spec {spec!r}: {n} is not a prime power")
+    p, k = factors[0], 1
+    while p ** k < n:
+        k += 1
     return make_field(p, k)
 
 

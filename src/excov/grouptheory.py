@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .frobset import FrobeniusSet, from_residues
+from .frobset import FrobeniusSet, _unit_closure, from_residues
 
 GROUP_CAP = 10 ** 6
 
@@ -249,30 +249,32 @@ def group_from_gens(gens: Sequence[Perm], cap: int = GROUP_CAP) -> PermGroup:
 # -- orbit machinery ---------------------------------------------------------------
 
 
-def _point_orbits(gens: Sequence[Perm], n: int) -> list[list[int]]:
-    seen = [False] * n
-    orbits = []
+def _orbit_labels(images: Sequence[Sequence[int]], n: int) -> list[int]:
+    """label[x] = number of the orbit of x under the maps x -> img[x].
+
+    Each img in images is an image list on 0..n-1; orbits are numbered
+    0, 1, ... in the order of their least points.
+    """
+    label = [-1] * n
+    count = 0
     for s in range(n):
-        if seen[s]:
+        if label[s] >= 0:
             continue
-        orb = [s]
-        seen[s] = True
+        label[s] = count
         queue = [s]
         while queue:
             x = queue.pop()
-            for g in gens:
-                y = g.act(x)
-                if not seen[y]:
-                    seen[y] = True
-                    orb.append(y)
+            for img in images:
+                y = img[x]
+                if label[y] < 0:
+                    label[y] = count
                     queue.append(y)
-        orbits.append(orb)
-    return orbits
+        count += 1
+    return label
 
 
 def _is_transitive(gens: Sequence[Perm], n: int) -> bool:
-    orbs = _point_orbits(gens, n)
-    return len(orbs) == 1
+    return set(_orbit_labels([g.images for g in gens], n)) == {0}
 
 
 def _is_primitive(gens: Sequence[Perm], n: int) -> bool:
@@ -308,19 +310,8 @@ def _is_primitive(gens: Sequence[Perm], n: int) -> bool:
 
 
 def _is_doubly_transitive(gens: Sequence[Perm], n: int) -> bool:
-    if n < 2 or not _is_transitive(gens, n):
-        return False
-    start = (0, 1)
-    seen = {start}
-    queue = [start]
-    while queue:
-        x, y = queue.pop()
-        for g in gens:
-            p = (g.act(x), g.act(y))
-            if p not in seen:
-                seen.add(p)
-                queue.append(p)
-    return len(seen) == n * (n - 1)
+    """Transitive on ordered pairs of distinct points."""
+    return n >= 2 and component_count(fiber_tensor(gens, gens), off_diagonal=True) == 1
 
 
 def _equivariant_map(
@@ -351,7 +342,10 @@ def _centralizer_trivial(gens: Sequence[Perm], n: int) -> bool:
     orbits, and conversely any nontrivial such bijection extends by the
     identity (pairing a cross-orbit map with its inverse).
     """
-    orbits = _point_orbits(gens, n)
+    labels = _orbit_labels([g.images for g in gens], n)
+    orbits: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
+    for x, label in enumerate(labels):
+        orbits[label].append(x)
     for i, A in enumerate(orbits):
         for j, B in enumerate(orbits):
             if len(A) != len(B):
@@ -395,15 +389,7 @@ class MonodromyData:
     def __post_init__(self):
         if self.tau.degree != self.group.degree:
             raise ValidationError("tau degree does not match the group")
-        tinv = self.tau.inverse()
-        for g in self.group.generators:
-            if tinv * g * self.tau not in self.group:
-                raise ValidationError("tau does not normalize the group")
-        d = 1
-        power = self.tau
-        while power not in self.group:
-            power = power * self.tau
-            d += 1
+        d = _coset_period(self.group, self.tau, "the group")
         if self.d and self.d != d:
             raise ValidationError(
                 f"declared coset period {self.d} but tau enters the group at {d}"
@@ -416,14 +402,25 @@ class MonodromyData:
             yield g * tt
 
 
+def _coset_period(group: PermGroup, tau: Perm, what: str) -> int:
+    """Check that tau normalizes group; return the least d >= 1 with tau^d in it."""
+    tinv = tau.inverse()
+    for g in group.generators:
+        if tinv * g * tau not in group:
+            raise ValidationError(f"tau does not normalize {what}")
+    d = 1
+    power = tau
+    while power not in group:
+        power = power * tau
+        d += 1
+    return d
+
+
 def _closed_residues(passing: set[int], d: int, what: str) -> FrobeniusSet:
-    units = [u for u in range(1, d + 1) if math.gcd(u, d) == 1]
-    for t in passing:
-        for u in units:
-            if (u * t) % d not in passing:
-                raise InternalInvariantError(
-                    f"{what} residues {sorted(passing)} mod {d} not unit-closed"
-                )
+    if _unit_closure(d, passing) != passing:
+        raise InternalInvariantError(
+            f"{what} residues {sorted(passing)} mod {d} not unit-closed"
+        )
     return from_residues(d, passing)
 
 
@@ -516,22 +513,8 @@ def component_count(perms: Sequence[Perm], off_diagonal: bool = False) -> int:
         domain = [x for x in range(N) if x not in diagonal]
     else:
         domain = list(range(N))
-    seen: set[int] = set()
-    count = 0
-    for s in domain:
-        if s in seen:
-            continue
-        count += 1
-        seen.add(s)
-        queue = [s]
-        while queue:
-            x = queue.pop()
-            for g in perms:
-                y = g.act(x)
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-    return count
+    labels = _orbit_labels([g.images for g in perms], N)
+    return len({labels[x] for x in domain})
 
 
 # -- paired actions (range and fiber-count tests) -----------------------------------
@@ -552,12 +535,7 @@ class PairedMonodromy:
         self.group = group
         self.tau = tau
         self.swaps = swaps
-        d = 1
-        power = tau
-        while power not in group:
-            power = power * tau
-            d += 1
-        self.d = d
+        self.d = _coset_period(group, tau, "the paired group")
 
     @classmethod
     def from_parallel(
@@ -595,12 +573,7 @@ class PairedMonodromy:
             swaps = True
         else:
             raise ValidationError("tau splits a fiber across both blocks")
-        group = group_from_gens(combined)
-        tinv = tau.inverse()
-        for g in group.generators:
-            if tinv * g * tau not in group:
-                raise ValidationError("tau does not normalize the paired group")
-        return cls(n1, n2, group, tau, swaps)
+        return cls(n1, n2, group_from_gens(combined), tau, swaps)
 
     def fix_pair(self, h: Perm) -> tuple[int, int]:
         f1 = sum(1 for i in range(self.n1) if h.act(i) == i)

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
     check_field_cap,
 )
-from .gf import FieldCtx, FieldElem, make_extension, make_field
+from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import P1Point, Poly, RationalMap, eval_p1
 
 # -- curves over the rationals ----------------------------------------------------
@@ -416,17 +416,6 @@ class OitReport:
         }
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1)
-    out = []
-    for i in range(2, n + 1):
-        if sieve[i]:
-            out.append(i)
-            for j in range(i * i, n + 1, i):
-                sieve[j] = 0
-    return out
-
-
 def oit_scan(e: EllipticCurveQ, p: int, ell_max: int, t_max: int) -> OitReport:
     """Prediction vs brute force for every good prime up to ell_max.
 
@@ -438,7 +427,7 @@ def oit_scan(e: EllipticCurveQ, p: int, ell_max: int, t_max: int) -> OitReport:
         raise ValidationError("need t_max >= 1")
     rows = []
     notices = []
-    for ell in _primes_upto(ell_max):
+    for ell in _prime_list(ell_max):
         if ell <= 3 or not e.has_good_reduction(ell):
             notices.append(f"skip ell={ell}: bad reduction")
             continue

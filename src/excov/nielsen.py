@@ -11,12 +11,20 @@ catalogue of families the rest of the package scans analytically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import CapExceededError, ValidationError
-from .grouptheory import GROUP_CAP, Perm, PermGroup, group_from_gens
+from .gf import _is_prime, _prime_factors
+from .grouptheory import (
+    GROUP_CAP,
+    Perm,
+    PermGroup,
+    _is_transitive,
+    _orbit_labels,
+    group_from_gens,
+)
 
 # -- tuples -------------------------------------------------------------------------
 
@@ -104,17 +112,7 @@ def validate_tuple(t: NielsenTuple) -> list[str]:
 def rh_genus(t: NielsenTuple) -> int:
     """Source genus from the index sum; errors when no cover can exist."""
     n = t.degree
-    gens = list(t.perms)
-    orbit = {0}
-    frontier = [0]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = g.act(x)
-            if y not in orbit:
-                orbit.add(y)
-                frontier.append(y)
-    if len(orbit) != n:
+    if not _is_transitive(t.perms, n):
         raise ValidationError("not a branch cycle description: group not transitive")
     ind_sum = sum(n - len(g.cycles()) - g.fixed_count() for g in t.perms)
     if ind_sum % 2:
@@ -348,17 +346,7 @@ def _mat_apply(m, v, mod):
 def _primitive_root(m: int, p: int) -> int:
     # (Z/p^j)^* is cyclic; test generators by factoring the group order
     order = m // p * (p - 1)
-    fac = []
-    x = order
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            fac.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        fac.append(x)
+    fac = _prime_factors(order)
     for g in range(2, m):
         if g % p == 0:
             continue
@@ -374,10 +362,12 @@ def modular_nielsen(p: int, k: int = 0) -> ModularClasses:
     differences to span; translation normalizes v1 to 0 and the central
     sign folds (v2, v3) with (-v2, -v3).
     """
-    if p < 3 or p % 2 == 0 or any(p % d == 0 for d in range(3, p, 2) if d * d <= p):
-        raise ValidationError("p must be an odd prime")
-    if k < 0 or p ** (k + 1) > 13:
+    # every odd prime p has p^(k+1) > 13 once k >= 2, so bound k before the
+    # power and the power before the primality test
+    if k < 0 or k >= 2 or p ** (k + 1) > 13:
         raise ValidationError("size guard: p^(k+1) must stay <= 13")
+    if p == 2 or not _is_prime(p):
+        raise ValidationError("p must be an odd prime")
     m = p ** (k + 1)
 
     def canon(v2, v3):
@@ -395,47 +385,19 @@ def modular_nielsen(p: int, k: int = 0) -> ModularClasses:
     inner = sorted(classes)
     index = {v: i for i, v in enumerate(inner)}
 
-    def braid_maps(v2, v3):
-        # the three twists in normalized symbols; two of them coincide
-        yield canon(v2, ((v3[0] + v2[0]) % m, (v3[1] + v2[1]) % m))
-        yield canon(
-            ((2 * v2[0] - v3[0]) % m, (2 * v2[1] - v3[1]) % m), v2
-        )
+    def images(move) -> list[int]:
+        return [index[move(v2, v3)] for v2, v3 in inner]
 
-    braid_orbits = 0
-    seen = [False] * len(inner)
-    for s in range(len(inner)):
-        if seen[s]:
-            continue
-        braid_orbits += 1
-        seen[s] = True
-        queue = [inner[s]]
-        while queue:
-            v2, v3 = queue.pop()
-            for nxt in braid_maps(v2, v3):
-                i = index[nxt]
-                if not seen[i]:
-                    seen[i] = True
-                    queue.append(nxt)
-
+    # the three twists in normalized symbols; two of them coincide
+    braid_moves = [
+        images(lambda v2, v3: canon(v2, ((v3[0] + v2[0]) % m, (v3[1] + v2[1]) % m))),
+        images(lambda v2, v3: canon(((2 * v2[0] - v3[0]) % m, (2 * v2[1] - v3[1]) % m), v2)),
+    ]
     g = _primitive_root(m, p)
-    mats = [(1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1)]
-    abs_orbits = 0
-    seen = [False] * len(inner)
-    for s in range(len(inner)):
-        if seen[s]:
-            continue
-        abs_orbits += 1
-        seen[s] = True
-        queue = [inner[s]]
-        while queue:
-            v2, v3 = queue.pop()
-            for mt in mats:
-                nxt = canon(_mat_apply(mt, v2, m), _mat_apply(mt, v3, m))
-                i = index[nxt]
-                if not seen[i]:
-                    seen[i] = True
-                    queue.append(nxt)
+    abs_moves = [
+        images(lambda v2, v3: canon(_mat_apply(mt, v2, m), _mat_apply(mt, v3, m)))
+        for mt in ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))
+    ]
 
     tuples = []
     for v2, v3 in inner:
@@ -446,8 +408,8 @@ def modular_nielsen(p: int, k: int = 0) -> ModularClasses:
         k=k,
         tuples=tuple(tuples),
         inner_class_count=len(inner),
-        inner_braid_orbit_count=braid_orbits,
-        abs_class_count=abs_orbits,
+        inner_braid_orbit_count=len(set(_orbit_labels(braid_moves, len(inner)))),
+        abs_class_count=len(set(_orbit_labels(abs_moves, len(inner)))),
     )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .grouptheory import MonodromyData, fiber_tensor
+from .grouptheory import MonodromyData, _orbit_labels, fiber_tensor
 from .projmap import Poly
 
 PENCIL_PRIME_CAP = 499  # the double loop is quadratic in p
@@ -102,31 +102,12 @@ def stable_component_count(model: MonodromyData) -> int:
     to themselves by the Frobenius element survive over the base field.
     """
     gens = list(model.group.generators)
-    pair_gens = fiber_tensor(gens, gens)
     n = model.group.degree
-    N = n * n
-    cell = [-1] * N
-    next_label = 0
-    for s in range(N):
-        if cell[s] >= 0 or s // n == s % n:
-            continue
-        cell[s] = next_label
-        frontier = [s]
-        while frontier:
-            x = frontier.pop()
-            for g in pair_gens:
-                y = g.act(x)
-                if cell[y] < 0:
-                    cell[y] = next_label
-                    frontier.append(y)
-        next_label += 1
+    labels = _orbit_labels([g.images for g in fiber_tensor(gens, gens)], n * n)
     tau_pair = fiber_tensor([model.tau], [model.tau])[0]
-    stable = 0
-    for label in range(next_label):
-        members = [x for x in range(N) if cell[x] == label]
-        if all(cell[tau_pair.act(x)] == label for x in members):
-            stable += 1
-    return stable
+    moved = {labels[x] for x, y in enumerate(tau_pair.images) if labels[y] != labels[x]}
+    off_diagonal = {labels[x] for x in range(n * n) if x // n != x % n}
+    return len(off_diagonal - moved)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from excov._batch import (
     BatchField,
     _index_dtype,
     get_batch,
-    is_permutation,
     permutation_period,
 )
 from excov.errors import CapExceededError
@@ -176,12 +175,6 @@ def test_budget_forces_reduction_passes_on_long_sums():
     vals = BatchField(ctx).eval_sparse(list(enumerate(coeffs)))
     for i in range(ctx.order):
         assert vals[i] == horner(ctx, coeffs, ctx.from_index(i)).index
-
-
-def test_is_permutation_and_histogram():
-    assert is_permutation(np.array([2, 0, 1]), 3)
-    assert not is_permutation(np.array([2, 2, 1]), 3)
-    assert not is_permutation(np.array([0, 1]), 3)
 
 
 def cycle_walk_period(perm):

@@ -132,6 +132,115 @@ def test_selftest_filtered(capsys):
     assert [c["name"] for c in doc["criteria"]] == ["reflection-classes"]
 
 
+# -- golden stdout, one invocation per subcommand ----------------------------------
+#
+# Exact stdout bytes; a change that only restructures the code keeps them.
+
+GOLDEN = [
+    (
+        'field --field 9',
+        '{"field":{"k":2,"order":9,"p":3},"generator_index":3,"generator_order":8}\n',
+    ),
+    (
+        'field --field 3^2',
+        '{"field":{"k":2,"order":9,"p":3},"generator_index":3,"generator_order":8}\n',
+    ),
+    (
+        'map --field 7 --map dickson:5,1',
+        '{"degree":5,"den_indices":[1],"field":{"k":1,"order":7,"p":7},'
+        '"num_indices":[0,5,0,2,0,1],"polynomial":true,"spec":"dickson:5,1"}\n',
+    ),
+    (
+        'scan --field 3^1 --map dickson:5,1 --tmax 6',
+        '{"base_order":3,"field":{"k":1,"order":3,"p":3},"fit_depth":3,'
+        '"fitted":{"modulus":2,"residues":[1]},"map":"dickson:5,1",'
+        '"records":[{"bijective":true,"period":1,"surjective":true,"t":1,'
+        '"value_counts":{"1":4}},{"bijective":false,"period":null,"surjective":false,'
+        '"t":2,"value_counts":{"0":4,"1":4,"3":2}},{"bijective":true,"period":6,'
+        '"surjective":true,"t":3,"value_counts":{"1":28}},{"bijective":false,'
+        '"period":null,"surjective":false,"t":4,"value_counts":{"0":32,"1":41,"3":2,'
+        '"5":7}},{"bijective":true,"period":330,"surjective":true,"t":5,'
+        '"value_counts":{"1":244}},{"bijective":false,"period":null,'
+        '"surjective":false,"t":6,"value_counts":{"0":292,"1":364,"3":2,"5":72}}],'
+        '"t_max":6,"t_reached":6}\n',
+    ),
+    (
+        'frobset --mod 12 --residues 2',
+        '{"modulus":12,"residues":[2,10]}\n',
+    ),
+    (
+        'dp --field 5 --f poly:0,0,1 --g poly:0,0,2 --tmax 2',
+        '{"f":"poly:0,0,1","field":{"k":1,"order":5,"p":5},"g":"poly:0,0,2",'
+        '"results":[{"multiset_equal":false,"range_equal":false,"t":1},'
+        '{"multiset_equal":true,"range_equal":true,"t":2}]}\n',
+    ),
+    (
+        'group --model cyclic:5,3',
+        '{"analysis":{"doubly_transitive":false,"primitive":true,'
+        '"self_normalizing":false,"transitive":true},"coset_period":4,"degree":5,'
+        '"group_order":5,"mode":"exceptional","model":"cyclic:5,3",'
+        '"set":{"modulus":4,"residues":[1,2,3]}}\n',
+    ),
+    (
+        'group --model dickson:5,3',
+        '{"analysis":{"doubly_transitive":false,"primitive":true,'
+        '"self_normalizing":true,"transitive":true},"coset_period":2,"degree":5,'
+        '"group_order":10,"mode":"exceptional","model":"dickson:5,3",'
+        '"set":{"modulus":2,"residues":[1]}}\n',
+    ),
+    (
+        'nielsen --dickson 5',
+        '{"entries":["(1 5)(2 4)","(2 5)(3 4)","(1 5 4 3 2)"],"family":"dickson",'
+        '"genus":0,"inner_orbit_size":3,"n":5}\n',
+    ),
+    (
+        'nielsen --cyclic 5',
+        '{"entries":["(1 2 3 4 5)","(1 5 4 3 2)"],"family":"cyclic","genus":0,'
+        '"inner_orbit_size":2,"n":5}\n',
+    ),
+    (
+        'nielsen --modular 3,1',
+        '{"absolute_classes":1,"family":"modular","inner_braid_orbits":6,'
+        '"inner_classes":1944,"k":1,"p":3}\n',
+    ),
+    (
+        'oit --curve ogg --p 5 --lmax 30',
+        '{"all_match":true,"ell_max":30,"notices":["skip ell=2: bad reduction",'
+        '"skip ell=3: bad reduction","skip ell=5: equals p"],"p":5,'
+        '"rows":[{"a_ell":0,"cells":[{"bijective":true,"match":true,"predicted":true,'
+        '"t":1}],"disc_nonresidue":true,"ell":7},{"a_ell":4,'
+        '"cells":[{"bijective":true,"match":true,"predicted":true,"t":1}],'
+        '"disc_nonresidue":true,"ell":11},{"a_ell":-2,"cells":[{"bijective":true,'
+        '"match":true,"predicted":true,"t":1}],"disc_nonresidue":true,"ell":13},'
+        '{"a_ell":2,"cells":[{"bijective":false,"match":true,"predicted":false,'
+        '"t":1}],"disc_nonresidue":false,"ell":17},{"a_ell":-4,'
+        '"cells":[{"bijective":true,"match":true,"predicted":true,"t":1}],'
+        '"disc_nonresidue":false,"ell":19},{"a_ell":-8,"cells":[{"bijective":true,'
+        '"match":true,"predicted":true,"t":1}],"disc_nonresidue":true,"ell":23},'
+        '{"a_ell":6,"cells":[{"bijective":true,"match":true,"predicted":true,"t":1}],'
+        '"disc_nonresidue":false,"ell":29}],"t_max":1}\n',
+    ),
+    (
+        'pencil --p 11 --f poly:1,3,1',
+        '{"coeffs":[1,3,1],"deviation":1,"e_values":[-1,-1,-1,-1,10,-1,-1,-1,-1,-1,'
+        '-1],"identity_ok":true,"k_f_estimate":1,"n_f":10,"p":11,"w":110}\n',
+    ),
+    (
+        'selftest --only reflection',
+        '{"criteria":[{"detail":"braid orbit and absolute class counts for (3,0), (5,'
+        '0), (7,0), (3,1); 8 comparisons","name":"reflection-classes","ok":true}],'
+        '"ok":true}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN, ids=[argv for argv, _ in GOLDEN])
+def test_golden_stdout(capsys, argv, expected):
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 0, err
+    assert out == expected
+
+
 # -- output contracts ------------------------------------------------------------
 
 

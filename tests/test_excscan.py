@@ -11,9 +11,7 @@ from excov.excscan import (
     dp_range_test,
     exceptionality_scan,
     idp_multiset_test,
-    is_bijective_on,
     period_series,
-    surjective_union,
     value_table,
 )
 from excov.frobset import from_residues
@@ -58,23 +56,6 @@ def test_value_table_degree_mismatch_at_infinity():
     tab = value_table(f, 1)
     assert tab.tolist() == brute_table(f, 1)
     assert tab[5] == 5
-
-
-def test_bijectivity_flags():
-    assert is_bijective_on(cyclic(F5, 3), 1)
-    assert not is_bijective_on(cyclic(F5, 2), 1)
-    a = F3.one()
-    assert is_bijective_on(dickson(F3, 5, a), 1)
-
-
-def test_surjective_union():
-    sq = parse_map_spec(F5, "poly:0,0,1")
-    twice_sq = parse_map_spec(F5, "poly:0,0,2")
-    assert surjective_union([sq, twice_sq], 1)
-    assert not surjective_union([sq], 1)
-    assert surjective_union([cyclic(F5, 1)], 1)
-    with pytest.raises(ValidationError):
-        surjective_union([], 1)
 
 
 def test_scan_power_map_over_f3():

@@ -4,8 +4,11 @@ import itertools
 
 import pytest
 
+from excov import gf
 from excov.errors import CapExceededError, ValidationError
 from excov.gf import (
+    _is_prime,
+    _prime_list,
     enumerate_field,
     make_extension,
     make_field,
@@ -180,6 +183,41 @@ def test_parse_field_spec_and_element():
         parse_field_spec("3^x")
     with pytest.raises(ValidationError):
         parse_element(ctx, "1,q")
+
+
+def test_parse_field_spec_accepts_plain_prime_powers():
+    ctx = parse_field_spec("9")
+    assert (ctx.p, ctx.k) == (3, 2)
+    assert parse_field_spec(" 3^2 ") is ctx
+    assert parse_field_spec("128").order == 128
+    with pytest.raises(ValidationError, match="not a prime power"):
+        parse_field_spec("12")
+    with pytest.raises(ValidationError, match="at least 2"):
+        parse_field_spec("1")
+    with pytest.raises(ValidationError, match="p\\^k or an integer"):
+        parse_field_spec("nine")
+
+
+def test_cap_is_checked_before_trial_division(monkeypatch):
+    # an over-cap order is refused without factoring it or testing p
+    def trial_division(n):
+        raise AssertionError(f"trial division of {n} ran before the cap check")
+
+    monkeypatch.setattr(gf, "_is_prime", trial_division)
+    monkeypatch.setattr(gf, "_prime_factors", trial_division)
+    monkeypatch.setenv("EXCOV_CAP", str(2**24))
+    for spec in ("100000000000031", "100000000000031^1", "100000000000032", "4^20"):
+        with pytest.raises(CapExceededError):
+            parse_field_spec(spec)
+    with pytest.raises(CapExceededError):
+        make_field(100000000000031, 1)
+
+
+def test_prime_list_matches_primality():
+    assert _prime_list(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert _prime_list(30, lo=3)[:3] == [3, 5, 7]
+    assert _prime_list(1) == []
+    assert _prime_list(500, lo=100) == [n for n in range(100, 501) if _is_prime(n)]
 
 
 def test_cap_enforced(monkeypatch):

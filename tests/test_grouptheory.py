@@ -9,6 +9,7 @@ from excov.grouptheory import (
     PairedMonodromy,
     Perm,
     PermGroup,
+    _orbit_labels,
     analyze_rep,
     block_swap,
     component_count,
@@ -189,6 +190,19 @@ def test_tau_must_normalize():
     G = group_from_gens([C("(1 2)", 3)])
     with pytest.raises(ValidationError):
         MonodromyData(G, C("(1 3)", 3))
+
+
+def test_paired_tau_must_normalize():
+    gens = [C("(1 2)", 3)]
+    with pytest.raises(ValidationError, match="paired group"):
+        PairedMonodromy.from_parallel(gens, gens, C("(1 3)", 3), Perm.identity(3))
+
+
+def test_orbit_labels_number_orbits_by_least_point():
+    swap01 = [1, 0, 2, 3, 4, 5]
+    cycle345 = [0, 1, 2, 4, 5, 3]
+    assert _orbit_labels([swap01, cycle345], 6) == [0, 0, 1, 2, 2, 2]
+    assert _orbit_labels([], 3) == [0, 1, 2]
 
 
 def test_declared_d_checked():

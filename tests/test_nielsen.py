@@ -1,5 +1,6 @@
 import pytest
 
+from excov import nielsen
 from excov.errors import ValidationError
 from excov.grouptheory import Perm, group_from_gens
 from excov.nielsen import (
@@ -255,6 +256,18 @@ def test_modular_sizes_are_guarded():
         modular_nielsen(9)
     with pytest.raises(ValidationError):
         modular_nielsen(2)
+
+
+def test_modular_size_guard_runs_before_primality(monkeypatch):
+    # a large p is refused by the cheap bounds, not after trial division
+    def trial_division(n):
+        raise AssertionError(f"primality of {n} tested before the size guard")
+
+    monkeypatch.setattr(nielsen, "_is_prime", trial_division)
+    with pytest.raises(ValidationError, match="size guard"):
+        modular_nielsen(1_000_000_007)
+    with pytest.raises(ValidationError, match="size guard"):
+        modular_nielsen(3, 10**18)
 
 
 def test_modular_class_counts():
