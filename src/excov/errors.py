@@ -75,7 +75,28 @@ def field_cap_scope(cap: int) -> Iterator[None]:
         _CAP_SCOPE.reset(token)
 
 
+def _shown(n: int) -> str:
+    """n in decimal, or its bit length once it is too long to print whole."""
+    return str(n) if n.bit_length() <= 64 else f"<{n.bit_length()}-bit integer>"
+
+
 def check_field_cap(size: int, what: str = "field") -> None:
     cap = field_cap()
     if size > cap:
-        raise CapExceededError(f"{what} of size {size} exceeds cap {cap}")
+        raise CapExceededError(f"{what} of size {_shown(size)} exceeds cap {cap}")
+
+
+def check_power_cap(base: int, exp: int, what: str = "field") -> None:
+    """check_field_cap(base ** exp), refusing a plainly oversized power first.
+
+    base ** exp >= 2 ** ((bits of base - 1) * exp), so when that exponent
+    reaches the bit length of the cap the power is over it and is never
+    computed.  The message names the size as base^exp.
+    """
+    cap = field_cap()
+    if (
+        base >= 2 and exp >= 1 and (base.bit_length() - 1) * exp >= cap.bit_length()
+    ) or base ** exp > cap:
+        raise CapExceededError(
+            f"{what} of size {_shown(base)}^{_shown(exp)} exceeds cap {cap}"
+        )

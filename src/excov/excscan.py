@@ -16,7 +16,7 @@ import numpy as np
 
 from . import frobset
 from ._batch import get_batch, permutation_period
-from .errors import CapExceededError, ValidationError, check_field_cap
+from .errors import CapExceededError, ValidationError, check_power_cap
 from .frobset import FrobeniusSet
 from .gf import FieldCtx, make_extension
 from .projmap import Poly, RationalMap
@@ -27,7 +27,7 @@ DEFAULT_FIT_DEPTH = 24
 def _scan_field(f: RationalMap, t: int) -> FieldCtx:
     if t < 1:
         raise ValidationError("extension degree must be >= 1")
-    check_field_cap(f.ctx.order ** t, "scan")
+    check_power_cap(f.ctx.order, t, "scan")
     return make_extension(f.ctx, t)
 
 

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
-from .errors import InternalInvariantError, ValidationError, check_field_cap
+from .errors import (
+    InternalInvariantError,
+    ValidationError,
+    check_field_cap,
+    check_power_cap,
+)
 
 Raw = Union[int, tuple]  # int for prime fields, tuple of base raws above
 
@@ -520,7 +525,9 @@ def make_field(p: int, k: int) -> FieldCtx:
     """
     if k < 1:
         raise ValidationError(f"extension degree must be >= 1, got {k}")
-    check_field_cap(p ** k)
+    if p < 2:  # the cap's bit-length bound needs p >= 2
+        raise ValidationError(f"p must be prime, got {p}")
+    check_power_cap(p, k)
     if not _is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
     return _least_field(p, k)
@@ -540,7 +547,7 @@ def make_extension(base: FieldCtx, t: int) -> FieldCtx:
         raise ValidationError(f"extension degree must be >= 1, got {t}")
     if t == 1:
         return base
-    check_field_cap(base.order ** t)
+    check_power_cap(base.order, t)
     return _relative_extension(base, t)
 
 

@@ -7,15 +7,23 @@ the extensions of degree t.  Exceptionality, range equality, and fiber
 component counts all become statements about fixed points on those cosets.
 
 All groups here are materialized element lists.  That is deliberate: every
-model this package builds (dihedral, affine, plane collineations) is tiny,
-and explicit lists keep the coset loops exact and auditable.
+model this package builds (dihedral, affine, plane collineations) is tiny.
+Beside the list, each group keeps one (order, degree) int32 array of the
+element images, built on first use.  The coset passes run on that array:
+with T the images of tau^t, the images of every g*tau^t are the one gather
+T[E], their fixed points T[E] == arange, and tau^(t+1) is one more gather.
+`Perm` is the scalar type, and `MonodromyData.coset` with
+`Perm.fixed_count` is the element-by-element oracle the tests compare with.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .frobset import FrobeniusSet, _unit_closure, from_residues
@@ -223,6 +231,13 @@ class PermGroup:
         self.elements = tuple(elements)
         self._set = seen
 
+    @cached_property
+    def element_array(self) -> np.ndarray:
+        """Row r holds the images of elements[r], as a read-only int32 array."""
+        arr = np.array([g.images for g in self.elements], dtype=np.int32)
+        arr.flags.writeable = False
+        return arr
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -416,6 +431,15 @@ def _coset_period(group: PermGroup, tau: Perm, what: str) -> int:
     return d
 
 
+def _tau_powers(tau: Perm, d: int) -> Iterator[np.ndarray]:
+    """Images of tau^0, ..., tau^(d-1) as int32 arrays, one gather per step."""
+    step = np.array(tau.images, dtype=np.int32)
+    T = np.arange(tau.degree, dtype=np.int32)
+    for _ in range(d):
+        yield T
+        T = step[T]
+
+
 def _closed_residues(passing: set[int], d: int, what: str) -> FrobeniusSet:
     if _unit_closure(d, passing) != passing:
         raise InternalInvariantError(
@@ -430,15 +454,13 @@ def coset_exceptionality(M: MonodromyData, mode: str = "exceptional") -> Frobeni
     if mode not in ("exceptional", "pr-exceptional"):
         raise ValidationError(f"unknown mode {mode!r}")
     exact = mode == "exceptional"
+    E = M.group.element_array
+    A = np.arange(M.group.degree, dtype=np.int32)
     passing = set()
-    for t in range(M.d):
-        ok = True
-        for h in M.coset(t):
-            c = h.fixed_count()
-            if (c != 1) if exact else (c < 1):
-                ok = False
-                break
-        if ok:
+    for t, T in enumerate(_tau_powers(M.tau, M.d)):
+        # g*tau^t applies g first, so row r of T[E] is elements[r]*tau^t
+        counts = (T[E] == A).sum(1)
+        if ((counts == 1) if exact else (counts >= 1)).all():
             passing.add(t)
     return _closed_residues(passing, M.d, mode)
 
@@ -596,12 +618,19 @@ def _block_sum(a: Perm, b: Perm) -> Perm:
 
 
 def _trace_residues(P: PairedMonodromy, agree, what: str) -> FrobeniusSet:
+    """Residues t where agree(f1, f2) holds on every element of group*tau^t.
+
+    f1 and f2 are arrays of the fixed-point counts on the two blocks, one
+    entry per coset element, as `PairedMonodromy.fix_pair` counts them.
+    """
+    E = P.group.element_array
+    A = np.arange(P.group.degree, dtype=np.int32)
     passing = set()
-    for t in range(P.d):
+    for t, T in enumerate(_tau_powers(P.tau, P.d)):
         if P.swaps and t % 2 == 1:
             continue  # this coset exchanges the two fibers outright
-        tt = P.tau ** t
-        if all(agree(*P.fix_pair(g * tt)) for g in P.group):
+        F = T[E] == A
+        if agree(F[:, : P.n1].sum(1), F[:, P.n1 :].sum(1)).all():
             passing.add(t)
     return _closed_residues(passing, P.d, what)
 

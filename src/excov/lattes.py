@@ -20,6 +20,7 @@ from .errors import (
     InternalInvariantError,
     ValidationError,
     check_field_cap,
+    check_power_cap,
 )
 from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import P1Point, Poly, RationalMap, eval_p1
@@ -441,7 +442,7 @@ def oit_scan(e: EllipticCurveQ, p: int, ell_max: int, t_max: int) -> OitReport:
         cells = []
         for t in range(1, t_max + 1):
             try:
-                check_field_cap(ell ** t, "scan extension")
+                check_power_cap(ell, t, "scan extension")
             except CapExceededError:
                 notices.append(f"ell={ell}: stopped at t={t} by the field cap")
                 break
@@ -471,7 +472,7 @@ def median_value_check(e: EllipticCurveF, t_max: int) -> list[int]:
     q = e.ctx.order
     out = []
     for t in range(1, t_max + 1):
-        check_field_cap(q ** t, "extension count")
+        check_power_cap(q, t, "extension count")
         s = trace_power_sum(e.trace, q, t)
         if t <= 2:
             big = e if t == 1 else base_change(e, make_extension(e.ctx, t))

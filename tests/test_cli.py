@@ -306,6 +306,14 @@ def test_cap_exceeded_exits_3(capsys, monkeypatch):
     assert json.loads(err)["error"]["type"] == "CapExceededError"
 
 
+def test_oversized_field_power_exits_3_with_short_error(capsys):
+    code, out, err = run_cli(capsys, ["field", "--field", "2^20000"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "CapExceededError"
+    assert len(err) < 120
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -101,6 +101,12 @@ def test_scan_cap_below_first_step(monkeypatch):
         exceptionality_scan(cyclic(F5, 3), 4)
 
 
+def test_oversized_scan_degree_exits_with_cap_error():
+    # F_5^20000 is refused before 5^20000 is computed or formatted
+    with pytest.raises(CapExceededError, match=r"scan of size 5\^20000 exceeds"):
+        value_table(cyclic(F5, 3), 20000)
+
+
 def test_chain_law_on_sample_composition():
     from excov.projmap import compose
 

@@ -5,7 +5,12 @@ import itertools
 import pytest
 
 from excov import gf
-from excov.errors import CapExceededError, ValidationError
+from excov.errors import (
+    CapExceededError,
+    ValidationError,
+    check_field_cap,
+    check_power_cap,
+)
 from excov.gf import (
     _is_prime,
     _prime_list,
@@ -211,6 +216,29 @@ def test_cap_is_checked_before_trial_division(monkeypatch):
             parse_field_spec(spec)
     with pytest.raises(CapExceededError):
         make_field(100000000000031, 1)
+
+
+def test_oversized_power_is_refused_with_a_short_message():
+    # 2^20000 has 6,021 digits, past the integer-to-string conversion limit
+    F3 = make_field(3, 1)
+    for call, name in (
+        (lambda: make_field(2, 20000), "2^20000"),
+        (lambda: make_extension(F3, 20000), "3^20000"),
+        (lambda: make_field(2, 10 ** 3000), "2^<9966-bit integer>"),
+        (lambda: check_field_cap(10 ** 5000), "<16610-bit integer>"),
+    ):
+        with pytest.raises(CapExceededError) as exc:
+            call()
+        assert name in str(exc.value) and len(str(exc.value)) < 80
+
+
+def test_power_cap_refuses_exactly_past_the_cap(monkeypatch):
+    monkeypatch.setenv("EXCOV_CAP", "81")
+    check_power_cap(3, 4)
+    check_power_cap(9, 2)
+    for base, exp in ((3, 5), (2, 7), (82, 1), (9, 3)):
+        with pytest.raises(CapExceededError, match=f"size {base}\\^{exp} exceeds cap 81"):
+            check_power_cap(base, exp)
 
 
 def test_prime_list_matches_primality():

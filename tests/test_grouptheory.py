@@ -1,5 +1,9 @@
 """Coset fixed-point criteria against hand-checked small groups."""
 
+import math
+import random
+
+import numpy as np
 import pytest
 
 from excov.errors import CapExceededError, ValidationError
@@ -9,6 +13,7 @@ from excov.grouptheory import (
     PairedMonodromy,
     Perm,
     PermGroup,
+    _block_sum,
     _orbit_labels,
     analyze_rep,
     block_swap,
@@ -210,6 +215,191 @@ def test_declared_d_checked():
     tau = Perm(tuple((i * 2) % 5 for i in range(5)))
     with pytest.raises(ValidationError):
         MonodromyData(G, tau, d=3)
+
+
+# -- the element array against the scalar oracle ------------------------------
+
+
+def coset_oracle(M, mode):
+    """coset_exceptionality element by element, from M.coset and fixed_count."""
+    ok = (lambda c: c == 1) if mode == "exceptional" else (lambda c: c >= 1)
+    passing = {t for t in range(M.d) if all(ok(h.fixed_count()) for h in M.coset(t))}
+    return from_residues(M.d, passing)
+
+
+def seeded_models(seed, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        n, q = rng.randrange(1, 40), rng.randrange(2, 60)
+        if math.gcd(n, q) != 1:
+            continue
+        out.append(cyclic_cover_model(n, q))
+        if n >= 3 and n % 2:
+            out.append(dickson_cover_model(n, q))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["exceptional", "pr-exceptional"])
+def test_coset_pass_matches_oracle_on_seeded_models(mode):
+    for M in seeded_models(7, 60):
+        assert coset_exceptionality(M, mode) == coset_oracle(M, mode), M
+
+
+JSON_MODELS = [
+    pytest.param({"degree": 3, "geomGens": ["()"]}, id="trivial-d1"),
+    pytest.param({"degree": 3, "geomGens": ["()"], "tau": "(1 2 3)"}, id="trivial-d3"),
+    pytest.param({"degree": 1, "geomGens": ["()"]}, id="degree1"),
+    pytest.param({"degree": 1, "geomGens": ["1"], "tau": "1"}, id="degree1-one-line"),
+    pytest.param(
+        {"degree": 5, "geomGens": ["(1 2 3 4 5)"], "tau": "1,3,5,2,4"}, id="cyclic5"
+    ),
+    pytest.param({"degree": 4, "geomGens": ["(1 2)(3 4)", "(1 3)(2 4)"]}, id="klein-d1"),
+    pytest.param(
+        {"degree": 4, "geomGens": ["(1 2)(3 4)", "(1 3)(2 4)"], "tau": "(2 3 4)"},
+        id="klein-d3",
+    ),
+    pytest.param(
+        {"degree": 6, "geomGens": ["(1 2 3)"], "tau": "(1 2)(4 5 6)"}, id="intransitive"
+    ),
+    # a letter fixed by everything: pr-exceptional everywhere, never exceptional
+    pytest.param(
+        {"degree": 6, "geomGens": ["(1 2 3 4 5)"], "tau": "1,3,5,2,4,6"},
+        id="global-fixed-point",
+    ),
+]
+
+
+@pytest.mark.parametrize("obj", JSON_MODELS)
+@pytest.mark.parametrize("mode", ["exceptional", "pr-exceptional"])
+def test_coset_pass_matches_oracle_on_edge_models(obj, mode):
+    M = monodromy_from_json(obj)
+    assert coset_exceptionality(M, mode) == coset_oracle(M, mode)
+
+
+def test_element_array_matches_elements_and_is_built_once():
+    M = dickson_cover_model(7, 3)
+    G = M.group
+    E = G.element_array
+    assert E.dtype == np.int32
+    assert E.shape == (G.order, G.degree)
+    assert E.tolist() == [list(g.images) for g in G.elements]
+    assert not E.flags.writeable
+    coset_exceptionality(M)
+    coset_exceptionality(M, "pr-exceptional")
+    assert G.element_array is E
+    trivial = group_from_gens([Perm.identity(1)])
+    assert trivial.element_array.tolist() == [[0]]
+
+
+def trace_oracle(P, agree):
+    """The trace tests element by element, through fix_pair."""
+    passing = set()
+    for t in range(P.d):
+        if P.swaps and t % 2 == 1:
+            continue
+        tt = P.tau ** t
+        if all(agree(*P.fix_pair(g * tt)) for g in P.group):
+            passing.add(t)
+    return from_residues(P.d, passing)
+
+
+def davenport_oracle(P):
+    return trace_oracle(P, lambda a, b: (a > 0) == (b > 0))
+
+
+def idp_oracle(P):
+    return trace_oracle(P, lambda a, b: a == b)
+
+
+def random_perm(rng, n):
+    images = list(range(n))
+    rng.shuffle(images)
+    return Perm(tuple(images))
+
+
+def conj(g, s):
+    return s.inverse() * g * s
+
+
+def small_gens(rng, n, cap=400):
+    """One or two random permutations of degree n generating at most cap elements."""
+    while True:
+        gens = [random_perm(rng, n) for _ in range(rng.choice((1, 2)))]
+        try:
+            PermGroup(n, gens, cap=cap)
+        except CapExceededError:
+            continue
+        return gens
+
+
+def random_pairs(seed, count):
+    """Paired models of degree 3-8 per block, of three shapes.
+
+    parallel: a group closed under conjugation by a random tau1, and its
+    conjugate by a random s as the second action, so tau1 (+) tau1^s
+    normalizes the pair.  cyclic: independent actions of one generator on
+    blocks of unequal degree, with a centralizing tau of any exponents.
+    swap: a group normalized by an involution s and its conjugate by s,
+    under a block swap or a block swap times a diagonal element.
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        shape = rng.choice(("parallel", "cyclic", "swap"))
+        n = rng.randrange(3, 9)
+        if shape == "parallel":
+            tau1 = random_perm(rng, n)
+            base = small_gens(rng, n)
+            gens = [conj(g, tau1 ** i) for g in base for i in range(tau1.order())]
+            try:
+                PermGroup(n, gens, cap=400)
+            except CapExceededError:
+                continue
+            s = random_perm(rng, n)
+            out.append(
+                PairedMonodromy.from_parallel(
+                    gens, [conj(g, s) for g in gens], tau1, conj(tau1, s)
+                )
+            )
+        elif shape == "cyclic":
+            c1, c2 = random_perm(rng, n), random_perm(rng, rng.randrange(3, 9))
+            a, b = rng.randrange(5), rng.randrange(5)
+            out.append(PairedMonodromy.from_parallel([c1], [c2], c1 ** a, c2 ** b))
+        else:
+            images = list(range(n))
+            for i in range(0, n - 1, 2):
+                if rng.random() < 0.5:  # a random involution: disjoint swaps
+                    images[i], images[i + 1] = i + 1, i
+            s = Perm(tuple(images))
+            base = small_gens(rng, n)
+            gens = base + [conj(g, s) for g in base]  # s normalizes <gens>
+            try:
+                PermGroup(n, gens, cap=400)
+            except CapExceededError:
+                continue
+            gens2 = [conj(g, s) for g in gens]
+            tau = block_swap(n)
+            if rng.random() < 0.5:
+                h = group_from_gens(gens).elements[-1]
+                tau = _block_sum(h, conj(h, s)) * tau
+            out.append(PairedMonodromy.from_combined(gens, gens2, tau))
+    return out
+
+
+def test_trace_passes_match_fix_pair_oracle():
+    points, lines = fano_actions()
+    fano = [
+        PairedMonodromy.from_parallel(points, lines, Perm.identity(7), Perm.identity(7)),
+        PairedMonodromy.from_combined(points, lines, block_swap(7)),
+    ]
+    models = fano + random_pairs(11, 60)
+    assert any(P.swaps for P in models) and any(P.d > 2 for P in models)
+    assert any(P.n1 != P.n2 for P in models)
+    for P in models:
+        assert davenport_trace_test(P) == davenport_oracle(P)
+        assert idp_trace_test(P) == idp_oracle(P)
+        assert sdp_check(P) == (idp_oracle(P) == from_residues(1, {0}))
 
 
 # -- fiber products -----------------------------------------------------------
