@@ -132,6 +132,13 @@ class BatchField:
         out = exp[(e % m) * log[idx] % m]
         return np.where(idx == 0, 0, out)
 
+    def quadratic_character(self, idx: np.ndarray) -> np.ndarray:
+        """chi(x) per index: 0 at zero (log[0] = m is even, so masked), else
+        +1 or -1 by the parity of log x; every unit is a square in char 2."""
+        log = self.tables()[1]
+        out = 1 - 2 * (log[idx] & (self.p % 2))
+        return np.where(idx == 0, 0, out)
+
     def mul_indices(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         m = self.order - 1
         exp, log, _ = self.tables()

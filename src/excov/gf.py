@@ -18,10 +18,12 @@ from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
+    CapExceededError,
     InternalInvariantError,
     ValidationError,
     check_field_cap,
     check_power_cap,
+    field_cap,
 )
 
 Raw = Union[int, tuple]  # int for prime fields, tuple of base raws above
@@ -585,30 +587,54 @@ def enumerate_field(ctx: FieldCtx) -> Iterator[FieldElem]:
         yield ctx.from_index(i)
 
 
+_SPEC_ECHO = 40  # characters of a field spec that error messages quote
+
+
+def _spec_int(text: str, cap: int) -> int | str:
+    """int(text), or "<N-digit integer>" for a decimal string of more digits
+    than cap: past the cap as p, k or order, and maybe too long for int().
+    Up to 20 digits it is converted, so cap messages print it whole."""
+    text = text.strip()
+    if not text.isdecimal():  # a sign, "_" or no number: int() decides
+        return int(text)
+    digits = text.lstrip("0") or "0"
+    if len(digits) > max(len(str(cap)), 20):
+        return f"<{len(digits)}-digit integer>"
+    return int(digits)
+
+
 def parse_field_spec(spec: str) -> FieldCtx:
     """Accept "p^k" or a plain prime power like "9".
 
     The field cap is checked before any factoring, so an oversized order
-    is refused at once.
+    is refused at once; a part too long for the cap is refused unconverted.
     """
     s = spec.strip()
+    quoted = repr(s[:_SPEC_ECHO]) + ("..." if len(s) > _SPEC_ECHO else "")
+    cap = field_cap()
     if "^" in s:
         base, _, exp = s.partition("^")
         try:
-            p, k = int(base), int(exp)
+            p, k = _spec_int(base, cap), _spec_int(exp, cap)
         except ValueError:
-            raise ValidationError(f"field spec {spec!r}: expected p^k with integers") from None
-        return make_field(p, k)
+            raise ValidationError(f"field spec {quoted}: expected p^k with integers") from None
+        if isinstance(p, int) and isinstance(k, int):
+            return make_field(p, k)
+        if (isinstance(p, int) and p < 2) or (isinstance(k, int) and k < 1):
+            raise ValidationError(f"field spec {quoted}: expected p >= 2 and k >= 1")
+        raise CapExceededError(f"field of size {p}^{k} exceeds cap {cap}")
     try:
-        n = int(s)
+        n = _spec_int(s, cap)
     except ValueError:
-        raise ValidationError(f"field spec {spec!r}: expected p^k or an integer") from None
+        raise ValidationError(f"field spec {quoted}: expected p^k or an integer") from None
+    if isinstance(n, str):
+        raise CapExceededError(f"field of size {n} exceeds cap {cap}")
     if n < 2:
-        raise ValidationError(f"field spec {spec!r}: order must be at least 2")
+        raise ValidationError(f"field spec {quoted}: order must be at least 2")
     check_field_cap(n)
     factors = _prime_factors(n)
     if len(factors) != 1:
-        raise ValidationError(f"field spec {spec!r}: {n} is not a prime power")
+        raise ValidationError(f"field spec {quoted}: {n} is not a prime power")
     p, k = factors[0], 1
     while p ** k < n:
         k += 1

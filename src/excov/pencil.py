@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapExceededError, InternalInvariantError, ValidationError
+import numpy as np
+
+from ._batch import get_batch
+from .errors import InternalInvariantError, ValidationError, check_power_cap
 from .grouptheory import MonodromyData, _orbit_labels, fiber_tensor
 from .projmap import Poly
-
-PENCIL_PRIME_CAP = 499  # the double loop is quadratic in p
 
 
 @dataclass(frozen=True)
@@ -57,24 +58,17 @@ def pencil_scan(f: Poly) -> PencilReport:
         raise ValidationError("pencil scans run over prime fields only")
     if p == 2:
         raise ValidationError("even characteristic has no quadratic character")
-    if p > PENCIL_PRIME_CAP:
-        raise CapExceededError(f"p = {p} exceeds the pencil cap {PENCIL_PRIME_CAP}")
+    check_power_cap(p, 2, "pencil correlation")
     if f.degree < 1:
         raise ValidationError("need deg f >= 1")
 
-    chi = [0] * p  # quadratic character by Euler's criterion
-    for v in range(1, p):
-        chi[v] = 1 if pow(v, (p - 1) // 2, p) == 1 else -1
-
-    values = [f(ctx.from_int(x)).index for x in range(p)]
-    counts = [0] * p
-    for v in values:
-        counts[v] += 1
-    n_f = sum(c * (c - 1) for c in counts)
-
-    e_values = []
-    for lam in range(p):
-        e_values.append(sum(chi[(v + lam) % p] for v in values))
+    bf = get_batch(ctx)
+    counts = np.bincount(bf.eval_sparse(list(enumerate(f.coeffs))), minlength=p)
+    n_f = int((counts * (counts - 1)).sum())
+    # E_lambda = sum over v of counts[v] * chi(v + lambda): a cyclic
+    # correlation, taken exactly in int64 over chi extended by p - 1 entries
+    chi = bf.quadratic_character(np.arange(p))
+    e_values = np.correlate(np.concatenate([chi, chi[:-1]]), counts).tolist()
     w = sum(e * e for e in e_values)
 
     if w != p * n_f:

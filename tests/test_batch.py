@@ -279,12 +279,19 @@ def test_index_space_multiplication():
 
 
 def test_log_parity_is_quadratic_character():
-    ctx = make_field(7, 2)
-    bf = BatchField(ctx)
-    log = bf.tables()[1]
-    squares = {(ctx.from_index(i) ** 2).index for i in range(1, ctx.order)}
-    for i in range(1, ctx.order):
-        assert (log[i] % 2 == 0) == (i in squares)
+    # against Euler's criterion x^((q-1)/2) = +-1 in scalar arithmetic
+    for p, k in ((7, 1), (13, 1), (5, 2), (3, 3), (7, 2)):
+        ctx = make_field(p, k)
+        chi = BatchField(ctx).quadratic_character(np.arange(ctx.order))
+        assert chi[0] == 0
+        half = (ctx.order - 1) // 2
+        for i in range(1, ctx.order):
+            euler = ctx.from_index(i) ** half
+            assert euler in (ctx.one(), -ctx.one())
+            assert chi[i] == (1 if euler == ctx.one() else -1), (p, k, i)
+    # every unit of F_8 is a square
+    chi = BatchField(make_field(2, 3)).quadratic_character(np.arange(8))
+    assert chi.tolist() == [0] + [1] * 7
 
 
 def test_generator_has_full_order():

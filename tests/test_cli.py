@@ -314,6 +314,36 @@ def test_oversized_field_power_exits_3_with_short_error(capsys):
     assert len(err) < 120
 
 
+def test_overlong_field_exponent_exits_3(capsys):
+    # 5000 digits are past Python's int() limit; the length alone decides
+    code, out, err = run_cli(capsys, ["field", "--field", "2^" + "1" * 5000])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "CapExceededError"
+    assert len(err) < 120
+
+
+def test_overlong_plain_order_exits_3_and_messages_stay_short(capsys):
+    code, out, err = run_cli(capsys, ["field", "--field", "7" * 5001])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "CapExceededError"
+    assert len(err) < 120
+    code, _, err = run_cli(capsys, ["field", "--field", "7" * 5000 + "x"])
+    assert code == 2
+    assert len(err) < 160
+
+
+def test_pencil_cap_is_the_field_cap_on_p_squared(capsys):
+    # 4093^2 <= 2^24 < 4099^2, consecutive primes
+    doc = run_json(capsys, ["pencil", "--p", "4093", "--f", "poly:0,0,1"])
+    assert doc["w"] == doc["p"] * doc["n_f"]
+    code, out, err = run_cli(capsys, ["pencil", "--p", "4099", "--f", "poly:0,0,1"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["type"] == "CapExceededError"
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])

@@ -1,6 +1,7 @@
 """Field-tower construction and scalar arithmetic."""
 
 import itertools
+import re
 
 import pytest
 
@@ -201,6 +202,23 @@ def test_parse_field_spec_accepts_plain_prime_powers():
         parse_field_spec("1")
     with pytest.raises(ValidationError, match="p\\^k or an integer"):
         parse_field_spec("nine")
+
+
+def test_parse_field_spec_reads_long_parts_by_their_length():
+    long = "1" * 5000  # past Python's int() limit on digit strings
+    cases = (
+        (f"2^{long}", "2^<5000-digit integer>"),
+        (long, "<5000-digit integer>"),
+        (f"{long}^3", "<5000-digit integer>^3"),
+    )
+    for spec, size in cases:
+        with pytest.raises(CapExceededError, match=f"size {re.escape(size)} exceeds"):
+            parse_field_spec(spec)
+    # leading zeros do not count, and a short p or k is still validated
+    assert parse_field_spec("3^" + "0" * 5000 + "2").order == 9
+    for spec in (f"1^{long}", f"{long}^0"):
+        with pytest.raises(ValidationError, match="p >= 2 and k >= 1"):
+            parse_field_spec(spec)
 
 
 def test_cap_is_checked_before_trial_division(monkeypatch):

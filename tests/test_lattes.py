@@ -1,8 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from excov.errors import CapExceededError, ValidationError
+from excov.excscan import value_table
 from excov.frobset import fit_from_samples
 from excov.gf import make_extension, make_field
 from excov.lattes import (
@@ -65,6 +67,11 @@ def test_reduction_count_against_naive_enumeration():
                     naive += 1
         assert red.n_points == naive
         assert red.trace == ell + 1 - naive
+    for ell in (5, 7, 11):  # F_{ell^2}, counted by points() over x and y
+        red = reduce_curve(e, ell)
+        big = base_change(red, make_extension(red.ctx, 2))
+        assert big.n_points == len(big.points())
+        assert big.trace == ell * ell + 1 - big.n_points
 
 
 def test_reduction_guards():
@@ -277,6 +284,38 @@ def test_predict_is_unit_closed_in_t():
         assert fitted is not None
         for t in range(1, 3 * d):
             assert (t in fitted) == oit_predict(red.trace, ell, 5, t)
+
+
+def _p1_image(f, ctx):
+    """eval_p1 at every point of P1(ctx), in value_table slot order."""
+    pts = [P1Point.of(ctx.from_index(i)) for i in range(ctx.order)]
+    return [eval_p1(f, x).index() for x in pts + [P1Point.infinity(ctx)]]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_oit_cells_of_small_multiplication_maps_match_eval_p1(m):
+    # the first two curves have m-torsion x-coordinates, poles of the map,
+    # in F_ell; [3] permutes P1 over F_11 and F_121 on the third
+    for (ell, a, b), poles in (((7, 1, 3), True), ((11, 1, 0), True), ((11, 2, 5), False)):
+        e = curve(ell, a, b)
+        fm = lattes_map(e, m)
+        for t in (1, 2):
+            K = make_extension(e.ctx, t)
+            tab = value_table(fm, t)
+            want = _p1_image(fm, K)
+            assert tab.tolist() == want
+            assert K.order in want[:-1] or not poles
+            bijective = bool((np.bincount(tab) == 1).all())
+            assert bijective == (len(set(want)) == K.order + 1)
+
+
+def test_oit_cells_match_eval_p1_enumeration():
+    rep = oit_scan(ogg_curve(), 5, 13, 2)
+    for row in rep.rows:
+        fm = lattes_map(reduce_curve(ogg_curve(), row.ell), 5)
+        for cell in row.cells:
+            K = make_extension(fm.ctx, cell.t)
+            assert cell.bijective == (len(set(_p1_image(fm, K))) == K.order + 1)
 
 
 def test_report_json_shape():

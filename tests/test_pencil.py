@@ -27,12 +27,13 @@ def naive_report(p, coeffs):
             acc = (acc * x + c) % p
         return acc
 
-    def sqrt_count(v):
-        return sum(1 for y in range(p) if (y * y) % p == v)
+    sqrt_count = [0] * p  # square roots of each residue
+    for y in range(p):
+        sqrt_count[y * y % p] += 1
 
     e = []
     for lam in range(p):
-        pts = sum(sqrt_count((f(x) + lam) % p) for x in range(p))
+        pts = sum(sqrt_count[(f(x) + lam) % p] for x in range(p))
         e.append(pts - p)
     n_f = sum(
         1 for x in range(p) for y in range(p) if x != y and f(x) == f(y)
@@ -52,7 +53,16 @@ def test_identity_on_the_spec_examples():
 
 
 def test_against_naive_enumeration():
-    for p, coeffs in ((5, [1, 2, 3]), (7, [0, 3, 0, 1]), (11, [2, 0, 0, 0, 1]), (13, [1, 1, 1, 1])):
+    cases = (
+        (3, [0, 0, 1]),
+        (3, [2, 1, 0, 1]),
+        (5, [1, 2, 3]),
+        (7, [0, 3, 0, 1]),
+        (11, [2, 0, 0, 0, 1]),
+        (13, [1, 1, 1, 1]),
+        (503, [7, 0, 400, 1, 0, 3]),
+    )
+    for p, coeffs in cases:
         r = pencil_scan(poly(p, coeffs))
         e, w, n_f = naive_report(p, coeffs)
         assert list(r.e_values) == e
@@ -88,15 +98,19 @@ def test_bijective_maps_have_zero_estimate():
     assert r.n_f == 0 and r.k_f_estimate == 0 and r.deviation == 0
 
 
-def test_validation():
+def test_validation(monkeypatch):
     with pytest.raises(ValidationError):
         pencil_scan(poly(5, [3]))  # constant
     with pytest.raises(ValidationError):
         pencil_scan(Poly(make_field(2, 1), [0, 1]))
     with pytest.raises(ValidationError):
         pencil_scan(Poly(make_field(5, 2), [0, 1]))  # not a prime field
+    # the correlation costs p^2, checked against the field cap
+    monkeypatch.setenv("EXCOV_CAP", "600000")
+    assert 773 ** 2 <= 600000 < 787 ** 2  # consecutive primes
+    assert pencil_scan(poly(773, [0, 0, 1])).identity_ok
     with pytest.raises(CapExceededError):
-        pencil_scan(poly(503, [0, 0, 1]))
+        pencil_scan(poly(787, [0, 0, 1]))
 
 
 def test_stable_components_power_map():
