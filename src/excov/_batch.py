@@ -1,6 +1,6 @@
 """Vectorized arithmetic over every element of a finite field at once.
 
-Field elements exist here only as int64 element indices: index i is the
+Field elements exist here only as element indices: index i is the
 element whose base-p digits, low first, are its prime-field coefficients
 (``FieldElem.index``).  Each field F_Q gets three tables, built once from
 a fixed multiplicative generator g, with m = Q - 1:
@@ -14,9 +14,12 @@ follow Zech's rule a + b = a * (1 + b/a).  Adding 1 to an element changes
 only its lowest base-p digit, so the "+1" step behind ``zech`` is index
 arithmetic: i + 1, or i - (p - 1) when i % p == p - 1.
 
-All index arithmetic is int64, and a product of two logs is below m**2,
-so fields with m**2 >= 2**63 are refused with ``CapExceededError`` before
-any table is built rather than allowed to wrap.
+Tables are stored at the width ``_index_dtype(Q)``: int32 while
+Q < 2**31, 12 bytes per point, else int64.  A sum or product of two logs
+can pass int32, so it is always formed in int64 after a cast; such a
+product is below m**2, so fields with m**2 >= 2**63 are refused with
+``CapExceededError`` before any table is built rather than allowed to
+wrap.  Whole-field outputs (``eval_sparse``) are int64.
 """
 
 from __future__ import annotations
@@ -32,6 +35,14 @@ from .projmap import _lift
 
 # rows of the exp digit table multiplied per matmul, to bound temporaries
 _CHUNK = 1 << 12
+# logs j evaluated together by eval_sparse, to bound its temporaries; of
+# 2**15 to 2**18, 2**16 was fastest on fields of 1.8e5 to 4.2e6 points
+_BLOCK = 1 << 16
+
+
+def _index_dtype(n: int) -> type:
+    """Index width for values below n: int32 while every one fits."""
+    return np.int32 if n < 2**31 else np.int64
 
 
 class BatchField:
@@ -47,16 +58,17 @@ class BatchField:
         self.D = ctx.k
         self.order = ctx.order
         self._pack_weights = [self.p**i for i in range(self.D)]
-        # int64 exp, log and zech of Q - 1, Q and Q - 1 entries, once built
-        self.table_bytes = 8 * (3 * self.order - 2)
+        self.dtype = _index_dtype(self.order)
+        # exp, log and zech of Q - 1, Q and Q - 1 entries, once built
+        self.table_bytes = np.dtype(self.dtype).itemsize * (3 * self.order - 2)
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
         """Digit rows (entries in [0, p), low first) to element indices."""
         digits = np.asarray(digits)
-        out = np.zeros(digits.shape[:-1], dtype=np.int64)
+        out = np.zeros(digits.shape[:-1], dtype=self.dtype)
         for j in range(self.D):
-            out += digits[..., j].astype(np.int64) * self._pack_weights[j]
+            out += digits[..., j].astype(self.dtype) * self._pack_weights[j]
         return out
 
     # -- discrete-log layer ---------------------------------------------------
@@ -67,7 +79,7 @@ class BatchField:
     # freed.  log scatters exp's positions; zech gathers log at each exp
     # entry plus one, a step on the lowest base-p digit that wraps at p - 1.
     # Logs stay below m, so a product of two fits int64 once m**2 < 2**63,
-    # the bound __init__ enforces.
+    # the bound __init__ enforces; the int32 tables are widened first.
 
     def generator(self) -> FieldElem:
         """A fixed multiplicative generator, smallest by element index."""
@@ -117,8 +129,8 @@ class BatchField:
         if self._tables is None:
             m, p = self.order - 1, self.p
             exp = self.pack(self._exp_digits())
-            log = np.empty(self.order, dtype=np.int64)
-            log[exp] = np.arange(m, dtype=np.int64)
+            log = np.empty(self.order, dtype=self.dtype)
+            log[exp] = np.arange(m, dtype=self.dtype)
             log[0] = m
             plus_one = exp + 1
             plus_one[exp % p == p - 1] -= p
@@ -129,8 +141,10 @@ class BatchField:
         """Index array of x**e; zero stays zero for every e, even e <= 0."""
         m = self.order - 1
         exp, log, _ = self.tables()
-        out = exp[(e % m) * log[idx] % m]
-        return np.where(idx == 0, 0, out)
+        k = log[idx].astype(np.int64)
+        k *= e % m
+        k %= m
+        return np.where(idx == 0, 0, exp[k])
 
     def quadratic_character(self, idx: np.ndarray) -> np.ndarray:
         """chi(x) per index: 0 at zero (log[0] = m is even, so masked), else
@@ -142,7 +156,7 @@ class BatchField:
     def mul_indices(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         m = self.order - 1
         exp, log, _ = self.tables()
-        out = exp[(log[a_idx] + log[b_idx]) % m]
+        out = exp[(log[a_idx].astype(np.int64) + log[b_idx]) % m]
         return np.where((a_idx == 0) | (b_idx == 0), 0, out)
 
     # -- whole-field evaluation ------------------------------------------------
@@ -154,7 +168,8 @@ class BatchField:
         the term c * x**e has log (e*j + log c) mod m, which needs no
         gather; each further term is added in log order by one Zech gather,
         and one scatter moves the sums to index order.  x = 0 takes the
-        constant term.
+        constant term.  The j run in blocks of ``_BLOCK``, so only the int64
+        output and the tables take memory in proportion to the field.
         """
         exp, log, zech = self.tables()
         m = self.order - 1
@@ -169,32 +184,32 @@ class BatchField:
             logs.append((e % m, int(log[c.index])))
         out = np.zeros(self.order, dtype=np.int64)
         if logs:
-            j = np.arange(m, dtype=np.int64)
-            (s, lc), rest = logs[0], logs[1:]
-            acc = j * s  # the running sum's log at each j
-            acc += lc
-            acc %= m
-            d = np.empty_like(acc)
-            zeros = np.empty(0, dtype=np.int64)  # the j where the sum is 0
-            for s, lc in rest:
-                # log(a + b) = log a + Z(log b - log a), where Z = m for a + b = 0;
-                # j*s + lc + m - acc stays below m**2
-                np.multiply(j, s, out=d)
-                d += lc + m
-                d -= acc
-                d %= m
-                z = zech[d]
-                acc += z
+            (s0, lc0), rest = logs[0], logs[1:]
+            for lo in range(0, m, _BLOCK):
+                hi = min(lo + _BLOCK, m)
+                j = np.arange(lo, hi, dtype=np.int64)
+                acc = j * s0  # the running sum's log at each j
+                acc += lc0
                 acc %= m
-                sums_zero = np.flatnonzero(z == m)
-                del z
-                # where the sum was 0, the new sum is the term itself
-                acc[zeros] = (s * zeros + lc) % m
-                zeros = np.setdiff1d(sums_zero, zeros, assume_unique=True)
-            del j, d
-            vals = exp[acc]
-            vals[zeros] = 0
-            out[exp] = vals
+                d = np.empty_like(acc)
+                zeros = np.empty(0, dtype=np.int64)  # j - lo where the sum is 0
+                for s, lc in rest:
+                    # log(a + b) = log a + Z(log b - log a), where Z = m for
+                    # a + b = 0; j*s + lc + m - acc stays below m**2
+                    np.multiply(j, s, out=d)
+                    d += lc + m
+                    d -= acc
+                    d %= m
+                    z = zech[d]
+                    acc += z
+                    acc %= m
+                    sums_zero = np.flatnonzero(z == m)
+                    # where the sum was 0, the new sum is the term itself
+                    acc[zeros] = (s * (zeros + lo) + lc) % m
+                    zeros = np.setdiff1d(sums_zero, zeros, assume_unique=True)
+                vals = exp[acc]
+                vals[zeros] = 0
+                out[exp[lo:hi]] = vals
         out[0] = const.index
         return out
 
@@ -211,11 +226,6 @@ _RULING_MIN = 1 << 14
 _SPLIT_BITS = 4
 # Fibonacci hashing: 2**64 / golden ratio, rounded to odd
 _GOLDEN64 = 0x9E3779B97F4A7C15
-
-
-def _index_dtype(n: int) -> type:
-    """Index width for arrays of n nodes: int32 while every index fits."""
-    return np.int32 if n < 2**31 else np.int64
 
 
 def permutation_period(perm: np.ndarray) -> int:
@@ -314,7 +324,7 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 # -- instance cache -----------------------------------------------------------
 
 # Bytes of tables the cached fields may hold together.  Every field of F_3
-# up to t = 12 (19.1 MB), the largest tower under a 600000-point scan cap,
+# up to t = 12 (9.6 MB), the largest tower under a 600000-point scan cap,
 # fits, so repeated scans up one tower build each field once; a larger
 # budget only raises peak RSS.
 _CACHE_BYTES = 24 << 20

@@ -593,11 +593,13 @@ _SPEC_ECHO = 40  # characters of a field spec that error messages quote
 def _spec_int(text: str, cap: int) -> int | str:
     """int(text), or "<N-digit integer>" for a decimal string of more digits
     than cap: past the cap as p, k or order, and maybe too long for int().
-    Up to 20 digits it is converted, so cap messages print it whole."""
+    Up to 20 digits it is converted, so cap messages print it whole.  One
+    leading "+" is read as int() reads it."""
     text = text.strip()
-    if not text.isdecimal():  # a sign, "_" or no number: int() decides
+    digits = text[1:] if text.startswith("+") else text
+    if not digits.isdecimal():  # "-", "_" or no number: int() decides
         return int(text)
-    digits = text.lstrip("0") or "0"
+    digits = digits.lstrip("0") or "0"
     if len(digits) > max(len(str(cap)), 20):
         return f"<{len(digits)}-digit integer>"
     return int(digits)

@@ -8,6 +8,7 @@ import pytest
 
 from excov import _batch
 from excov._batch import (
+    _BLOCK,
     _CACHE,
     _CACHE_BYTES,
     _RULING_MIN,
@@ -16,7 +17,8 @@ from excov._batch import (
     get_batch,
     permutation_period,
 )
-from excov.errors import CapExceededError
+from excov.acceptance import SCAN_CAP
+from excov.errors import CapExceededError, field_cap_scope
 from excov.excscan import value_table
 from excov.gf import _is_prime, make_extension, make_field
 from excov.projmap import cyclic
@@ -263,6 +265,103 @@ def test_index_dtype_narrows_below_2_31():
     assert _index_dtype(2**31) is np.int64
 
 
+# int32 tables where a product of two logs passes 2**31: m**2 >= 2**31
+WIDE_PRODUCT_FIELDS = [make_field(46349, 1), make_field(65537, 1), make_field(7, 6)]
+
+
+def sample_indices(bf, rng):
+    """0, 1, the elements of the 40 largest logs (where products of logs
+    are largest) and random others."""
+    exp = bf.tables()[0]
+    m = bf.order - 1
+    top = [int(exp[j]) for j in range(m - 40, m)]
+    return np.array([0, 1] + top + rng.sample(range(2, bf.order), 60))
+
+
+@pytest.mark.parametrize("ctx", WIDE_PRODUCT_FIELDS, ids=lambda c: f"{c.p}^{c.k}")
+def test_int32_tables_agree_with_scalar_engine_past_int32_products(ctx):
+    bf = BatchField(ctx)
+    m = ctx.order - 1
+    assert m * m >= 2**31
+    assert all(t.dtype == np.int32 for t in bf.tables())
+    rng = random.Random(ctx.order)
+    idx = sample_indices(bf, rng)
+    elems = [ctx.from_index(int(i)) for i in idx]
+    for e in (-1, m - 1, m - 2, 2 * m + 3):
+        got = bf.pow_indices(idx, e)
+        assert got[0] == 0
+        for n in range(1, len(idx)):
+            assert got[n] == (elems[n] ** e).index, (e, int(idx[n]))
+    other = idx[rng.sample(range(len(idx)), len(idx))]
+    got = bf.mul_indices(idx, other)
+    for n in range(len(idx)):
+        assert got[n] == (elems[n] * ctx.from_index(int(other[n]))).index
+    coeffs = [ctx.from_index(rng.randrange(1, ctx.order)) for _ in range(4)]
+    terms = list(zip((m - 1, m - 3, m + 1, 2), coeffs))
+    vals = bf.eval_sparse(terms)
+    assert vals.dtype == np.int64
+    for i, x in zip(idx, elems):
+        want = ctx.zero()
+        for e, c in terms:
+            want = want + c * x**e
+        assert vals[i] == want.index, int(i)
+
+
+class IdentityTable:
+    """Stands in for an exp table too large to build: exp[k] = k."""
+
+    def __getitem__(self, k):
+        return np.asarray(k)
+
+
+def test_table_width_edge_without_building_tables():
+    # the largest prime field with int32 tables and the smallest with int64;
+    # neither builds its 6-17 GB of tables
+    with field_cap_scope(2**32):
+        narrow = BatchField(make_field(2**31 - 1, 1))
+        wide = BatchField(make_field(2147483659, 1))
+    assert narrow.dtype is np.int32
+    assert narrow.table_bytes == 4 * (3 * narrow.order - 2)
+    assert wide.dtype is np.int64
+    assert wide.table_bytes == 8 * (3 * wide.order - 2)
+    assert narrow._tables is None and wide._tables is None
+    # at m = 2**31 - 2 even a sum of two int32 logs passes int32; with exp
+    # stubbed to the identity the results are the log arithmetic itself
+    m = narrow.order - 1
+    logs = [m, 1, m - 1, m - 2, m // 2 + 1, 2**30, 12345]
+    narrow._tables = (IdentityTable(), np.array(logs, dtype=np.int32), None)
+    idx = np.arange(1, len(logs))
+    a, b = np.repeat(idx, idx.size), np.tile(idx, idx.size)
+    got = narrow.mul_indices(a, b)
+    assert got.tolist() == [(logs[i] + logs[j]) % m for i, j in zip(a, b)]
+    for e in (-1, m - 1, 3):
+        got = narrow.pow_indices(idx, e)
+        assert got.tolist() == [(e % m) * logs[i] % m for i in idx]
+
+
+def test_eval_sparse_block_edges_match_scalar_engine():
+    # three blocks of j, the last one partial
+    ctx = make_field(primes_above(2 * _BLOCK + _BLOCK // 2)[0], 1)
+    bf = BatchField(ctx)
+    m = ctx.order - 1
+    assert m > 2 * _BLOCK and m % _BLOCK
+    exp = bf.tables()[0]
+    edges = [0, 1, m - 1] + [k * _BLOCK + d for k in (1, 2) for d in (-1, 0, 1)]
+    # x^2 - x0*x is 0 at x0 = g**j0, inside the last block, so the cubic
+    # term lands on a partial sum that is zero there
+    j0 = 2 * _BLOCK + _BLOCK // 4
+    x0, one = ctx.from_index(int(exp[j0])), ctx.one()
+    for terms in ([(2, one), (1, -x0)], [(2, one), (1, -x0), (3, one), (0, ctx.from_int(5))]):
+        vals = bf.eval_sparse(terms)
+        for j in edges + [j0]:
+            x = ctx.from_index(int(exp[j]))
+            want = ctx.zero()
+            for e, c in terms:
+                want = want + c * x**e
+            assert vals[int(exp[j])] == want.index, j
+    assert vals[x0.index] == (x0**3 + ctx.from_int(5)).index
+
+
 def test_index_space_multiplication():
     ctx = make_field(3, 3)
     bf = BatchField(ctx)
@@ -321,6 +420,14 @@ def empty_cache():
     _CACHE.clear()
 
 
+def tower_depth(q, cap):
+    """Largest t with q**t within cap."""
+    t = 0
+    while q ** (t + 1) <= cap:
+        t += 1
+    return t
+
+
 def primes_above(n, k=1):
     out = []
     while len(out) < k:
@@ -330,12 +437,22 @@ def primes_above(n, k=1):
     return out
 
 
+def table_bytes_per_point():
+    """Table bytes per element of a large prime field, rounded up.
+
+    Read off ``BatchField.table_bytes``, so the sizes below follow the
+    tables' width.  Tables are built lazily, so nothing large is allocated.
+    """
+    probe = BatchField(make_field(primes_above(1 << 20)[0], 1))
+    return -(-probe.table_bytes // probe.order)
+
+
 def over_budget_field():
     """A prime field whose tables alone exceed the cache budget.
 
     Tables are built lazily, so caching it allocates no large array.
     """
-    return make_field(primes_above(_CACHE_BYTES // 24)[0], 1)
+    return make_field(primes_above(_CACHE_BYTES // table_bytes_per_point())[0], 1)
 
 
 def test_get_batch_caches_and_evicts(empty_cache):
@@ -355,7 +472,8 @@ def test_generator_survives_table_eviction(empty_cache):
 
 def test_tower_walk_builds_each_field_once(monkeypatch, empty_cache):
     # F_3 up to t = 12 is the largest tower a scan under the acceptance
-    # suite's cap climbs; its tables take 19.1 MB together
+    # suite's cap climbs; with the F_5 and F_7 towers under the same cap
+    # the tables take 17.1 MB together
     built = []
 
     class Counting(BatchField):
@@ -364,7 +482,12 @@ def test_tower_walk_builds_each_field_once(monkeypatch, empty_cache):
             super().__init__(ctx)
 
     monkeypatch.setattr(_batch, "BatchField", Counting)
-    tower = [make_extension(make_field(3, 1), t) for t in range(1, 13)]
+    tower = [
+        make_extension(make_field(p, 1), t)
+        for p in (3, 5, 7)
+        for t in range(1, tower_depth(p, SCAN_CAP) + 1)
+    ]
+    assert len(tower) == 12 + 8 + 6
     for _ in range(2):
         for K in tower:
             get_batch(K)
@@ -374,7 +497,10 @@ def test_tower_walk_builds_each_field_once(monkeypatch, empty_cache):
 
 def test_get_batch_drops_least_recently_used(empty_cache):
     # each field's tables take about 0.4 of the budget: two fit, three do not
-    a, b, c = (make_field(q, 1) for q in primes_above(_CACHE_BYTES // 60, 3))
+    near = 2 * _CACHE_BYTES // (5 * table_bytes_per_point())
+    a, b, c = (make_field(q, 1) for q in primes_above(near, 3))
+    sizes = [BatchField(f).table_bytes for f in (a, b, c)]
+    assert sizes[0] + sizes[2] <= _CACHE_BYTES < sum(sizes)
     bf_a = get_batch(a)
     get_batch(b)
     assert get_batch(a) is bf_a

@@ -334,6 +334,31 @@ def test_overlong_plain_order_exits_3_and_messages_stay_short(capsys):
     assert len(err) < 160
 
 
+def test_signed_overlong_field_parts_exit_3(capsys):
+    for spec in ("2^+" + "1" * 5000, "+" + "7" * 5001):
+        code, out, err = run_cli(capsys, ["field", "--field", spec])
+        assert code == 3, spec[:8]
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "CapExceededError"
+        assert len(err) < 120
+
+
+def test_plus_signed_field_parts_parse_as_unsigned(capsys):
+    for signed, plain in (("2^+5", "2^5"), ("+9", "9"), ("+0009", "9")):
+        assert run_json(capsys, ["field", "--field", signed]) == run_json(
+            capsys, ["field", "--field", plain]
+        )
+
+
+def test_minus_signed_field_parts_exit_2(capsys):
+    for spec in ("2^-" + "1" * 5000, "-" + "7" * 5001, "2^-5", "-9", "2^++5", "+"):
+        code, out, err = run_cli(capsys, ["field", "--field", spec])
+        assert code == 2, spec[:8]
+        assert out == ""
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+        assert len(err) < 160
+
+
 def test_pencil_cap_is_the_field_cap_on_p_squared(capsys):
     # 4093^2 <= 2^24 < 4099^2, consecutive primes
     doc = run_json(capsys, ["pencil", "--p", "4093", "--f", "poly:0,0,1"])
