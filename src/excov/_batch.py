@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, InternalInvariantError
+from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .gf import FieldCtx, FieldElem, _prime_factors
 from .projmap import _lift
 
@@ -244,7 +244,9 @@ def permutation_period(perm: np.ndarray) -> int:
     below ``_RULING_MIN`` nodes, the size under which doubling was faster
     on random permutations.  On scan tables of 1-2 * 10^6 points this is
     3-10x faster than log2(n) rounds of doubling over int64 indices, and
-    its transient memory is a third of theirs.
+    its transient memory is a third of theirs.  The input is not checked
+    to be a permutation, but a walk past n steps shows that it is not and
+    raises ``ValidationError``.
     """
     n = perm.shape[0]
     if n == 0:
@@ -275,6 +277,8 @@ def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
     acc = None if w is None else w[spl]  # weight walked, if not the step count
     step = 1
     while walker.size:
+        if step > n:  # on a permutation every walk ends within n steps
+            raise ValidationError("permutation_period: input is not a permutation")
         t = tag[pos]
         hit = t >= 0
         ends = np.flatnonzero(hit)

@@ -18,7 +18,7 @@ from functools import lru_cache
 from . import frobset
 from .errors import field_cap_scope
 from .excscan import dp_range_test, exceptionality_scan
-from .gf import FieldCtx, _prime_list, make_extension, make_field, parse_field_spec
+from .gf import FieldCtx, _power, _prime_list, make_extension, make_field, parse_field_spec
 from .grouptheory import (
     component_count,
     coset_exceptionality,
@@ -75,11 +75,6 @@ class _Tally:
         return CheckResult(name, True, f"{summary}; {self.count} comparisons")
 
 
-def _capped(cap: int = SCAN_CAP):
-    """Scope every scan in the block to cap points, whatever EXCOV_CAP says."""
-    return field_cap_scope(cap)
-
-
 def _family_ns(q: int) -> list[int]:
     p = parse_field_spec(str(q)).p
     return [n for n in range(1, 16, 2) if math.gcd(n, p) == 1]
@@ -93,7 +88,7 @@ def _family_report(kind: str, q: int, n: int, a_idx: int):
         f = cyclic(ctx, n)
     else:
         f = dickson(ctx, n, ctx.from_index(a_idx))
-    with _capped():
+    with field_cap_scope(SCAN_CAP):
         return exceptionality_scan(
             f, _FAMILY_T_MAX, desc=f"{kind}:{n}/{q}:{a_idx}", with_periods=False
         )
@@ -162,13 +157,6 @@ def _a_samples(q: int) -> list[int]:
     return sorted({1, 2, 3, (q - 1) // 2, q - 2})
 
 
-def _eval_embedded(p: Poly, z, ext: FieldCtx):
-    acc = ext.zero()
-    for c in reversed(p.coeffs):
-        acc = acc * z + ext.embed(c)
-    return acc
-
-
 def _dickson_value(z, a, m: int):
     """D_m at the point z by 2x2 matrix power of the two-term recurrence."""
     ctx = z.ctx
@@ -176,14 +164,7 @@ def _dickson_value(z, a, m: int):
         return ctx.from_int(2)
     # [[z, -a], [1, 0]] drives (D_k, D_{k-1}) -> (D_{k+1}, D_k)
     one, zero = ctx.one(), ctx.zero()
-    mat = (z, -a, one, zero)
-    acc = (one, zero, zero, one)
-    e = m - 1
-    while e:
-        if e & 1:
-            acc = _mat2_mul(acc, mat)
-        mat = _mat2_mul(mat, mat)
-        e >>= 1
+    acc = _power((z, -a, one, zero), m - 1, _mat2_mul, (one, zero, zero, one))
     # (D_m, D_{m-1}) = acc @ (D_1, D_0) = acc @ (z, 2)
     two = ctx.from_int(2)
     return acc[0] * z + acc[1] * two
@@ -244,7 +225,7 @@ def check_family_identities() -> CheckResult:
                 for j in (1, 3, q):
                     w = g2 ** j
                     z = w + aK / w
-                    got = _eval_embedded(d, z, K2)
+                    got = d(z)
                     want = w ** n + (aK / w) ** n
                     tally.check(
                         got == want,
@@ -307,7 +288,7 @@ def check_composition_law() -> CheckResult:
     tally = _Tally()
     accepted = 0
     draws = 0
-    with _capped():
+    with field_cap_scope(SCAN_CAP):
         while accepted < 20 and draws < 400:
             draws += 1
             q = rng.choice((3, 5, 7))
@@ -528,7 +509,7 @@ def check_genus_zero() -> CheckResult:
 
 def check_isogeny_scan() -> CheckResult:
     tally = _Tally()
-    with _capped():
+    with field_cap_scope(SCAN_CAP):
         rep = oit_scan(ogg_curve(), 5, 60, 1)
     tally.check(len(rep.rows) >= 10, f"only {len(rep.rows)} good primes scanned")
     for row in rep.rows:
@@ -556,7 +537,7 @@ def check_supersingular_median() -> CheckResult:
     tally = _Tally()
     e = ogg_curve()
     found = []
-    with _capped():
+    with field_cap_scope(SCAN_CAP):
         for ell in _prime_list(60, lo=3):
             if not e.has_good_reduction(ell):
                 continue

@@ -9,13 +9,18 @@ in the base field" a structural question instead of a search.
 Elements are represented by nested coefficient tuples mirroring the tower.
 The scalar engine here is the reference semantics; `_batch` implements the
 same arithmetic on numpy arrays and is cross-checked against this module.
+Polynomial arithmetic over a field (``_poly_mul``, ``_poly_divmod``,
+``_poly_gcd``) and the one square-and-multiply loop (``_power``) live here
+too; ``projmap.Poly`` and every other power in the package call into them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+
+import numpy as np
 
 from .errors import (
     CapExceededError,
@@ -27,6 +32,19 @@ from .errors import (
 )
 
 Raw = Union[int, tuple]  # int for prime fields, tuple of base raws above
+_T = TypeVar("_T")
+
+
+def _power(x: _T, e: int, mul: Callable[[_T, _T], _T], one: _T) -> _T:
+    """x**e for e >= 0 by square-and-multiply; mul is the product, one its unit."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return out
 
 
 def _is_prime(n: int) -> bool:
@@ -340,15 +358,7 @@ def _mul_raw(ctx: FieldCtx, a: Raw, b: Raw) -> Raw:
 
 
 def _pow_raw(ctx: FieldCtx, a: Raw, e: int) -> Raw:
-    result = _one_raw(ctx)
-    acc = a
-    while e:
-        if e & 1:
-            result = _mul_raw(ctx, result, acc)
-        e >>= 1
-        if e:
-            acc = _mul_raw(ctx, acc, acc)
-    return result
+    return _power(a, e, partial(_mul_raw, ctx), _one_raw(ctx))
 
 
 def _inv_raw(ctx: FieldCtx, a: Raw) -> Raw:
@@ -433,6 +443,12 @@ def _poly_sub(ctx: FieldCtx, a: list, b: list) -> list:
 def _poly_mul(ctx: FieldCtx, a: list, b: list) -> list:
     if not a or not b:
         return []
+    n = min(len(a), len(b))
+    # prime field: one integer convolution, taken from 4 coefficients on
+    # (below that the loop is faster) while no coefficient sum can pass int64
+    if ctx.base is None and n >= 4 and (ctx.p - 1) ** 2 * n < 1 << 63:
+        prod = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        return _poly_trim(ctx, (prod % ctx.p).tolist())
     zero = _zero_raw(ctx)
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -463,15 +479,12 @@ def _poly_divmod(ctx: FieldCtx, a: list, b: list) -> tuple[list, list]:
 
 
 def _poly_powmod(ctx: FieldCtx, a: list, e: int, mod: list) -> list:
-    result = [_one_raw(ctx)]
-    acc = _poly_divmod(ctx, a, mod)[1]
-    while e:
-        if e & 1:
-            result = _poly_divmod(ctx, _poly_mul(ctx, result, acc), mod)[1]
-        e >>= 1
-        if e:
-            acc = _poly_divmod(ctx, _poly_mul(ctx, acc, acc), mod)[1]
-    return result
+    return _power(
+        _poly_divmod(ctx, a, mod)[1],
+        e,
+        lambda x, y: _poly_divmod(ctx, _poly_mul(ctx, x, y), mod)[1],
+        [_one_raw(ctx)],
+    )
 
 
 def _poly_gcd(ctx: FieldCtx, a: list, b: list) -> list:
@@ -532,11 +545,6 @@ def make_field(p: int, k: int) -> FieldCtx:
     check_power_cap(p, k)
     if not _is_prime(p):
         raise ValidationError(f"p must be prime, got {p}")
-    return _least_field(p, k)
-
-
-@lru_cache(maxsize=None)
-def _least_field(p: int, k: int) -> FieldCtx:
     prime = _mk_ctx(p, 1, None, (0, 1))
     if k == 1:
         return prime

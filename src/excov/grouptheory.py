@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .frobset import FrobeniusSet, _unit_closure, from_residues
+from .gf import _power
 
 GROUP_CAP = 10 ** 6
 
@@ -128,14 +129,7 @@ class Perm:
     def __pow__(self, e: int) -> "Perm":
         if e < 0:
             return self.inverse() ** (-e)
-        out = Perm.identity(self.degree)
-        acc = self
-        while e:
-            if e & 1:
-                out = out * acc
-            acc = acc * acc
-            e >>= 1
-        return out
+        return _power(self, e, Perm.__mul__, Perm.identity(self.degree))
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.images))

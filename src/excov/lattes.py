@@ -26,7 +26,7 @@ from .errors import (
     check_power_cap,
 )
 from .excscan import value_table
-from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
+from .gf import FieldCtx, FieldElem, _power, _prime_list, make_extension, make_field
 from .projmap import Poly, RationalMap
 
 # -- curves over the rationals ----------------------------------------------------
@@ -215,14 +215,7 @@ def ec_mul(e: EllipticCurveF, m: int, p: Point) -> Point:
     if m < 0:
         p = None if p is None else (p[0], -p[1])
         m = -m
-    out: Point = None
-    acc = p
-    while m:
-        if m & 1:
-            out = ec_add(e, out, acc)
-        acc = ec_add(e, acc, acc)
-        m >>= 1
-    return out
+    return _power(p, m, lambda u, v: ec_add(e, u, v), None)
 
 
 # -- division polynomials and the induced x-line map ---------------------------------

@@ -2,9 +2,11 @@
 
 Polynomials carry their coefficient field; rational maps are kept reduced
 (coprime numerator/denominator, monic denominator) so degrees and point
-evaluation are always well defined.  The classical permutation families
-(power maps, Dickson, Chebyshev and its twists, quotient twists of power
-maps) are built from closed coefficient formulas.
+evaluation are always well defined.  ``Poly`` wraps field elements around
+the polynomial arithmetic of ``gf``: products, division with remainder,
+gcds and powers run there on raw coefficients.  The classical permutation
+families (power maps, Dickson, Chebyshev and its twists, quotient twists of
+power maps) are built from closed coefficient formulas.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-import numpy as np
-
 from .errors import InternalInvariantError, ValidationError
-from .gf import FieldCtx, FieldElem
+from .gf import FieldCtx, FieldElem, _poly_divmod, _poly_gcd, _poly_mul, _power
 
 CoeffLike = Union[FieldElem, int]
 
@@ -62,6 +62,12 @@ class Poly:
             return self.coeffs[i]
         return self.ctx.zero()
 
+    def _raws(self) -> list:
+        return [c.raw for c in self.coeffs]
+
+    def _of_raws(self, raws: list) -> "Poly":
+        return Poly(self.ctx, [FieldElem(self.ctx, r) for r in raws])
+
     # -- ring structure ------------------------------------------------------
 
     def _match(self, other: Union["Poly", CoeffLike]) -> "Poly":
@@ -92,39 +98,13 @@ class Poly:
             s = _lift(self.ctx, other)
             return Poly(self.ctx, [c * s for c in self.coeffs])
         o = self._match(other)
-        if self.is_zero() or o.is_zero():
-            return Poly(self.ctx, [])
-        if self.ctx.base is None:
-            # prime field: integer convolution does the whole product
-            a = np.array([c.index for c in self.coeffs], dtype=np.int64)
-            b = np.array([c.index for c in o.coeffs], dtype=np.int64)
-            prod = np.convolve(a, b) % self.ctx.p
-            return Poly(self.ctx, [int(v) for v in prod])
-        out = [self.ctx.zero()] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            for j, cj in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + ci * cj
-        return Poly(self.ctx, out)
+        return self._of_raws(_poly_mul(self.ctx, self._raws(), o._raws()))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        o = self._match(other)
-        if o.is_zero():
-            raise ValidationError("polynomial division by zero")
-        inv_lead = o.lead.inverse()
-        rem = list(self.coeffs)
-        qdeg = len(rem) - len(o.coeffs)
-        if qdeg < 0:
-            return Poly(self.ctx, []), self
-        quot = [self.ctx.zero()] * (qdeg + 1)
-        for k in range(qdeg, -1, -1):
-            c = rem[k + o.degree] * inv_lead
-            quot[k] = c
-            if not c.is_zero():
-                for i, oc in enumerate(o.coeffs):
-                    rem[k + i] = rem[k + i] - c * oc
-        return Poly(self.ctx, quot), Poly(self.ctx, rem[: max(o.degree, 0)])
+        q, r = _poly_divmod(self.ctx, self._raws(), self._match(other)._raws())
+        return self._of_raws(q), self._of_raws(r)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -138,10 +118,8 @@ class Poly:
         return self * self.lead.inverse()
 
     def gcd(self, other: "Poly") -> "Poly":
-        a, b = self, self._match(other)
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+        g = _poly_gcd(self.ctx, self._raws(), self._match(other)._raws())
+        return self._of_raws(g).monic()
 
     def derivative(self) -> "Poly":
         return Poly(
@@ -231,7 +209,7 @@ class RationalMap:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Optional[Poly] = None, reduce: bool = True):
+    def __init__(self, num: Poly, den: Optional[Poly] = None):
         if den is None:
             den = Poly(num.ctx, [1])
         if den.ctx != num.ctx:
@@ -241,7 +219,7 @@ class RationalMap:
         if num.is_zero():
             num = Poly(num.ctx, [])
             den = Poly(num.ctx, [1])
-        elif reduce:
+        else:
             g = num.gcd(den)
             if g.degree > 0:
                 num, den = num // g, den // g
@@ -551,7 +529,7 @@ def decompose_tame_poly(f: Union[Poly, RationalMap]) -> list[tuple[Poly, Poly]]:
         r_inv = ctx.from_int(r).inverse()
         h = Poly(ctx, h_coeffs)
         for k in range(1, m):
-            hr = _poly_pow(h, r)
+            hr = _power(h, r, Poly.__mul__, Poly(ctx, [1]))
             delta = (f.coeff(n - k) * lead_inv) - hr.coeff(n - k)
             h_coeffs[m - k] = delta * r_inv
             h = Poly(ctx, h_coeffs)
@@ -569,16 +547,6 @@ def decompose_tame_poly(f: Union[Poly, RationalMap]) -> list[tuple[Poly, Poly]]:
             g = Poly(ctx, digits)
             if g.compose(h) == f:
                 out.append((g, h))
-    return out
-
-
-def _poly_pow(b: Poly, e: int) -> Poly:
-    out = Poly(b.ctx, [1])
-    while e:
-        if e & 1:
-            out = out * b
-        b = b * b
-        e >>= 1
     return out
 
 

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from excov import acceptance
-from excov.errors import CapExceededError, field_cap
+from excov.errors import CapExceededError, field_cap, field_cap_scope
 from excov.gf import make_field
 
 
@@ -90,12 +90,12 @@ def test_run_all_filter():
 def test_capped_leaves_environ_alone(monkeypatch):
     monkeypatch.setenv("EXCOV_CAP", "1000")
     before = dict(os.environ)
-    with acceptance._capped(50):
+    with field_cap_scope(50):
         assert dict(os.environ) == before
         assert field_cap() == 50
         with pytest.raises(CapExceededError):
             make_field(7, 3)
-        with acceptance._capped():
+        with field_cap_scope(acceptance.SCAN_CAP):
             assert field_cap() == acceptance.SCAN_CAP
         assert field_cap() == 50
     assert dict(os.environ) == before

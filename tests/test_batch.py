@@ -18,7 +18,7 @@ from excov._batch import (
     permutation_period,
 )
 from excov.acceptance import SCAN_CAP
-from excov.errors import CapExceededError, field_cap_scope
+from excov.errors import CapExceededError, ValidationError, field_cap_scope
 from excov.excscan import value_table
 from excov.gf import _is_prime, make_extension, make_field
 from excov.projmap import cyclic
@@ -207,6 +207,13 @@ def test_permutation_period_known_cycles():
         p = list(range(n))
         rng.shuffle(p)
         assert permutation_period(np.array(p)) == cycle_walk_period(p)
+
+
+def test_permutation_period_refuses_a_non_permutation():
+    # every walk from a splitter ends in the loop at node 1, which no splitter
+    # lies on; without a bound on the walk this never returns
+    with pytest.raises(ValidationError):
+        permutation_period(np.ones(_RULING_MIN, dtype=np.int64))
 
 
 # sizes on both sides of the doubling/ruling-set crossover, and one past

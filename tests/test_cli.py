@@ -151,6 +151,22 @@ GOLDEN = [
         '"num_indices":[0,5,0,2,0,1],"polynomial":true,"spec":"dickson:5,1"}\n',
     ),
     (
+        'map --field 9 --map redei:5,4',
+        '{"degree":5,"den_indices":[3,0,8,0,1],"field":{"k":2,"order":9,"p":3},'
+        '"num_indices":[0,6,0,8,0,2],"polynomial":false,"spec":"redei:5,4"}\n',
+    ),
+    (
+        # (3 + 4x + x^2) / (3 + x) reduces to x + 1
+        'map --field 9 --map rat:3,4,1/3,1',
+        '{"degree":1,"den_indices":[1],"field":{"k":2,"order":9,"p":3},'
+        '"num_indices":[1,1],"polynomial":true,"spec":"rat:3,4,1/3,1"}\n',
+    ),
+    (
+        'map --field 3^4 --map rat:1,2,0,1/5,0,1',
+        '{"degree":3,"den_indices":[5,0,1],"field":{"k":4,"order":81,"p":3},'
+        '"num_indices":[1,2,0,1],"polynomial":false,"spec":"rat:1,2,0,1/5,0,1"}\n',
+    ),
+    (
         'scan --field 3^1 --map dickson:5,1 --tmax 6',
         '{"base_order":3,"field":{"k":1,"order":3,"p":3},"fit_depth":3,'
         '"fitted":{"modulus":2,"residues":[1]},"map":"dickson:5,1",'

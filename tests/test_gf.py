@@ -154,6 +154,16 @@ def test_field_axioms_on_samples(p, k, t):
                 assert (a * b) * c == a * (b * c)
 
 
+def test_power_edge_cases():
+    assert [gf._power(3, e, int.__mul__, 1) for e in range(9)] == [3 ** e for e in range(9)]
+    for ctx in (make_field(7, 1), make_field(3, 3)):
+        one = ctx.one()
+        assert ctx.zero() ** 0 == one
+        assert ctx.gen() ** 0 == one
+        x = ctx.from_index(5)
+        assert x ** -2 == (x * x).inverse()
+
+
 def test_embedding_respects_arithmetic():
     f3 = make_field(3, 1)
     f9 = make_extension(f3, 2)

@@ -65,6 +65,9 @@ def test_perm_inverse_power_order():
     assert p ** 10 == (p ** 5) * (p ** 5)
     assert p.order() == 10
     assert (p ** -3) * (p ** 3) == Perm.identity(7)
+    assert p ** 0 == Perm.identity(7)
+    assert p ** -1 == p.inverse()
+    assert p ** -4 == p.inverse() ** 4 == p ** 6
     assert p.cycle_type() == (5, 2)
 
 

@@ -112,6 +112,8 @@ def test_point_arithmetic_basics():
     assert ec_add(e, p, None) == p
     assert ec_add(e, p, (p[0], -p[1])) is None
     assert ec_mul(e, 0, p) is None
+    assert ec_mul(e, 0, None) is None
+    assert ec_mul(e, -1, p) == (p[0], -p[1])
     assert ec_mul(e, e.n_points, p) is None  # group order kills everything
 
 

@@ -1,9 +1,12 @@
 """Maps on the projective line: families, composition, decomposition."""
 
+import math
+import random
+
 import pytest
 
-from excov.errors import ValidationError
-from excov.gf import make_extension, make_field
+from excov.errors import ValidationError, field_cap_scope
+from excov.gf import _is_prime, make_extension, make_field
 from excov.projmap import (
     P1Point,
     Poly,
@@ -57,6 +60,93 @@ def test_poly_mul_matches_schoolbook_on_extension():
     for i in range(3):
         x = ctx.from_index(i * 2 + 1)
         assert prod(x) == a(x) * b(x)
+
+
+def trimmed(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return cs
+
+
+def school_mul(ctx, a, b):
+    if not a or not b:
+        return []
+    out = [ctx.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return trimmed(out)
+
+
+def school_divmod(ctx, a, b):
+    inv = b[-1].inverse()
+    quot = [ctx.zero()] * max(0, len(a) - len(b) + 1)
+    rem = list(a)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + len(b) - 1] * inv
+        quot[k] = c
+        for i, y in enumerate(b):
+            rem[k + i] = rem[k + i] - c * y
+    return trimmed(quot), trimmed(rem[: len(b) - 1])
+
+
+def school_gcd(ctx, a, b):
+    while b:
+        a, b = b, school_divmod(ctx, a, b)[1]
+    return [c * a[-1].inverse() for c in a] if a else []
+
+
+# prime, one-step and two-step towers, in characteristics 2, 3 and 7
+POLY_FIELDS = [
+    make_field(7, 1),
+    make_field(3, 2),
+    make_field(3, 3),
+    make_field(2, 4),
+    make_extension(make_field(3, 2), 2),
+]
+
+
+@pytest.mark.parametrize("ctx", POLY_FIELDS, ids=repr)
+def test_poly_arithmetic_matches_schoolbook(ctx):
+    # lengths 0 (zero), 1 (constants) to 6, so prime-field products take
+    # both the loop and the convolution
+    rng = random.Random(ctx.order)
+
+    def coeffs(n):
+        # about a third of the coefficients below the leading one are 0
+        inner = [rng.randrange(ctx.order) if rng.random() < 2 / 3 else 0 for _ in range(n - 1)]
+        return [ctx.from_index(i) for i in inner + [rng.randrange(1, ctx.order)]] if n else []
+
+    for la in range(7):
+        for lb in range(7):
+            for _ in range(3):
+                a, b = coeffs(la), coeffs(lb)
+                A, B = Poly(ctx, a), Poly(ctx, b)
+                assert list((A * B).coeffs) == school_mul(ctx, a, b)
+                assert list(A.gcd(B).coeffs) == school_gcd(ctx, a, b)
+                if not b:
+                    with pytest.raises(ValidationError):
+                        divmod(A, B)
+                    continue
+                q, r = divmod(A, B)
+                assert (list(q.coeffs), list(r.coeffs)) == school_divmod(ctx, a, b)
+
+
+def test_prime_field_products_stay_exact_past_int64():
+    # (-1 - x - ... - x^(n-1))^2 has coefficients 1, 2, .., n, .., 2, 1.  In
+    # an integer convolution the largest is a sum of n products (p-1)^2, which
+    # at n = 4 passes 2^63 once p > 1518500250; the loop must take over there
+    edge = math.isqrt(2 ** 61 - 1) + 1  # (edge - 1)^2 < 2^61 <= edge^2
+    below = next(p for p in range(edge, 0, -1) if _is_prime(p))
+    above = next(p for p in range(edge + 1, 2 * edge) if _is_prime(p))
+    with field_cap_scope(2 ** 32):
+        for p in (below, above, 2147483659):
+            F = make_field(p, 1)
+            for n in range(1, 7):
+                a = Poly(F, [p - 1] * n)
+                want = [min(k + 1, 2 * n - 1 - k) for k in range(2 * n - 1)]
+                assert [c.index for c in (a * a).coeffs] == want, (p, n)
 
 
 def test_poly_eval_lifts_into_extension():
