@@ -9,6 +9,14 @@ a fixed multiplicative generator g, with m = Q - 1:
 - ``log``, its inverse, with ``log[0] = m`` standing for the log of zero;
 - ``zech[n] = log(1 + g**n)``, Zech's logarithm, or m where 1 + g**n = 0.
 
+The generator and the tables come from the F_p-matrix engine in ``gf``:
+multiplication by an element is a D x D matrix over F_p on its digit
+row, built from the moduli alone.  The generator is the least index whose
+powers g**(m/r), r prime, are not 1, tested on blocks of candidates by
+batched matrix squaring.  exp is built block by block, each block of
+digit rows the one before times M(g)**_CHUNK and packed to indices at
+once, so no table of digit rows is ever held.
+
 Products and powers are then sums and multiples of logs mod m, and sums
 follow Zech's rule a + b = a * (1 + b/a).  Adding 1 to an element changes
 only its lowest base-p digit, so the "+1" step behind ``zech`` is index
@@ -30,10 +38,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .gf import FieldCtx, FieldElem, _prime_factors
+from .gf import FieldCtx, FieldElem, _element_matrices, _index_blocks, _prime_factors
 from .projmap import _lift
 
-# rows of the exp digit table multiplied per matmul, to bound temporaries
+# digit rows of g**j per block of the exp build, to bound its temporaries
 _CHUNK = 1 << 12
 # logs j evaluated together by eval_sparse, to bound its temporaries; of
 # 2**15 to 2**18, 2**16 was fastest on fields of 1.8e5 to 4.2e6 points
@@ -57,7 +65,13 @@ class BatchField:
         self.p = ctx.p
         self.D = ctx.k
         self.order = ctx.order
-        self._pack_weights = [self.p**i for i in range(self.D)]
+        # float64 goes through BLAS, 1.5-5x faster here than numpy's integer
+        # matmul loop.  Its sums of D products are exact while
+        # D * (p-1)**2 < 2**53, which every field accepted above meets once
+        # D >= 2 ((p-1)**2 < Q < 2**32, D < 32); a prime field's 1x1
+        # products need int64 once p passes 2**26
+        self._work = np.int64 if self.D == 1 else np.float64
+        self._pack_weights = self.p ** np.arange(self.D, dtype=self._work)
         self.dtype = _index_dtype(self.order)
         # exp, log and zech of Q - 1, Q and Q - 1 entries, once built
         self.table_bytes = np.dtype(self.dtype).itemsize * (3 * self.order - 2)
@@ -65,76 +79,83 @@ class BatchField:
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
         """Digit rows (entries in [0, p), low first) to element indices."""
-        digits = np.asarray(digits)
-        out = np.zeros(digits.shape[:-1], dtype=self.dtype)
-        for j in range(self.D):
-            out += digits[..., j].astype(self.dtype) * self._pack_weights[j]
-        return out
+        return (np.asarray(digits) @ self._pack_weights).astype(self.dtype)
 
     # -- discrete-log layer ---------------------------------------------------
     #
     # Three tables per field: exp, log and zech.  Multiplication by g is
-    # linear over the prime field, so the digit rows of g**j double block by
-    # block with one matmul per block; they are packed to indices once and
-    # freed.  log scatters exp's positions; zech gathers log at each exp
-    # entry plus one, a step on the lowest base-p digit that wraps at p - 1.
-    # Logs stay below m, so a product of two fits int64 once m**2 < 2**63,
-    # the bound __init__ enforces; the int32 tables are widened first.
+    # linear over the prime field: the first _CHUNK digit rows of g**j come
+    # by doubling, and each later block is the block before times
+    # M(g)**_CHUNK, one matmul.  Each block is packed into exp and scattered
+    # into log as it is made, then dropped.  zech gathers log at each exp
+    # entry plus one, a step on the lowest base-p digit that wraps at p - 1,
+    # in blocks of _BLOCK.  Logs stay below m, so a product of two fits
+    # int64 once m**2 < 2**63, the bound __init__ enforces; the int32 tables
+    # are widened first.
 
     def generator(self) -> FieldElem:
-        """A fixed multiplicative generator, smallest by element index."""
+        """A fixed multiplicative generator, smallest by element index.
+
+        Candidates are tested in blocks, in index order: g generates when
+        g**(m/r) != 1 for every prime r dividing m.  Each power is row 0 of
+        M(g)**(m/r), taken from one chain of squarings of the candidates'
+        matrices that all the exponents share.
+        """
         g = _GENERATORS.get(self.ctx.key)
         if g is None:
-            m = self.order - 1
-            checks = [m // r for r in _prime_factors(m)]
-            one = self.ctx.one()
-            for i in range(1, self.order):
-                e = self.ctx.from_index(i)
-                if all((e**c) != one for c in checks):
-                    g = _GENERATORS[self.ctx.key] = e
+            m, p = self.order - 1, self.p
+            exps = [m // r for r in _prime_factors(m)]
+            one = np.eye(self.D, dtype=self._work)[0]
+            for idx in _index_blocks(1, self.order):
+                sq = _element_matrices(self.ctx, idx).astype(self._work)
+                pw = np.broadcast_to(one, (len(idx), len(exps), self.D)).copy()
+                for bit in range(max(exps, default=0).bit_length()):
+                    sel = [i for i, e in enumerate(exps) if e >> bit & 1]
+                    if sel:
+                        pw[:, sel] = pw[:, sel] @ sq % p
+                    sq = sq @ sq % p
+                hit = np.flatnonzero(~(pw == one).all(axis=2).any(axis=1))
+                if hit.size:
+                    g = _GENERATORS[self.ctx.key] = self.ctx.from_index(int(idx[hit[0]]))
                     break
             else:  # pragma: no cover - the group is always cyclic
                 raise InternalInvariantError("no multiplicative generator found")
         return g
 
-    def _exp_digits(self) -> np.ndarray:
-        """(m, D) digit rows of g**j, j < m."""
-        m, p = self.order - 1, self.p
-        # float64 goes through BLAS, 1.5-5x faster here than numpy's integer
-        # matmul loop.  Its products are exact while D * (p-1)**2 < 2**53,
-        # which D >= 2 guarantees (p**2 <= Q); a prime field's 1x1 products
-        # need int64 once p passes 2**26
-        work = np.int64 if self.D == 1 else np.float64
-        gen = self.generator()
-        gmat = np.array(
-            [(gen * self.ctx.from_index(p**b)).prime_coeffs() for b in range(self.D)],
-            dtype=work,
-        )
-        exp = np.zeros((m, self.D), dtype=np.min_scalar_type(p - 1))
-        exp[0, 0] = 1
-        filled = 1
-        while filled < m:
-            step = min(filled, m - filled)
-            for s in range(0, step, _CHUNK):
-                e = min(s + _CHUNK, step)
-                block = (exp[s:e] @ gmat).astype(np.int64)
-                exp[filled + s : filled + e] = block % p
-            filled += step
-            if filled < m:
-                gmat = (gmat @ gmat) % p
-        return exp
-
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(exp, log, zech) as described in the module docstring."""
         if self._tables is None:
             m, p = self.order - 1, self.p
-            exp = self.pack(self._exp_digits())
+            exp = np.empty(m, dtype=self.dtype)
             log = np.empty(self.order, dtype=self.dtype)
-            log[exp] = np.arange(m, dtype=self.dtype)
             log[0] = m
-            plus_one = exp + 1
-            plus_one[exp % p == p - 1] -= p
-            self._tables = (exp, log, log[plus_one])
+            step = _element_matrices(self.ctx, [self.generator().index])[0].astype(self._work)
+            # products are reduced as integers, 5-10x faster than a float
+            # remainder, at int32 while every sum of D products fits
+            digit = _index_dtype(self.D * (p - 1) ** 2 + 1)
+            # the first block's rows g**j by doubling, which leaves step at
+            # M(g)**_CHUNK; every later block is the one before times step
+            rows = min(_CHUNK, m)
+            block = np.zeros((rows, self.D), dtype=digit)
+            block[0, 0] = 1
+            filled = 1
+            while filled < rows:
+                n = min(filled, rows - filled)
+                block[filled : filled + n] = (block[:n] @ step).astype(digit) % p
+                filled += n
+                step = step @ step % p
+            for lo in range(0, m, rows):
+                if lo:
+                    block = (block @ step).astype(digit) % p
+                hi = min(lo + rows, m)
+                exp[lo:hi] = self.pack(block[: hi - lo])
+                log[exp[lo:hi]] = np.arange(lo, hi, dtype=self.dtype)
+            zech = np.empty(m, dtype=self.dtype)
+            for lo in range(0, m, _BLOCK):
+                plus_one = exp[lo : lo + _BLOCK] + 1
+                plus_one[plus_one % p == 0] -= p
+                zech[lo : lo + _BLOCK] = log[plus_one]
+            self._tables = (exp, log, zech)
         return self._tables
 
     def pow_indices(self, idx: np.ndarray, e: int) -> np.ndarray:
@@ -244,9 +265,13 @@ def permutation_period(perm: np.ndarray) -> int:
     below ``_RULING_MIN`` nodes, the size under which doubling was faster
     on random permutations.  On scan tables of 1-2 * 10^6 points this is
     3-10x faster than log2(n) rounds of doubling over int64 indices, and
-    its transient memory is a third of theirs.  The input is not checked
-    to be a permutation, but a walk past n steps shows that it is not and
-    raises ``ValidationError``.
+    its transient memory is a third of theirs.
+
+    A map that is not a permutation raises ``ValidationError``, found
+    without a pass over the whole input: a walk that steps onto a node a
+    walk has passed, two splitters with the same next splitter, an
+    unreached node whose successor was reached, or two nodes with the same
+    successor where ``_doubling`` counts successors.
     """
     n = perm.shape[0]
     if n == 0:
@@ -277,16 +302,17 @@ def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
     acc = None if w is None else w[spl]  # weight walked, if not the step count
     step = 1
     while walker.size:
-        if step > n:  # on a permutation every walk ends within n steps
-            raise ValidationError("permutation_period: input is not a permutation")
         t = tag[pos]
-        hit = t >= 0
-        ends = np.flatnonzero(hit)
+        stop = t != -1
+        ends = np.flatnonzero(stop)
         if ends.size:
+            t = t[ends]
+            if t.min() == -2:  # on a permutation the walks share no node
+                raise _not_a_permutation()
             done = walker[ends]
-            nxt[done] = t[ends]
+            nxt[done] = t
             gap[done] = step if acc is None else acc[ends]
-            keep = ~hit
+            keep = ~stop
             walker, pos = walker[keep], pos[keep]
             if acc is not None:
                 acc = acc[keep]
@@ -295,13 +321,24 @@ def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
             acc += w[pos]
         pos = succ[pos]
         step += 1
+    hits = np.zeros(k, dtype=bool)
+    hits[nxt] = True
+    if not hits.all():  # two walks end at one splitter
+        raise _not_a_permutation()
     out = _cycle_weights(nxt, gap)
     left = np.flatnonzero(tag == -1)
     if left.size:
+        to = succ[left]
+        if (tag[to] != -1).any():  # on a permutation unreached cycles stay unreached
+            raise _not_a_permutation()
         inv = np.empty(n, dtype=dt)
         inv[left] = np.arange(left.size, dtype=dt)
-        out.append(_doubling(inv[succ[left]], None if w is None else w[left]))
+        out.append(_doubling(inv[to], None if w is None else w[left]))
     return out
+
+
+def _not_a_permutation() -> ValidationError:
+    return ValidationError("permutation_period: input is not a permutation")
 
 
 def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
@@ -311,9 +348,12 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
     2**r - 1 successors.  On a cycle longer than 2**r the node 2**r steps
     before the cycle's least index then changes label in round r + 1, so
     one round without change means every cycle is covered and every label
-    is its cycle's least index.
+    is its cycle's least index.  A node with two predecessors raises
+    ``ValidationError``, as the labels would not show it.
     """
     n = succ.shape[0]
+    if np.bincount(succ, minlength=n).max(initial=0) > 1:
+        raise _not_a_permutation()
     ident = np.arange(n, dtype=succ.dtype)
     labels, hop = ident, succ
     while True:

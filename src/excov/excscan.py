@@ -135,17 +135,7 @@ def exceptionality_scan(
             if t == 1:
                 raise  # nothing scannable at all
             break
-        tab = value_table(f, t)
-        n = tab.shape[0]
-        counts = np.bincount(tab, minlength=n)
-        bij = bool(counts.max(initial=0) == 1)
-        surj = bool(counts.min(initial=1) >= 1)
-        hist_arr = np.bincount(counts)
-        hist = {int(k): int(v) for k, v in enumerate(hist_arr) if v}
-        period = None
-        if bij and with_periods:
-            period = permutation_period(tab)
-        records.append(TRecord(t, bij, surj, hist, period))
+        records.append(_record(f, t, with_periods))
     t_reached = len(records)
     eff_d = min(d_max, t_reached // 2)
     fitted = None
@@ -160,6 +150,18 @@ def exceptionality_scan(
         fitted=fitted,
         fit_depth=eff_d,
     )
+
+
+def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
+    """One t of a scan.  Its value table and counts are freed on return,
+    before the next t builds tables up to q times their size."""
+    tab = value_table(f, t)
+    counts = np.bincount(tab, minlength=tab.shape[0])
+    bij = bool(counts.max(initial=0) == 1)
+    surj = bool(counts.min(initial=1) >= 1)
+    hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
+    period = permutation_period(tab) if bij and with_periods else None
+    return TRecord(t, bij, surj, hist, period)
 
 
 def period_series(f: Union[RationalMap, Poly], t_max: int) -> list[tuple[int, int]]:

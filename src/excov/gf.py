@@ -12,6 +12,10 @@ same arithmetic on numpy arrays and is cross-checked against this module.
 Polynomial arithmetic over a field (``_poly_mul``, ``_poly_divmod``,
 ``_poly_gcd``) and the one square-and-multiply loop (``_power``) live here
 too; ``projmap.Poly`` and every other power in the package call into them.
+So does the F_p-matrix engine (``_basis``, ``_element_matrices``): the
+matrices of multiplication by field elements, built from the moduli
+alone.  It runs the modulus search here and the generator search and
+exp-table build in ``_batch``.
 """
 
 from __future__ import annotations
@@ -478,15 +482,6 @@ def _poly_divmod(ctx: FieldCtx, a: list, b: list) -> tuple[list, list]:
     return _poly_trim(ctx, q), r
 
 
-def _poly_powmod(ctx: FieldCtx, a: list, e: int, mod: list) -> list:
-    return _power(
-        _poly_divmod(ctx, a, mod)[1],
-        e,
-        lambda x, y: _poly_divmod(ctx, _poly_mul(ctx, x, y), mod)[1],
-        [_one_raw(ctx)],
-    )
-
-
 def _poly_gcd(ctx: FieldCtx, a: list, b: list) -> list:
     a, b = _poly_trim(ctx, list(a)), _poly_trim(ctx, list(b))
     while b:
@@ -494,19 +489,146 @@ def _poly_gcd(ctx: FieldCtx, a: list, b: list) -> list:
     return a
 
 
-def _is_irreducible(base: FieldCtx, mod: list) -> bool:
-    """Rabin test: x^(q^t) == x mod g and gcd(x^(q^(t/r)) - x, g) = 1."""
-    t = len(mod) - 1
-    q = base.order
-    x = [_zero_raw(base), _one_raw(base)]
-    for r in _prime_factors(t):
-        h = _poly_powmod(base, x, q ** (t // r), mod)
-        h = _poly_sub(base, h, x)
-        g = _poly_gcd(base, h, mod)
-        if _poly_deg(base, g) != 0:
-            return False
-    h = _poly_powmod(base, x, q ** t, mod)
-    return _poly_sub(base, h, x) == []
+# ---------------------------------------------------------------------------
+# F_p-matrix engine
+#
+# Multiplication by an element a of F_{p^k} is F_p-linear, so it is a k x k
+# matrix M(a) over F_p acting on prime-coefficient rows from the right:
+# coeffs(a * y) = coeffs(y) @ M(a).  On base[x]/(g), with base of degree d
+# and g monic of degree t, x acts by the block companion matrix of g: row
+# block i < t - 1 moves to block i + 1, and row block t - 1 holds
+# M(-g_j) in column block j.  The basis element x**i * b (b a basis
+# element of base) acts by X**i times the block diagonal of M(b).  Every
+# matrix is built from the moduli alone; no scalar product is formed.
+# Entries stay in [0, p); products are int64 while k * (p - 1)**2 fits
+# and Python integers past that.
+
+
+def _exact_dtype(p: int, n: int):
+    """int64 while a sum of n products of residues mod p fits, else object."""
+    return np.int64 if n * (p - 1) ** 2 < 1 << 63 else object
+
+
+def _digits(idx: np.ndarray, p: int, n: int) -> np.ndarray:
+    """(len(idx), n) base-p digits of the indices, low first."""
+    rem = np.asarray(idx, dtype=np.int64)
+    out = np.empty(rem.shape + (n,), dtype=np.int64)
+    for j in range(n):
+        out[..., j] = rem % p
+        rem = rem // p
+    return out
+
+
+def _index_blocks(start: int, stop: int) -> Iterator[np.ndarray]:
+    """[start, stop) in index order, in blocks of 8, 16, ... up to 1024."""
+    size = 8
+    while start < stop:
+        yield np.arange(start, min(start + size, stop), dtype=np.int64)
+        start += size
+        size = min(2 * size, 1024)
+
+
+def _companion(base: FieldCtx, low: np.ndarray) -> np.ndarray:
+    """Matrices of x on base[x]/(g), one per monic g of degree t.
+
+    low: (n, t, d) prime digits of each g's coefficients below x**t.
+    """
+    n, t, d = low.shape
+    p, D = base.p, t * d
+    dt = _exact_dtype(p, D)
+    neg = ((-low) % p).astype(dt)
+    blocks = np.tensordot(neg, _basis(base).astype(dt), axes=1) % p  # (n, t, d, d)
+    X = np.zeros((n, D, D), dtype=dt)
+    X[:, :-d, d:] = np.eye(D - d, dtype=dt)
+    X[:, -d:, :] = blocks.transpose(0, 2, 1, 3).reshape(n, d, D)
+    return X
+
+
+_BASIS_CACHE: dict[tuple, np.ndarray] = {}
+
+
+def _basis(ctx: FieldCtx) -> np.ndarray:
+    """(k, k, k) matrices of the prime basis elements, index p**i at i."""
+    out = _BASIS_CACHE.get(ctx.key)
+    if out is None:
+        p, dt = ctx.p, _exact_dtype(ctx.p, ctx.k)
+        if ctx.base is None:
+            out = np.ones((1, 1, 1), dtype=dt)
+        else:
+            base, t = ctx.base, ctx.rel_degree
+            low: list[int] = []
+            for c in ctx.modulus[:-1]:
+                _flatten_raw(base, c, low)
+            X = _companion(base, np.array(low, dtype=np.int64).reshape(1, t, base.k))[0]
+            eye = np.eye(t, dtype=dt)
+            diag = np.stack([np.kron(eye, b) for b in _basis(base).astype(dt)])
+            powers = [np.eye(ctx.k, dtype=dt)]
+            for _ in range(t - 1):
+                powers.append(powers[-1] @ X % p)
+            out = np.concatenate([diag @ P % p for P in powers])
+        _BASIS_CACHE[ctx.key] = out
+    return out
+
+
+def _element_matrices(ctx: FieldCtx, idx) -> np.ndarray:
+    """(len(idx), k, k) matrices of the elements with the given indices."""
+    digits = _digits(idx, ctx.p, ctx.k)
+    basis = _basis(ctx)
+    return np.tensordot(digits.astype(basis.dtype), basis, axes=1) % ctx.p
+
+
+def _rank_mod_p(a: np.ndarray, p: int) -> np.ndarray:
+    """F_p rank of each matrix in a stack (n, r, c), entries in [0, p).
+
+    Gaussian elimination on every matrix at once.  A row is cleared as
+    lead * row - row[c] * pivot row, which needs no inverse and keeps the
+    rank, as lead is a unit.
+    """
+    n = a.shape[0]
+    at = np.arange(n)
+    used = np.zeros(a.shape[:2], dtype=bool)
+    for c in range(a.shape[2]):
+        col = np.where(used, 0, a[:, :, c])
+        has = (col != 0).any(axis=1)
+        piv = col.argmax(axis=1)
+        lead = np.where(has, col[at, piv], 1)
+        col[at, piv] = 0
+        a = (lead[:, None, None] * a - col[:, :, None] * a[at, piv][:, None, :]) % p
+        used[at, piv] |= has
+    return used.sum(axis=1)
+
+
+def _is_irreducible(base: FieldCtx, low: np.ndarray) -> np.ndarray:
+    """Which monic g of degree t over base = F_q are irreducible.
+
+    low: (n, t, d) prime digits of each g's coefficients below x**t.  On
+    A = F_q[x]/(g) the q-power map s is F_q-linear.  Its F_p matrix S has
+    row block i equal to the first row block of P**i, where P = X**q is
+    the matrix of x**q, so each x**(q**j) costs one row-vector product.
+    x**(q**t) = x holds exactly when g divides x**(q**t) - x, that is when
+    g is squarefree with every factor of degree dividing t (Rabin, 1980).
+    Such a g is irreducible exactly when s fixes no more than F_q, i.e.
+    when S - 1 has F_p-nullity d: the fixed ring of s is F_q to the power
+    of the number of distinct factors of g (Berlekamp).
+    """
+    n, t, d = low.shape
+    p, D = base.p, t * d
+    X = _companion(base, low)
+    eye = np.eye(D, dtype=X.dtype)
+    P = _power(X, base.order, lambda a, b: a @ b % p, eye)
+    rows = [np.broadcast_to(eye[:d], (n, d, D))]
+    for _ in range(t - 1):
+        rows.append(rows[-1] @ P % p)
+    S = np.concatenate(rows, axis=1)
+    x = eye[d]  # the digits of x itself
+    v = np.broadcast_to(x, (n, D))
+    for _ in range(t):
+        v = (v[:, None, :] @ S)[:, 0] % p
+    out = (v == x).all(axis=1)
+    if out.any():
+        fixed = np.flatnonzero(out)
+        out[fixed] = _rank_mod_p((S[fixed] - eye) % p, p) == D - d
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +655,9 @@ def make_field(p: int, k: int) -> FieldCtx:
 
     Candidate moduli of equal degree are ordered by their low-to-high
     coefficient lists read as little-endian base-p integers; the first
-    irreducible one wins.  Deterministic by construction.  The arguments
+    irreducible one wins.  Deterministic by construction.  Candidates are
+    tested in blocks by ``_is_irreducible``, on the F_p matrices of the
+    p-power map of F_p[x]/(g), so no scalar product is formed.  The arguments
     and the field cap are checked on every call, the cap before the
     trial division that tests p; only the construction is cached, so a
     lowered cap also refuses fields built before.
@@ -568,19 +692,16 @@ def _relative_extension(base: FieldCtx, t: int) -> FieldCtx:
     cached = _EXT_CACHE.get((base.key, t))
     if cached is not None:
         return cached
-    one = _one_raw(base)
     # search moduli x^t + c_{t-1} x^{t-1} + ... + c_0 in index order of
-    # (c_0, ..., c_{t-1}) as a little-endian base-q integer
-    q = base.order
-    for idx in range(q ** t):
-        rem = idx
-        coeffs = []
-        for _ in range(t):
-            coeffs.append(_raw_from_index(base, rem % q))
-            rem //= q
-        mod = coeffs + [one]
-        if _is_irreducible(base, mod):
-            ctx = _mk_ctx(base.p, base.k * t, base, tuple(mod))
+    # (c_0, ..., c_{t-1}) as a little-endian base-q integer, whose base-p
+    # digits are the coefficients' prime digits, d per coefficient
+    q, d = base.order, base.k
+    for idx in _index_blocks(0, q ** t):
+        hit = np.flatnonzero(_is_irreducible(base, _digits(idx, base.p, t * d).reshape(-1, t, d)))
+        if hit.size:
+            i = int(idx[hit[0]])
+            mod = tuple(_raw_from_index(base, i // q**j % q) for j in range(t))
+            ctx = _mk_ctx(base.p, base.k * t, base, mod + (_one_raw(base),))
             _EXT_CACHE[(base.key, t)] = ctx
             return ctx
     raise InternalInvariantError(  # pragma: no cover - an irreducible always exists

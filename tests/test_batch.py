@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from excov._batch import (
     _BLOCK,
     _CACHE,
     _CACHE_BYTES,
+    _GOLDEN64,
     _RULING_MIN,
+    _SPLIT_BITS,
     BatchField,
     _index_dtype,
     get_batch,
@@ -214,6 +217,48 @@ def test_permutation_period_refuses_a_non_permutation():
     # lies on; without a bound on the walk this never returns
     with pytest.raises(ValidationError):
         permutation_period(np.ones(_RULING_MIN, dtype=np.int64))
+
+
+def first_level_walk_free(n):
+    """Nodes that are not splitters at the first ruling-set level of n < 2**31
+    nodes; on the identity no walk reaches them."""
+    h = np.arange(n, dtype=np.uint32) * np.uint32(_GOLDEN64 >> 32)
+    return np.flatnonzero(h >= 1 << (32 - _SPLIT_BITS))
+
+
+def not_a_permutation(shape):
+    n = 4 * _RULING_MIN
+    perm = np.arange(n)
+    free = first_level_walk_free(n)
+    if shape == "walk onto a walked node":
+        return np.ones(n, dtype=np.int64)  # every walk enters the loop at 1
+    if shape == "two walks end at one splitter":
+        return np.zeros(n, dtype=np.int64)
+    if shape == "small level":
+        return np.zeros(100, dtype=np.int64)
+    if shape == "unreached node maps to a reached one":
+        perm[free[0]] = 0  # 0 is a splitter
+    elif shape == "unreached nodes share a successor":
+        perm[free[0]] = free[1]
+    return perm
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        "walk onto a walked node",
+        "two walks end at one splitter",
+        "small level",
+        "unreached node maps to a reached one",
+        "unreached nodes share a successor",
+    ],
+)
+def test_permutation_period_refuses_each_non_permutation_at_once(shape):
+    perm = not_a_permutation(shape)
+    start = time.perf_counter()
+    with pytest.raises(ValidationError, match="not a permutation"):
+        permutation_period(perm)
+    assert time.perf_counter() - start < 0.1
 
 
 # sizes on both sides of the doubling/ruling-set crossover, and one past

@@ -1,19 +1,27 @@
 """Field-tower construction and scalar arithmetic."""
 
 import itertools
+import random
 import re
 
+import numpy as np
 import pytest
 
 from excov import gf
+from excov._batch import BatchField
 from excov.errors import (
     CapExceededError,
     ValidationError,
     check_field_cap,
     check_power_cap,
+    field_cap_scope,
 )
 from excov.gf import (
+    FieldElem,
+    _basis,
+    _element_matrices,
     _is_prime,
+    _prime_factors,
     _prime_list,
     enumerate_field,
     make_extension,
@@ -69,6 +77,125 @@ def test_unique_quadratic_over_f2():
 @pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (2, 4), (3, 3), (7, 2)])
 def test_least_modulus_matches_brute_force(p, k):
     assert make_field(p, k).modulus == brute_least_irreducible(p, k)
+
+
+def brute_least_relative_modulus(base, t):
+    """Oracle: least monic degree-t polynomial over base with no proper monic
+    divisor, products of every pair of monic factors formed in scalar
+    arithmetic; coefficients as element indices, low-to-high."""
+    elems = list(enumerate_field(base))
+
+    def poly_mul(a, b):
+        out = [base.zero()] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return tuple(e.index for e in out)
+
+    def monics(deg):
+        for tail in itertools.product(elems, repeat=deg):
+            yield tail + (base.one(),)
+
+    products = {
+        poly_mul(a, b)
+        for d in range(1, t // 2 + 1)
+        for a in monics(d)
+        for b in monics(t - d)
+    }
+    q = base.order
+    for idx in range(q**t):
+        cand = tuple(idx // q**j % q for j in range(t)) + (1,)
+        if cand not in products:
+            return cand
+    raise AssertionError("no irreducible found")
+
+
+@pytest.mark.parametrize("q,t", [(4, 2), (4, 3), (4, 4), (9, 2), (9, 3), (9, 4)])
+def test_least_relative_modulus_matches_brute_force(q, t):
+    base = parse_field_spec(str(q))
+    ctx = make_extension(base, t)
+    got = tuple(FieldElem(base, c).index for c in ctx.modulus)
+    assert got == brute_least_relative_modulus(base, t)
+
+
+def least_quadratic_index(p):
+    """Oracle for odd p: least index c0 + c1*p of an irreducible
+    x^2 + c1 x + c0, one whose discriminant is a non-square (Euler)."""
+    idx = 0
+    while pow((idx // p) ** 2 - 4 * (idx % p), (p - 1) // 2, p) in (0, 1):
+        idx += 1
+    return idx
+
+
+def assert_matrices_match_scalar_products(ctx, rng, dtype=None):
+    """Element and basis matrices, applied to random x, give e * x."""
+    idx = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(20)]
+    idx += [ctx.p**k for k in range(ctx.k)]
+    mats = _element_matrices(ctx, idx)
+    assert np.array_equal(mats[-ctx.k :], _basis(ctx))
+    if dtype is not None:
+        mats = mats.astype(dtype)
+    for i, M in zip(idx, mats):
+        e = ctx.from_index(i)
+        for _ in range(4):
+            x = ctx.from_index(rng.randrange(ctx.order))
+            row = np.array(x.prime_coeffs(), dtype=mats.dtype) @ M % ctx.p
+            assert tuple(int(c) for c in row) == (e * x).prime_coeffs(), (i, x)
+
+
+MATRIX_FIELDS = [
+    make_field(7, 1),  # D = 1
+    make_field(65537, 1),  # D = 1, products past 2**31
+    make_field(3, 5),
+    make_field(2, 8),
+    make_extension(make_field(2, 2), 3),  # two-level towers
+    make_extension(make_field(3, 2), 3),
+    make_extension(make_field(5, 2), 2),
+    make_extension(make_extension(make_field(2, 2), 2), 2),  # three levels
+]
+
+
+def tower_id(ctx):
+    """p, then the relative degree of each step up: 2/2/3 is F_64 over F_4."""
+    degrees = []
+    while ctx.base is not None:
+        degrees.append(ctx.rel_degree)
+        ctx = ctx.base
+    return "/".join(map(str, [ctx.p] + degrees[::-1]))
+
+
+@pytest.mark.parametrize("ctx", MATRIX_FIELDS, ids=tower_id)
+def test_element_matrices_match_scalar_products(ctx):
+    assert_matrices_match_scalar_products(ctx, random.Random(ctx.order))
+
+
+def test_element_matrices_are_exact_in_float64_at_the_widest_table_field():
+    # the largest F_{p^2} BatchField accepts, (Q - 1)**2 < 2**63: _batch runs
+    # its matrices in float64, exact while D * (p - 1)**2 < 2**53
+    p = 55109
+    assert (p * p - 1) ** 2 >= 2**63
+    while not (_is_prime(p) and (p * p - 1) ** 2 < 2**63):
+        p -= 1
+    with field_cap_scope(2**32):
+        ctx = make_field(p, 2)
+    assert 2 * (p - 1) ** 2 < 2**53
+    idx = least_quadratic_index(p)
+    assert ctx.modulus == (idx % p, idx // p, 1)
+    assert_matrices_match_scalar_products(ctx, random.Random(p), np.float64)
+    g, m = BatchField(ctx).generator(), ctx.order - 1
+    assert all(g ** (m // r) != ctx.one() for r in _prime_factors(m))
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2147483659])
+def test_quadratic_extension_across_the_int64_product_edge(p):
+    # 2 * (p - 1)**2 fits int64 at 2**31 - 1 and not at the next prime, where
+    # the engine's products go to Python integers
+    assert (2 * (p - 1) ** 2 < 2**63) == (p < 2**31)
+    with field_cap_scope(2**64):
+        ctx = make_field(p, 2)
+    idx = least_quadratic_index(p)
+    assert ctx.modulus == (idx % p, idx // p, 1)
+    assert_matrices_match_scalar_products(ctx, random.Random(p))
 
 
 def test_f9_modulus_value():
