@@ -22,6 +22,15 @@ follow Zech's rule a + b = a * (1 + b/a).  Adding 1 to an element changes
 only its lowest base-p digit, so the "+1" step behind ``zech`` is index
 arithmetic: i + 1, or i - (p - 1) when i % p == p - 1.
 
+A sparse polynomial (``eval_sparse``) is evaluated one log at a time:
+term by term, each new term added by one Zech gather.  When its
+coefficients lie in F_{p**d} for a d < D, x -> x**(p**d) commutes with
+it, and in log space that map is j -> j * p**d mod m.  So a sum of two
+or more terms is evaluated only at the least log of each of these orbits
+(``orbit_reps``), about m*d/D of them, and each value log v at j is
+written out at j * p**(d*k) as v * p**(d*k), k < D/d.  The representatives
+are cached per field and d, at about 4d/D bytes per point.
+
 Tables are stored at the width ``_index_dtype(Q)``: int32 while
 Q < 2**31, 12 bytes per point, else int64.  A sum or product of two logs
 can pass int32, so it is always formed in int64 after a cast; such a
@@ -41,7 +50,8 @@ from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .gf import FieldCtx, FieldElem, _element_matrices, _index_blocks, _prime_factors
 from .projmap import _lift
 
-# digit rows of g**j per block of the exp build, to bound its temporaries
+# digit rows of g**j per block of the exp build, and prefixes per block of
+# the orbit_reps build, to bound their temporaries
 _CHUNK = 1 << 12
 # logs j evaluated together by eval_sparse, to bound its temporaries; of
 # 2**15 to 2**18, 2**16 was fastest on fields of 1.8e5 to 4.2e6 points
@@ -73,9 +83,12 @@ class BatchField:
         self._work = np.int64 if self.D == 1 else np.float64
         self._pack_weights = self.p ** np.arange(self.D, dtype=self._work)
         self.dtype = _index_dtype(self.order)
-        # exp, log and zech of Q - 1, Q and Q - 1 entries, once built
+        # exp, log and zech of Q - 1, Q and Q - 1 entries, once built, and
+        # the orbit_reps built so far
         self.table_bytes = np.dtype(self.dtype).itemsize * (3 * self.order - 2)
         self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        # orbit_reps per Frobenius step d, added to table_bytes as built
+        self._reps: dict[int, np.ndarray] = {}
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
         """Digit rows (entries in [0, p), low first) to element indices."""
@@ -97,7 +110,9 @@ class BatchField:
         """A fixed multiplicative generator, smallest by element index.
 
         Candidates are tested in blocks, in index order: g generates when
-        g**(m/r) != 1 for every prime r dividing m.  Each power is row 0 of
+        g**(m/r) != 1 for every prime r dividing m.  Indices below p are
+        the prime field, whose orders divide p - 1, so when D >= 2 the
+        search starts at p.  Each power is row 0 of
         M(g)**(m/r), taken from one chain of squarings of the candidates'
         matrices that all the exponents share.
         """
@@ -106,7 +121,7 @@ class BatchField:
             m, p = self.order - 1, self.p
             exps = [m // r for r in _prime_factors(m)]
             one = np.eye(self.D, dtype=self._work)[0]
-            for idx in _index_blocks(1, self.order):
+            for idx in _index_blocks(p if self.D >= 2 else 1, self.order):
                 sq = _element_matrices(self.ctx, idx).astype(self._work)
                 pw = np.broadcast_to(one, (len(idx), len(exps), self.D)).copy()
                 for bit in range(max(exps, default=0).bit_length()):
@@ -182,20 +197,81 @@ class BatchField:
 
     # -- whole-field evaluation ------------------------------------------------
 
-    def eval_sparse(self, terms: Sequence[tuple[int, FieldElem | int]]) -> np.ndarray:
+    def eval_sparse(
+        self,
+        terms: Sequence[tuple[int, FieldElem | int]],
+        den: Sequence[tuple[int, FieldElem | int]] | None = None,
+        out: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Index table of sum(c * x**e) over every x, in index order.
 
-        Coefficients may come from any field below this one.  At x = g**j
-        the term c * x**e has log (e*j + log c) mod m, which needs no
-        gather; each further term is added in log order by one Zech gather,
-        and one scatter moves the sums to index order.  x = 0 takes the
-        constant term.  The j run in blocks of ``_BLOCK``, so only the int64
-        output and the tables take memory in proportion to the field.
+        With ``den``, the table of the quotient by that sum, holding Q at
+        its zeros (the poles).  Coefficients may come from any field below
+        this one.  The table is written into ``out`` (int64, Q slots), or
+        into a new array when it is None.
+
+        Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
+        by ``_logs_at``.  When a sum has two or more terms, only the least
+        log of each Frobenius orbit is evaluated (``orbit_reps``): with
+        s = p**d, where F_{p**d} is the least subfield holding every
+        coefficient, f(x**s) = f(x)**s, so the value log v at j gives v*s
+        at j*s.  Each block of representatives is written out r = D/d
+        times, one rotation (j, v) -> (j*s, v*s) mod m at a time, and a
+        zero or a pole stays one along its orbit.  Otherwise r = 1 and the
+        blocks run over every log.  x = 0 takes the constant terms.
         """
-        exp, log, zech = self.tables()
+        exp = self.tables()[0]
+        Q, m = self.order, self.order - 1
+        sums = [self._term_logs(terms)]
+        if den is not None:
+            sums.append(self._term_logs(den))
+        d = self.D
+        if any(len(logs) > 1 for _, logs in sums):
+            d = self._frobenius_step([lc for _, logs in sums for _, lc in logs])
+        s, r = self.p**d % m, self.D // d
+        reps = self.orbit_reps(d) if r > 1 else None
+        if out is None:
+            out = np.empty(Q, dtype=np.int64)
+        n = m if reps is None else reps.size
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            if reps is None:
+                j = np.arange(lo, hi, dtype=np.int64)
+            else:
+                j = reps[lo:hi].astype(np.int64)
+            v, zeros = self._logs_at(j, sums[0][1])
+            marks = [(zeros, 0)]
+            if den is not None:
+                dv, poles = self._logs_at(j, sums[1][1])
+                v -= dv
+                v %= m
+                marks.append((poles, Q))  # after the zeros: a pole wins
+            for k in range(r):
+                if k:
+                    j *= s
+                    j %= m
+                    v *= s
+                    v %= m
+                vals = exp[v]
+                for at, mark in marks:
+                    vals[at] = mark
+                out[exp[j]] = vals
+        top = sums[0][0]
+        if den is None:
+            out[0] = top.index
+        else:
+            bottom = sums[1][0]
+            out[0] = Q if bottom.is_zero() else (top / bottom).index
+        return out
+
+    def _term_logs(
+        self, terms: Sequence[tuple[int, FieldElem | int]]
+    ) -> tuple[FieldElem, list[tuple[int, int]]]:
+        """The value at 0 of sum(c * x**e), and (e mod m, log c) per nonzero term."""
+        log = self.tables()[1]
         m = self.order - 1
         const = self.ctx.zero()
-        logs = []  # (e mod m, log c) per nonzero term
+        logs = []
         for e, c in terms:
             c = _lift(self.ctx, c)
             if c.is_zero():
@@ -203,36 +279,99 @@ class BatchField:
             if e == 0:
                 const = const + c
             logs.append((e % m, int(log[c.index])))
-        out = np.zeros(self.order, dtype=np.int64)
-        if logs:
-            (s0, lc0), rest = logs[0], logs[1:]
-            for lo in range(0, m, _BLOCK):
-                hi = min(lo + _BLOCK, m)
-                j = np.arange(lo, hi, dtype=np.int64)
-                acc = j * s0  # the running sum's log at each j
-                acc += lc0
-                acc %= m
-                d = np.empty_like(acc)
-                zeros = np.empty(0, dtype=np.int64)  # j - lo where the sum is 0
-                for s, lc in rest:
-                    # log(a + b) = log a + Z(log b - log a), where Z = m for
-                    # a + b = 0; j*s + lc + m - acc stays below m**2
-                    np.multiply(j, s, out=d)
-                    d += lc + m
-                    d -= acc
-                    d %= m
-                    z = zech[d]
-                    acc += z
-                    acc %= m
-                    sums_zero = np.flatnonzero(z == m)
-                    # where the sum was 0, the new sum is the term itself
-                    acc[zeros] = (s * (zeros + lo) + lc) % m
-                    zeros = np.setdiff1d(sums_zero, zeros, assume_unique=True)
-                vals = exp[acc]
-                vals[zeros] = 0
-                out[exp[lo:hi]] = vals
-        out[0] = const.index
-        return out
+        return const, logs
+
+    def _frobenius_step(self, lcs: list[int]) -> int:
+        """The least d dividing D with c**(p**d) = c for every coefficient,
+        tested on their logs lc: (p**d - 1) * lc = 0 mod m.  d = D always
+        passes."""
+        m = self.order - 1
+        return next(
+            d
+            for d in range(1, self.D + 1)
+            if self.D % d == 0 and all(lc * (self.p**d - 1) % m == 0 for lc in lcs)
+        )
+
+    def orbit_reps(self, d: int) -> np.ndarray:
+        """The least log of each orbit of j -> j * p**d mod m, ascending.
+
+        With q = p**d and r = D/d, m = q**r - 1, so j * q mod m rotates the
+        r base-q digits of j, high first, and the least logs are the
+        necklaces of r digits.  The last one, all digits q - 1, is m itself
+        and no log.  They come in ascending order from the FKM rule
+        (Ruskey, Savage and Wang, *Generating necklaces*, 1992): a
+        prenecklace a_1..a_n of period k extends by each digit
+        a >= a_{n+1-k}, keeping period k when a = a_{n+1-k} and taking
+        n + 1 otherwise; one of r digits is a necklace when k divides r.
+        Prefixes are extended depth first in blocks of about ``_CHUNK``
+        children, so the temporaries stay small.  Cached per d at the
+        table width, about 4d/D bytes per point, and counted in
+        ``table_bytes``.
+        """
+        reps = self._reps.get(d)
+        if reps is None:
+            q, r = self.p**d, self.D // d
+            weight = q ** np.arange(r, dtype=np.int64)
+            parts = []
+            zero = np.zeros(1, dtype=np.int64)
+            # prenecklaces of n digits: values, periods k and digits a_{n+1-k}
+            stack = [(0, zero, zero + 1, zero)]
+            while stack:
+                n, v, k, low = stack.pop()
+                width = q - low
+                up = np.repeat(np.arange(v.size), width)
+                a = np.arange(up.size) - np.repeat(np.cumsum(width) - width, width)
+                a += low[up]
+                v, k = v[up] * q + a, np.where(a == low[up], k[up], n + 1)
+                n += 1
+                if n == r:
+                    parts.append(v[r % k == 0].astype(self.dtype))
+                    continue
+                low = v // weight[k - 1] % q
+                ends = np.cumsum(q - low)
+                cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK), side="right")
+                bounds = [0, *cuts.tolist(), v.size]
+                for lo, hi in reversed(list(zip(bounds, bounds[1:]))):
+                    if hi > lo:
+                        stack.append((n, v[lo:hi], k[lo:hi], low[lo:hi]))
+            reps = self._reps[d] = np.concatenate(parts)[:-1]
+            self.table_bytes += reps.nbytes
+        return reps
+
+    def _logs_at(
+        self, j: np.ndarray, logs: list[tuple[int, int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Log of sum(c * g**(e*j)) at each log j (int64), and the positions
+        in j where the sum is 0, whose logs are left unset.
+
+        The term c * x**e has log (e*j + log c) mod m, which needs no
+        gather; each further term is added by one Zech gather.
+        """
+        if not logs:
+            return np.zeros_like(j), np.arange(j.size)
+        zech = self.tables()[2]
+        m = self.order - 1
+        (s0, lc0), rest = logs[0], logs[1:]
+        acc = j * s0  # the running sum's log at each j
+        acc += lc0
+        acc %= m
+        d = np.empty_like(acc)
+        zeros = np.empty(0, dtype=np.int64)  # positions where the sum is 0
+        for s, lc in rest:
+            # log(a + b) = log a + Z(log b - log a), where Z = m for
+            # a + b = 0; j*s + lc + m - acc stays below m**2
+            np.multiply(j, s, out=d)
+            d += lc + m
+            d -= acc
+            d %= m
+            z = zech[d]
+            acc += z
+            acc %= m
+            sums_zero = np.flatnonzero(z == m)
+            # where the sum was 0, the new sum is the term itself
+            acc[zeros] = (s * j[zeros] + lc) % m
+            zeros = np.setdiff1d(sums_zero, zeros, assume_unique=True)
+        return acc, zeros
 
     def power_table(self, n: int) -> np.ndarray:
         """Index table of x**n for every x, with 0**0 = 1.  n >= 0."""
@@ -367,10 +506,11 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 # -- instance cache -----------------------------------------------------------
 
-# Bytes of tables the cached fields may hold together.  Every field of F_3
-# up to t = 12 (9.6 MB), the largest tower under a 600000-point scan cap,
-# fits, so repeated scans up one tower build each field once; a larger
-# budget only raises peak RSS.
+# Bytes of tables the cached fields may hold together: exp, log and zech,
+# and the orbit_reps built so far.  Every field of F_3 up to t = 12
+# (9.6 MB of tables, under 0.3 MB of representatives), the largest tower
+# under a 600000-point scan cap, fits, so repeated scans up one tower
+# build each field once; a larger budget only raises peak RSS.
 _CACHE_BYTES = 24 << 20
 _CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field

@@ -44,18 +44,13 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     if isinstance(f, Poly):
         f = RationalMap(f)
     K = _scan_field(f, t)
-    bf = get_batch(K)
     Q = K.order
     out = np.empty(Q + 1, dtype=np.int64)
+    den = None if f.is_polynomial else _poly_terms(f.den)
+    get_batch(K).eval_sparse(_poly_terms(f.num), den, out=out[:Q])
     if f.is_polynomial:
-        out[:Q] = bf.eval_sparse(_poly_terms(f.num))
         out[Q] = Q if f.degree >= 1 else out[0]
         return out
-    num_idx = bf.eval_sparse(_poly_terms(f.num))
-    den_idx = bf.eval_sparse(_poly_terms(f.den))
-    vals = bf.mul_indices(num_idx, bf.pow_indices(den_idx, -1))
-    vals[den_idx == 0] = Q  # poles; numerator is nonzero there by coprimality
-    out[:Q] = vals
     dn, dd = f.num.degree, f.den.degree
     if dn > dd:
         out[Q] = Q

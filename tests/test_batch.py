@@ -606,3 +606,101 @@ def test_int64_guard_refuses_fields_before_building_tables(monkeypatch):
     with pytest.raises(CapExceededError, match="int64"):
         get_batch(big)
     assert big.key not in _CACHE
+
+
+# -- evaluation once per Frobenius orbit --------------------------------------
+
+
+def least_rotations(m, s, r):
+    """Oracle for orbit_reps: the logs j at most each of j * s**k mod m."""
+    j = np.arange(m, dtype=np.int64)
+    img = j
+    for _ in range(r - 1):
+        img = img * s % m
+        keep = j <= img
+        j, img = j[keep], img[keep]
+    return j
+
+
+@pytest.mark.parametrize(
+    "p, D",
+    # (67, 2) and (3, 12) extend more prefixes at once than one block holds
+    [(2, 2), (2, 6), (2, 10), (3, 4), (3, 6), (5, 3), (7, 2), (67, 2), (3, 12)],
+)
+def test_orbit_reps_are_the_least_log_of_each_orbit(p, D):
+    bf = BatchField(make_field(p, D))
+    m = bf.order - 1
+    built = 0
+    for d in (d for d in range(1, D) if D % d == 0):
+        reps = bf.orbit_reps(d)
+        assert reps.dtype == bf.dtype
+        assert np.array_equal(reps, least_rotations(m, p**d, D // d)), d
+        built += reps.nbytes
+        assert bf.orbit_reps(d) is reps
+    assert bf.table_bytes == np.dtype(bf.dtype).itemsize * (3 * bf.order - 2) + built
+
+
+def subfield_element(x, e):
+    """The norm of x from its field down to F_{p**e}, an element of that subfield."""
+    return x ** ((x.ctx.order - 1) // (x.ctx.p**e - 1))
+
+
+def full_field_table(bf, terms, den=None):
+    """eval_sparse over every log (r = 1), the orbit path's oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(BatchField, "_frobenius_step", lambda self, lcs: self.D)
+        return bf.eval_sparse(terms, den)
+
+
+ORBIT_FIELDS = [  # (p, k, t): maps over F_{p^k} evaluated on F_{p^(kt)}
+    (3, 1, 1),
+    (11, 1, 3),
+    (13, 1, 4),
+    (2, 1, 14),
+    (2, 2, 7),
+    (7, 1, 6),
+    (5, 1, 8),
+    (3, 2, 6),
+    (3, 1, 12),
+]
+
+
+@pytest.mark.parametrize("p, k, t", ORBIT_FIELDS, ids=lambda v: str(v))
+def test_orbit_path_matches_full_field_evaluation(p, k, t):
+    rng = random.Random(p * 100 + k * 10 + t)
+    base = make_field(p, k)
+    K = make_extension(base, t)
+    bf = BatchField(K)
+    for trial in range(6):
+        e = rng.choice([e for e in range(1, k + 1) if k % e == 0])
+
+        def coeff():
+            return subfield_element(base.from_index(rng.randrange(1, base.order)), e)
+
+        terms = [(rng.randrange(40), coeff()) for _ in range(rng.randint(2, 5))]
+        if trial % 2:  # a root in F_q: the sum is 0 on a short orbit
+            root = base.from_index(rng.randrange(1, base.order))
+            n = rng.randrange(1, 9)
+            terms += [(n, 1), (0, -(root**n))]
+        den = None
+        if trial >= 3:  # x**n - c: poles wherever c has an n-th root
+            n = rng.randrange(1, 9)
+            den = [(n, 1), (0, -coeff()), (rng.randrange(n + 1, 30), coeff())]
+        got = bf.eval_sparse(terms, den)
+        assert np.array_equal(got, full_field_table(bf, terms, den)), (terms, den)
+    if K.k > 1:
+        assert bf._reps  # some trial took the orbit path
+
+
+def test_orbit_path_writes_in_place_and_marks_poles():
+    base = make_field(3, 2)
+    K = make_extension(base, 3)  # F_{9^3}, F_9 coefficients: d = 2, r = 3
+    bf = BatchField(K)
+    a = base.gen()
+    num = [(5, a), (2, 1), (0, a * a)]
+    for den in ([(2, 1), (0, -a)], [(3, 1), (0, -(a**3))]):
+        out = np.full(K.order, -1, dtype=np.int64)
+        assert bf.eval_sparse(num, den, out=out) is out
+        assert np.array_equal(out, full_field_table(bf, num, den))
+    assert out[K.embed(a).index] == K.order  # x^3 - a^3 vanishes at a
+    assert set(bf._reps) == {2}

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from excov._batch import get_batch
 from excov.errors import CapExceededError, ValidationError
 from excov.excscan import (
     dp_range_test,
@@ -16,7 +17,7 @@ from excov.excscan import (
 )
 from excov.frobset import from_residues
 from excov.gf import make_extension, make_field
-from excov.projmap import Poly, RationalMap, cyclic, dickson, parse_map_spec
+from excov.projmap import Poly, RationalMap, cyclic, dickson, parse_map_spec, redei
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -56,6 +57,31 @@ def test_value_table_degree_mismatch_at_infinity():
     tab = value_table(f, 1)
     assert tab.tolist() == brute_table(f, 1)
     assert tab[5] == 5
+
+
+F9 = make_field(3, 2)
+A9 = F9.gen()  # in F_9 but not in F_3
+F4 = make_field(2, 2)
+
+FROBENIUS_CASES = [  # (map over F_q, t, has a pole in F_{q^t})
+    (dickson(F3, 7, 1), 9, False),
+    (redei(F5, 7, 2), 6, True),
+    (RationalMap(Poly(F5, [1, 0, 1]), Poly(F5, [0, 1])), 5, True),  # (x^2+1)/x
+    (RationalMap(Poly(F9, [A9, 0, 1, 0, 0, A9 * A9]), Poly(F9, [-(A9**3), 0, 0, 1])), 4, True),
+    (RationalMap(Poly(F4, [F4.gen(), 1, 0, 0, 1, 0, 0, F4.gen()])), 5, False),
+    (RationalMap(Poly(F5, [2])), 3, False),  # a constant
+]
+
+
+@pytest.mark.parametrize("f, t, poles", FROBENIUS_CASES, ids=lambda v: str(v)[:40])
+def test_value_table_commutes_with_frobenius(f, t, poles):
+    # f has coefficients in F_q, so f(x^q) = f(x)^q on every slot of
+    # P1(F_{q^t}), poles and infinity included (infinity^q = infinity)
+    K = make_extension(f.ctx, t)
+    frob = np.append(get_batch(K).pow_indices(np.arange(K.order), f.ctx.order), K.order)
+    tab = value_table(f, t)
+    assert np.array_equal(tab[frob], frob[tab])
+    assert bool((tab[: K.order] == K.order).any()) == poles
 
 
 def test_scan_power_map_over_f3():
