@@ -15,6 +15,7 @@ import sys
 from typing import Optional
 
 from . import excscan, frobset, grouptheory, lattes, nielsen, pencil, projmap
+from ._batch import get_batch
 from .errors import CapExceededError, ExcovError, ValidationError
 from .gf import FieldCtx, _is_prime, make_field, parse_field_spec
 
@@ -52,7 +53,7 @@ def cmd_field(ns) -> dict:
     ctx = parse_field_spec(ns.field)
     return {
         "field": _field_doc(ctx),
-        "generator_index": ctx.gen().index,
+        "generator_index": get_batch(ctx).generator().index,
         "generator_order": ctx.order - 1,
     }
 

@@ -148,13 +148,15 @@ def exceptionality_scan(
 
 
 def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
-    """One t of a scan.  Its value table and counts are freed on return,
-    before the next t builds tables up to q times their size."""
+    """One t of a scan.  Its fiber counts are freed before the period
+    kernel runs, and its value table on return, before the next t builds
+    tables up to q times their size."""
     tab = value_table(f, t)
     counts = np.bincount(tab, minlength=tab.shape[0])
     bij = bool(counts.max(initial=0) == 1)
     surj = bool(counts.min(initial=1) >= 1)
     hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
+    del counts
     period = permutation_period(tab) if bij and with_periods else None
     return TRecord(t, bij, surj, hist, period)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterator, Optional, Sequence, TypeVar, Union
+from typing import Callable, Iterator, Optional, TypeVar, Union
 
 import numpy as np
 
@@ -147,16 +147,6 @@ class FieldCtx:
             raise ValidationError(f"element index {i} out of range for order {self.order}")
         return FieldElem(self, _raw_from_index(self, i))
 
-    def from_prime_coeffs(self, coeffs: Sequence[int]) -> "FieldElem":
-        """Element from its k absolute coefficients over F_p, low-to-high."""
-        if len(coeffs) > self.k:
-            raise ValidationError(f"expected at most {self.k} coefficients, got {len(coeffs)}")
-        cs = [c % self.p for c in coeffs] + [0] * (self.k - len(coeffs))
-        idx = 0
-        for c in reversed(cs):
-            idx = idx * self.p + c
-        return self.from_index(idx)
-
     def gen(self) -> "FieldElem":
         """Root of the defining modulus; equals 1 in the prime field."""
         if self.base is None:
@@ -278,10 +268,6 @@ class FieldElem:
         if e < 0:
             return self.inverse() ** (-e)
         return FieldElem(self.ctx, _pow_raw(self.ctx, self.raw, e))
-
-    def frobenius(self) -> "FieldElem":
-        """x ** base_order; fixes exactly the embedded base field."""
-        return self ** self.ctx.base_order
 
     def __repr__(self) -> str:
         return f"<{','.join(map(str, self.prime_coeffs()))} in {self.ctx.p}^{self.ctx.k}>"
@@ -709,13 +695,6 @@ def _relative_extension(base: FieldCtx, t: int) -> FieldCtx:
     )
 
 
-def enumerate_field(ctx: FieldCtx) -> Iterator[FieldElem]:
-    """All elements in index order, 0 first; index = little-endian rank."""
-    check_field_cap(ctx.order, "enumeration")
-    for i in range(ctx.order):
-        yield ctx.from_index(i)
-
-
 _SPEC_ECHO = 40  # characters of a field spec that error messages quote
 
 
@@ -770,19 +749,3 @@ def parse_field_spec(spec: str) -> FieldCtx:
     while p ** k < n:
         k += 1
     return make_field(p, k)
-
-
-def parse_element(ctx: FieldCtx, literal: str) -> FieldElem:
-    """Parse "c0,c1,..." (absolute prime-field residues, low-to-high)."""
-    parts = [s.strip() for s in literal.split(",")]
-    coeffs = []
-    col = 1
-    for s in parts:
-        try:
-            coeffs.append(int(s))
-        except ValueError as exc:
-            raise ValidationError(
-                f"element literal {literal!r}: expected integer at col {col}"
-            ) from exc
-        col += len(s) + 1
-    return ctx.from_prime_coeffs(coeffs)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -155,12 +155,6 @@ class Perm:
             out.append(tuple(c))
         return out
 
-    def cycle_type(self) -> tuple[int, ...]:
-        """All cycle lengths including fixed points, descending."""
-        lens = [len(c) for c in self.cycles()]
-        lens += [1] * self.fixed_count()
-        return tuple(sorted(lens, reverse=True))
-
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
 
@@ -172,22 +166,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm{self.cycle_string()}"
-
-
-def parse_perm(text: str, degree: Optional[int] = None) -> Perm:
-    """Cycle notation or a 1-based one-line image list like "2,3,1"."""
-    s = text.strip()
-    if s.startswith("(") or s == "()":
-        return Perm.from_cycles(s, degree)
-    try:
-        images = [int(v) for v in s.replace("[", "").replace("]", "").split(",")]
-    except ValueError:
-        raise ValidationError(f"cannot parse permutation {text!r}") from None
-    if degree is not None and len(images) != degree:
-        raise ValidationError(
-            f"one-line form has {len(images)} entries, expected {degree}"
-        )
-    return Perm.from_one_line(images)
 
 
 # -- materialized groups ----------------------------------------------------------
@@ -702,41 +680,3 @@ def fano_actions() -> tuple[list[Perm], list[Perm]]:
 def block_swap(n: int) -> Perm:
     """The involution exchanging two n-letter blocks index-for-index."""
     return Perm(tuple(list(range(n, 2 * n)) + list(range(n))))
-
-
-# -- JSON plumbing ------------------------------------------------------------------
-
-
-def monodromy_from_json(obj: dict) -> Union[MonodromyData, PairedMonodromy]:
-    """Build coset data from {degree, geomGens, tau, d?, action2?}.
-
-    action2 holds {degree, geomGens, tau?} for parallel second images; with
-    it present the result is a paired model, tau2 defaulting to a block
-    swap being disallowed (it must be stated).
-    """
-    try:
-        degree = int(obj["degree"])
-        gens = [parse_perm(s, degree) for s in obj["geomGens"]]
-    except KeyError as e:
-        raise ValidationError(f"missing field {e.args[0]!r}") from None
-    second = obj.get("action2")
-    if second is None:
-        tau = parse_perm(obj["tau"], degree) if "tau" in obj else Perm.identity(degree)
-        M = MonodromyData(group_from_gens(gens), tau)
-        if "d" in obj and int(obj["d"]) != M.d:
-            raise ValidationError(
-                f"declared d = {obj['d']} but tau enters the group at {M.d}"
-            )
-        return M
-    degree2 = int(second["degree"])
-    gens2 = [parse_perm(s, degree2) for s in second["geomGens"]]
-    if "tau" in obj and "tau" in second:
-        tau1 = parse_perm(obj["tau"], degree)
-        tau2 = parse_perm(second["tau"], degree2)
-        return PairedMonodromy.from_parallel(gens, gens2, tau1, tau2)
-    if "tauCombined" in obj:
-        tau = parse_perm(obj["tauCombined"], degree + degree2)
-        return PairedMonodromy.from_combined(gens, gens2, tau)
-    tau1 = Perm.identity(degree)
-    tau2 = Perm.identity(degree2)
-    return PairedMonodromy.from_parallel(gens, gens2, tau1, tau2)

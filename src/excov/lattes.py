@@ -26,7 +26,7 @@ from .errors import (
     check_power_cap,
 )
 from .excscan import value_table
-from .gf import FieldCtx, FieldElem, _power, _prime_list, make_extension, make_field
+from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import Poly, RationalMap
 
 # -- curves over the rationals ----------------------------------------------------
@@ -189,35 +189,6 @@ def base_change(e: EllipticCurveF, ext: FieldCtx) -> EllipticCurveF:
     return EllipticCurveF(ext, ext.embed(e.a), ext.embed(e.b))
 
 
-# -- point arithmetic ---------------------------------------------------------------
-
-Point = Optional[tuple[FieldElem, FieldElem]]
-
-
-def ec_add(e: EllipticCurveF, p: Point, q: Point) -> Point:
-    if p is None:
-        return q
-    if q is None:
-        return p
-    x1, y1 = p
-    x2, y2 = q
-    if x1 == x2 and y1 == -y2:
-        return None
-    if p == q:
-        lam = (e.ctx.from_int(3) * x1 * x1 + e.a) / (e.ctx.from_int(2) * y1)
-    else:
-        lam = (y2 - y1) / (x2 - x1)
-    x3 = lam * lam - x1 - x2
-    return (x3, lam * (x1 - x3) - y1)
-
-
-def ec_mul(e: EllipticCurveF, m: int, p: Point) -> Point:
-    if m < 0:
-        p = None if p is None else (p[0], -p[1])
-        m = -m
-    return _power(p, m, lambda u, v: ec_add(e, u, v), None)
-
-
 # -- division polynomials and the induced x-line map ---------------------------------
 
 
@@ -264,14 +235,6 @@ def _division_polys(e: EllipticCurveF, m: int) -> list[Poly]:
         else:
             w.append(w[k] * (w[k + 2] * w[k - 1] * w[k - 1] - w[k - 2] * w[k + 1] * w[k + 1]))
     return w
-
-
-def division_poly(e: EllipticCurveF, m: int) -> Poly:
-    """The m-th division polynomial in x; even m reported without its 2y factor."""
-    if m < 1:
-        raise ValidationError("need m >= 1")
-    check_field_cap(m * m, "division polynomial degree")
-    return _division_polys(e, m)[m]
 
 
 def lattes_map(e: EllipticCurveF, m: int) -> RationalMap:

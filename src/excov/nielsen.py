@@ -10,10 +10,8 @@ catalogue of families the rest of the package scans analytically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .errors import CapExceededError, ValidationError
 from .gf import _is_prime, _prime_factors
@@ -66,48 +64,6 @@ class NielsenTuple:
             out = out * g
         return out
 
-    def conjugate(self, h: Perm) -> "NielsenTuple":
-        hi = h.inverse()
-        return NielsenTuple(
-            tuple(hi * g * h for g in self.perms), self.group, self.class_reps
-        )
-
-
-def _class_of(rep: Perm, group: PermGroup) -> frozenset:
-    return frozenset((h.inverse() * rep * h).images for h in group)
-
-
-def validate_tuple(t: NielsenTuple) -> list[str]:
-    """Empty list when the tuple is a branch cycle description for its group."""
-    problems = []
-    if not t.product().is_identity():
-        problems.append("product-one fails: entries do not multiply to the identity")
-    if any(g not in t.group for g in t.perms):
-        problems.append("generation fails: an entry lies outside the declared group")
-    else:
-        # entries inside the group, so this closure is bounded by its order
-        generated = group_from_gens(list(t.perms))
-        if generated.order != t.group.order:
-            problems.append(
-                f"generation fails: entries generate order {generated.order}, "
-                f"declared group has order {t.group.order}"
-            )
-    reps = t.class_reps if t.class_reps is not None else t.perms
-    if len(reps) != t.r:
-        problems.append("class-membership fails: fingerprint length mismatch")
-    else:
-        classes = [_class_of(rep, t.group) for rep in reps]
-        unused = list(range(t.r))
-        for g in t.perms:
-            hit = next((j for j in unused if g.images in classes[j]), None)
-            if hit is None:
-                problems.append(
-                    f"class-membership fails: {g} lies in no declared class"
-                )
-                break
-            unused.remove(hit)
-    return problems
-
 
 def rh_genus(t: NielsenTuple) -> int:
     """Source genus from the index sum; errors when no cover can exist."""
@@ -134,17 +90,6 @@ def braid_act(t: NielsenTuple, i: int) -> NielsenTuple:
     new = list(t.perms)
     new[i - 1] = a * b * a.inverse()
     new[i] = a
-    return NielsenTuple(tuple(new), t.group, t.class_reps)
-
-
-def braid_unact(t: NielsenTuple, i: int) -> NielsenTuple:
-    """Inverse twist: (.., a, b, ..) -> (.., b, b^-1 a b, ..)."""
-    if not 1 <= i <= t.r - 1:
-        raise ValidationError(f"braid index {i} outside 1..{t.r - 1}")
-    a, b = t.perms[i - 1], t.perms[i]
-    new = list(t.perms)
-    new[i - 1] = b
-    new[i] = b.inverse() * a * b
     return NielsenTuple(tuple(new), t.group, t.class_reps)
 
 
@@ -198,30 +143,6 @@ def braid_orbit(
     conj = _conjugators(t, equivalence)
     moves = [lambda x, i=i: braid_act(x, i) for i in range(1, t.r)]
     return _orbit(t, moves, conj, cap)
-
-
-def q2_reduced_orbit(
-    t: NielsenTuple, equivalence="inner", cap: int = GROUP_CAP
-) -> list[NielsenTuple]:
-    """Orbit of a length-4 tuple under the reduced-equivalence subgroup.
-
-    The two generators are the square of the full twist q1 q2 q3 and the
-    mixed move q1 q3^-1; only their induced partition is reported, nothing
-    is claimed about the kernel of the action.
-    """
-    if t.r != 4:
-        raise ValidationError("reduced orbits are defined for length-4 tuples")
-
-    def gen_a(x):
-        for _ in range(2):
-            for i in (1, 2, 3):
-                x = braid_act(x, i)
-        return x
-
-    def gen_b(x):
-        return braid_unact(braid_act(x, 1), 3)
-
-    return _orbit(t, [gen_a, gen_b], _conjugators(t, equivalence), cap)
 
 
 # -- stock families -------------------------------------------------------------------
@@ -431,69 +352,3 @@ def modular_tuple_perms(p: int, k: int, v2, v3) -> NielsenTuple:
     shift_y = Perm(tuple(x * m + (y + 1) % m for x in range(m) for y in range(m)))
     group = group_from_gens([perms[0], shift_x, shift_y])
     return NielsenTuple(perms, group)
-
-
-# -- class rationality and difference sets ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class RationalUnionReport:
-    ok: bool
-    failing: tuple[int, ...]  # exponents k with no conjugation realizing C^k
-
-
-def rational_union_check(
-    class_reps: Sequence[Perm], group: PermGroup, normalizer: Iterable[Perm]
-) -> RationalUnionReport:
-    """Can every coprime power of the class list be conjugated back into it?
-
-    For each k coprime to the element orders, searches h among the supplied
-    normalizer elements and a reindexing pi with h C_pi(i) h^-1 = C_i^k.
-    """
-    reps = list(class_reps)
-    if not reps:
-        raise ValidationError("need at least one class representative")
-    norm = list(normalizer)
-    classes = [_class_of(rep, group) for rep in reps]
-    modulus = math.lcm(*(rep.order() for rep in reps))
-    failing = []
-    for kexp in range(2, modulus + 1):
-        if math.gcd(kexp, modulus) != 1:
-            continue
-        targets = [_class_of(rep ** kexp, group) for rep in reps]
-        found = False
-        for h in norm:
-            hi = h.inverse()
-            conj = [frozenset((hi * Perm(img) * h).images for img in cl) for cl in classes]
-            for pi in permutations(range(len(reps))):
-                if all(conj[pi[i]] == targets[i] for i in range(len(reps))):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            failing.append(kexp)
-    return RationalUnionReport(ok=not failing, failing=tuple(failing))
-
-
-def difference_sets(n: int, k: int, lam: int) -> list[tuple[int, ...]]:
-    """All k-subsets of Z/n covering each nonzero difference lam times,
-    one sorted representative per translation class."""
-    if n < 2 or k < 1 or k > n or lam < 1:
-        raise ValidationError("need n >= 2 and 1 <= k <= n and lam >= 1")
-    if k * (k - 1) != lam * (n - 1):
-        return []  # counting obstruction: k(k-1) ordered differences
-    found = set()
-    for subset in combinations(range(n), k):
-        counts = [0] * n
-        for a in subset:
-            for b in subset:
-                if a != b:
-                    counts[(a - b) % n] += 1
-        if any(counts[d] != lam for d in range(1, n)):
-            continue
-        canon = min(
-            tuple(sorted((a + t) % n for a in subset)) for t in range(n)
-        )
-        found.add(canon)
-    return sorted(found)

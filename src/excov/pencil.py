@@ -111,14 +111,6 @@ class KfCrossCheck:
     bound: float  # (deg f)^2 * (2 sqrt(p) + 1)
     ok: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "report": self.report.to_json_dict(),
-            "model_count": self.model_count,
-            "bound": self.bound,
-            "ok": self.ok,
-        }
-
 
 def kf_cross_check(f: Poly, model: MonodromyData) -> KfCrossCheck:
     """Compare the collision estimate of f against a monodromy model.

@@ -121,11 +121,6 @@ class Poly:
         g = _poly_gcd(self.ctx, self._raws(), self._match(other)._raws())
         return self._of_raws(g).monic()
 
-    def derivative(self) -> "Poly":
-        return Poly(
-            self.ctx, [self.coeffs[i] * i for i in range(1, len(self.coeffs))]
-        )
-
     # -- evaluation and composition -------------------------------------------
 
     def __call__(self, x: Union[FieldElem, int]) -> FieldElem:
@@ -460,38 +455,6 @@ def affine_conjugate(
     op = RationalMap(_affine_poly(ctx, outer))
     ip = RationalMap(_affine_poly(ctx, inner))
     return compose(op, compose(f, ip))
-
-
-def _matrix_map(ctx: FieldCtx, m) -> RationalMap:
-    (a, b), (c, d) = m
-    a, b, c, d = (_lift(ctx, v) for v in (a, b, c, d))
-    if (a * d - b * c).is_zero():
-        raise ValidationError("singular transformation")
-    return RationalMap(Poly(ctx, [b, a]), Poly(ctx, [d, c]))
-
-
-def _matrix_inverse(ctx: FieldCtx, m):
-    (a, b), (c, d) = m
-    a, b, c, d = (_lift(ctx, v) for v in (a, b, c, d))
-    if (a * d - b * c).is_zero():
-        raise ValidationError("singular transformation")
-    return ((d, -b), (-c, a))
-
-
-def moebius_conjugate(f: RationalMap, m, m2=None) -> RationalMap:
-    """m . f . m2 with fractional-linear maps given as 2x2 matrices.
-
-    m2 defaults to the inverse of m.  Degree is preserved.
-    """
-    if isinstance(f, Poly):
-        f = RationalMap(f)
-    ctx = f.ctx
-    if m2 is None:
-        m2 = _matrix_inverse(ctx, m)
-    out = compose(_matrix_map(ctx, m), compose(f, _matrix_map(ctx, m2)))
-    if out.degree != f.degree:  # pragma: no cover
-        raise InternalInvariantError("conjugation changed the degree")
-    return out
 
 
 # -- tame decomposition ---------------------------------------------------------

@@ -11,6 +11,7 @@ import pytest
 
 import excov
 from excov import cli
+from excov.gf import parse_field_spec
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -40,6 +41,15 @@ def run_json(capsys, argv):
 def test_field_subcommand(capsys):
     doc = run_json(capsys, ["field", "--field", "3^2"])
     assert doc["field"] == {"p": 3, "k": 2, "order": 9}
+
+
+@pytest.mark.parametrize("spec", ["2", "7", "9", "25", "2^4", "3^5"])
+def test_field_generator_has_full_order(capsys, spec):
+    doc = run_json(capsys, ["field", "--field", spec])
+    ctx = parse_field_spec(spec)
+    g = ctx.from_index(doc["generator_index"])
+    order = next((e for e in range(1, ctx.order) if g ** e == ctx.one()), None)
+    assert order == doc["generator_order"] == ctx.order - 1
 
 
 def test_field_accepts_plain_prime_power(capsys):
@@ -139,11 +149,11 @@ def test_selftest_filtered(capsys):
 GOLDEN = [
     (
         'field --field 9',
-        '{"field":{"k":2,"order":9,"p":3},"generator_index":3,"generator_order":8}\n',
+        '{"field":{"k":2,"order":9,"p":3},"generator_index":4,"generator_order":8}\n',
     ),
     (
         'field --field 3^2',
-        '{"field":{"k":2,"order":9,"p":3},"generator_index":3,"generator_order":8}\n',
+        '{"field":{"k":2,"order":9,"p":3},"generator_index":4,"generator_order":8}\n',
     ),
     (
         'map --field 7 --map dickson:5,1',

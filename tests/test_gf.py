@@ -23,12 +23,15 @@ from excov.gf import (
     _is_prime,
     _prime_factors,
     _prime_list,
-    enumerate_field,
     make_extension,
     make_field,
-    parse_element,
     parse_field_spec,
 )
+
+
+def elements(ctx):
+    """Every element of ctx in index order, 0 first."""
+    return [ctx.from_index(i) for i in range(ctx.order)]
 
 
 def brute_least_irreducible(p, k):
@@ -66,7 +69,7 @@ def brute_least_irreducible(p, k):
 def test_prime_field_modulus_is_x():
     f2 = make_field(2, 1)
     assert f2.modulus == (0, 1)
-    assert [e.index for e in enumerate_field(f2)] == [0, 1]
+    assert [e.index for e in elements(f2)] == [0, 1]
 
 
 def test_unique_quadratic_over_f2():
@@ -83,7 +86,7 @@ def brute_least_relative_modulus(base, t):
     """Oracle: least monic degree-t polynomial over base with no proper monic
     divisor, products of every pair of monic factors formed in scalar
     arithmetic; coefficients as element indices, low-to-high."""
-    elems = list(enumerate_field(base))
+    elems = elements(base)
 
     def poly_mul(a, b):
         out = [base.zero()] * (len(a) + len(b) - 1)
@@ -217,9 +220,9 @@ def test_identity_extension_returns_same_object():
 def test_extension_frobenius_fixes_exactly_base():
     f3 = make_field(3, 1)
     f9 = make_extension(f3, 2)
-    fixed = [e for e in enumerate_field(f9) if e.frobenius() == e]
+    fixed = [e for e in elements(f9) if e ** 3 == e]
     assert len(fixed) == 3
-    assert set(fixed) == {f9.embed(e) for e in enumerate_field(f3)}
+    assert set(fixed) == {f9.embed(e) for e in elements(f3)}
 
 
 def test_degree_two_tower_over_f4():
@@ -227,14 +230,14 @@ def test_degree_two_tower_over_f4():
     f64 = make_extension(f4, 3)
     assert f64.order == 64
     assert f64.k == 6 and f64.base is f4  # chain degrees multiply
-    fixed = [e for e in enumerate_field(f64) if e ** 4 == e]
+    fixed = [e for e in elements(f64) if e ** 4 == e]
     assert len(fixed) == 4
-    assert set(fixed) == {f64.embed(e) for e in enumerate_field(f4)}
+    assert set(fixed) == {f64.embed(e) for e in elements(f4)}
 
 
 def test_enumerate_starts_at_zero_and_counts():
     f4 = make_field(2, 2)
-    elems = list(enumerate_field(f4))
+    elems = elements(f4)
     assert len(elems) == 4
     assert elems[0].is_zero()
     assert len(set(elems)) == 4
@@ -243,7 +246,7 @@ def test_enumerate_starts_at_zero_and_counts():
 def test_product_of_nonzero_elements_is_minus_one():
     f9 = make_field(3, 2)
     acc = f9.one()
-    for e in enumerate_field(f9):
+    for e in elements(f9):
         if not e.is_zero():
             acc = acc * e
     assert acc == -f9.one()
@@ -259,7 +262,7 @@ def test_nonzero_elements_have_multiplicative_order(p, k):
     q = ctx.order
     assert q <= 4096
     one = ctx.one()
-    for e in enumerate_field(ctx):
+    for e in elements(ctx):
         if not e.is_zero():
             assert e ** (q - 1) == one
 
@@ -268,7 +271,7 @@ def test_nonzero_elements_have_multiplicative_order(p, k):
 def test_field_axioms_on_samples(p, k, t):
     base = make_field(p, k)
     ctx = make_extension(base, t)
-    elems = list(enumerate_field(ctx))
+    elems = elements(ctx)
     sample = elems[:: max(1, len(elems) // 17)]
     one = ctx.one()
     for a in sample:
@@ -294,8 +297,8 @@ def test_power_edge_cases():
 def test_embedding_respects_arithmetic():
     f3 = make_field(3, 1)
     f9 = make_extension(f3, 2)
-    for a in enumerate_field(f3):
-        for b in enumerate_field(f3):
+    for a in elements(f3):
+        for b in elements(f3):
             assert f9.embed(a * b) == f9.embed(a) * f9.embed(b)
             assert f9.embed(a + b) == f9.embed(a) + f9.embed(b)
 
@@ -313,19 +316,15 @@ def test_index_roundtrip_and_prime_coeffs():
     for i in range(27):
         e = f27.from_index(i)
         assert e.index == i
-        assert f27.from_prime_coeffs(e.prime_coeffs()) == e
+        assert e.prime_coeffs() == (i % 3, i // 3 % 3, i // 9)  # little-endian rank
 
 
 def test_parse_field_spec_and_element():
     ctx = parse_field_spec("3^2")
     assert ctx.order == 9
     assert parse_field_spec("7").order == 7
-    e = parse_element(ctx, "1,2")
-    assert e.prime_coeffs() == (1, 2)
     with pytest.raises(ValidationError):
         parse_field_spec("3^x")
-    with pytest.raises(ValidationError):
-        parse_element(ctx, "1,q")
 
 
 def test_parse_field_spec_accepts_plain_prime_powers():

@@ -2,27 +2,62 @@ import pytest
 
 from excov import nielsen
 from excov.errors import ValidationError
-from excov.grouptheory import Perm, group_from_gens
+from excov.grouptheory import Perm, PermGroup, group_from_gens
 from excov.nielsen import (
     NielsenTuple,
     braid_act,
     braid_orbit,
-    braid_unact,
     cyclic_branch_pair,
     dickson_branch_triple,
     dickson_tower_cycles,
-    difference_sets,
     modular_nielsen,
     modular_tuple_perms,
-    q2_reduced_orbit,
-    rational_union_check,
     rh_genus,
-    validate_tuple,
 )
 
 
 def C(text, n):
     return Perm.from_cycles(text, n)
+
+
+def _class_of(rep: Perm, group: PermGroup) -> frozenset:
+    return frozenset((h.inverse() * rep * h).images for h in group)
+
+
+def validate_tuple(t: NielsenTuple) -> list[str]:
+    """Empty list when the tuple is a branch cycle description for its group."""
+    problems = []
+    if not t.product().is_identity():
+        problems.append("product-one fails: entries do not multiply to the identity")
+    if any(g not in t.group for g in t.perms):
+        problems.append("generation fails: an entry lies outside the declared group")
+    else:
+        # entries inside the group, so this closure is bounded by its order
+        generated = group_from_gens(list(t.perms))
+        if generated.order != t.group.order:
+            problems.append(
+                f"generation fails: entries generate order {generated.order}, "
+                f"declared group has order {t.group.order}"
+            )
+    reps = t.class_reps if t.class_reps is not None else t.perms
+    if len(reps) != t.r:
+        problems.append("class-membership fails: fingerprint length mismatch")
+    else:
+        classes = [_class_of(rep, t.group) for rep in reps]
+        unused = list(range(t.r))
+        for g in t.perms:
+            hit = next((j for j in unused if g.images in classes[j]), None)
+            if hit is None:
+                problems.append(
+                    f"class-membership fails: {g} lies in no declared class"
+                )
+                break
+            unused.remove(hit)
+    return problems
+
+
+def _cycle_lengths(g: Perm) -> tuple[int, ...]:
+    return tuple(sorted(len(c) for c in g.cycles()))
 
 
 # -- validation -----------------------------------------------------------------
@@ -139,13 +174,6 @@ def test_braid_twist_formula():
     assert out2.perms == (a, b * c * b.inverse(), b)
 
 
-def test_braid_inverse_roundtrip():
-    t = dickson_branch_triple(7)
-    for i in (1, 2):
-        assert braid_unact(braid_act(t, i), i).perms == t.perms
-        assert braid_act(braid_unact(t, i), i).perms == t.perms
-
-
 def test_braid_index_range():
     t = dickson_branch_triple(5)
     with pytest.raises(ValidationError):
@@ -169,8 +197,8 @@ def test_braid_preserves_validity():
     t = dickson_branch_triple(5)
     for member in braid_orbit(t, equivalence="inner"):
         assert validate_tuple(member) == []
-        assert {g.cycle_type() for g in member.perms} == {
-            g.cycle_type() for g in t.perms
+        assert {_cycle_lengths(g) for g in member.perms} == {
+            _cycle_lengths(g) for g in t.perms
         }
 
 
@@ -188,18 +216,6 @@ def test_plain_orbit_at_least_as_fine():
     plain = braid_orbit(t, equivalence="none")
     inner = braid_orbit(t, equivalence="inner")
     assert len(plain) >= len(inner)
-
-
-def test_reduced_orbit_requires_length_four():
-    with pytest.raises(ValidationError):
-        q2_reduced_orbit(dickson_branch_triple(5))
-
-
-def test_reduced_orbit_partitions_the_braid_orbit():
-    t = modular_tuple_perms(3, 0, (1, 0), (0, 1))
-    sub = q2_reduced_orbit(t, equivalence="inner")
-    full = braid_orbit(t, equivalence="inner")
-    assert 1 <= len(sub) <= len(full)
 
 
 # -- towers ---------------------------------------------------------------------
@@ -362,79 +378,3 @@ def test_modular_braid_count_against_generic_orbits():
         for member in braid_orbit(t, equivalence="inner"):
             seen.add(_symbol_of(member.perms, 3))
     assert orbits == out.inner_braid_orbit_count
-
-
-# -- class rationality ------------------------------------------------------------
-
-
-def test_rational_union_symmetric_group():
-    s4 = group_from_gens([C("(1 2 3 4)", 4), C("(1 2)", 4)])
-    reps = [C("(1 2 3 4)", 4), C("(1 2)", 4)]
-    report = rational_union_check(reps, s4, s4.elements)
-    assert report.ok and report.failing == ()
-
-
-def test_rational_union_fails_for_bare_seven_cycle():
-    s = C("(1 2 3 4 5 6 7)", 7)
-    z7 = group_from_gens([s])
-    report = rational_union_check([s], z7, z7.elements)
-    assert not report.ok
-    assert 3 in report.failing
-
-
-def test_rational_union_dihedral_rotation():
-    rot = Perm(tuple((i + 1) % 7 for i in range(7)))
-    flip = Perm(tuple((-i) % 7 for i in range(7)))
-    d7 = group_from_gens([rot, flip])
-    assert d7.order == 14
-    report = rational_union_check([rot], d7, d7.elements)
-    assert not report.ok
-    assert 3 in report.failing
-    assert 6 not in report.failing  # inversion is realized by a reflection
-
-
-def test_rational_union_larger_normalizer_can_fix():
-    # inside S7 conjugation reaches every power of a 7-cycle
-    s = C("(1 2 3 4 5 6 7)", 7)
-    z7 = group_from_gens([s])
-    s7_gens = [C("(1 2)", 7), C("(1 2 3 4 5 6 7)", 7)]
-    s7 = group_from_gens(s7_gens)
-    report = rational_union_check([s], z7, s7.elements)
-    assert report.ok
-
-
-# -- difference sets ---------------------------------------------------------------
-
-
-def test_difference_sets_fano():
-    out = difference_sets(7, 3, 1)
-    assert (0, 1, 3) in out
-    assert len(out) == 2  # two translation classes, mirror images
-    for rep in out:
-        counts = [0] * 7
-        for a in rep:
-            for b in rep:
-                if a != b:
-                    counts[(a - b) % 7] += 1
-        assert counts[1:] == [1] * 6
-
-
-def test_difference_sets_thirteen():
-    out = difference_sets(13, 4, 1)
-    assert (0, 1, 3, 9) in out
-    for rep in out:
-        assert rep == min(
-            tuple(sorted((a + t) % 13 for a in rep)) for t in range(13)
-        )
-
-
-def test_difference_sets_counting_obstruction():
-    assert difference_sets(5, 2, 1) == []
-    assert difference_sets(7, 3, 2) == []
-
-
-def test_difference_sets_validation():
-    with pytest.raises(ValidationError):
-        difference_sets(1, 1, 1)
-    with pytest.raises(ValidationError):
-        difference_sets(7, 8, 1)

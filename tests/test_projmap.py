@@ -19,7 +19,6 @@ from excov.projmap import (
     decompose_tame_poly,
     dickson,
     eval_p1,
-    moebius_conjugate,
     parse_map_spec,
     redei,
 )
@@ -374,23 +373,6 @@ def test_affine_conjugation_preserves_degree():
     assert g.degree == 3
     x = F5.from_int(2)
     assert g.as_poly()(x) == (x + 1) ** 3 + 1
-
-
-def test_moebius_conjugation_pointwise():
-    f = RationalMap(Poly(F7, [1, 0, 1]))  # x^2 + 1
-    m = ((0, 1), (1, 0))  # x -> 1/x
-    g = moebius_conjugate(f, m)
-    assert g.degree == 2
-    pts = [P1Point.of(F7.from_index(i)) for i in range(7)]
-    pts.append(P1Point.infinity(F7))
-    minv = RationalMap(Poly(F7, [1]), Poly(F7, [0, 1]))
-    for pt in pts:
-        assert eval_p1(g, pt) == eval_p1(minv, eval_p1(f, eval_p1(minv, pt)))
-
-
-def test_moebius_rejects_singular():
-    with pytest.raises(ValidationError):
-        moebius_conjugate(cyclic(F5, 2), ((1, 2), (2, 4)))
 
 
 # -- decomposition ------------------------------------------------------------------
