@@ -239,8 +239,12 @@ def group_from_gens(gens: Sequence[Perm], cap: int = GROUP_CAP) -> PermGroup:
 def _orbit_labels(images: Sequence[Sequence[int]], n: int) -> list[int]:
     """label[x] = number of the orbit of x under the maps x -> img[x].
 
-    Each img in images is an image list on 0..n-1; orbits are numbered
-    0, 1, ... in the order of their least points.
+    Each img in images is an image list on 0..n-1 and must be a
+    permutation of range(n): orbits are grown by forward images only, which
+    reaches the whole orbit of a group but not of an arbitrary map.  Every
+    caller passes permutations (Perm.images, fiber_tensor products, the
+    point-reflection symbol moves).  Orbits are numbered 0, 1, ... in the
+    order of their least points.
     """
     label = [-1] * n
     count = 0

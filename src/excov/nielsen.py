@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .errors import CapExceededError, ValidationError
 from .gf import _is_prime, _prime_factors
 from .grouptheory import (
@@ -260,10 +262,6 @@ class ModularClasses:
     abs_class_count: int
 
 
-def _mat_apply(m, v, mod):
-    return ((m[0] * v[0] + m[1] * v[1]) % mod, (m[2] * v[0] + m[3] * v[1]) % mod)
-
-
 def _primitive_root(m: int, p: int) -> int:
     # (Z/p^j)^* is cyclic; test generators by factoring the group order
     order = m // p * (p - 1)
@@ -283,6 +281,9 @@ def modular_nielsen(p: int, k: int = 0) -> ModularClasses:
     differences to span; translation normalizes v1 to 0 and the central
     sign folds (v2, v3) with (-v2, -v3).
     """
+    for name, value in (("p", p), ("k", k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name} must be an int, got {type(value).__name__}")
     # every odd prime p has p^(k+1) > 13 once k >= 2, so bound k before the
     # power and the power before the primality test
     if k < 0 or k >= 2 or p ** (k + 1) > 13:
@@ -291,43 +292,60 @@ def modular_nielsen(p: int, k: int = 0) -> ModularClasses:
         raise ValidationError("p must be an odd prime")
     m = p ** (k + 1)
 
-    def canon(v2, v3):
-        neg = ((-v2[0]) % m, (-v2[1]) % m), ((-v3[0]) % m, (-v3[1]) % m)
-        return min((v2, v3), neg)
+    # the symbol ((a, b), (c, d)) is the code ((a*m + b)*m + c)*m + d, so the
+    # order of the codes is the order of the tuples; m^4 <= 13^4 fits int32
+    def code(a, b, c, d):
+        return ((a * m + b) * m + c) * m + d
 
-    classes = set()
-    for a in range(m):
-        for b in range(m):
-            for c in range(m):
-                for d in range(m):
-                    if (a * d - b * c) % p == 0:
-                        continue  # differences fail to span
-                    classes.add(canon((a, b), (c, d)))
-    inner = sorted(classes)
-    index = {v: i for i, v in enumerate(inner)}
+    def negated(a, b, c, d):
+        return code(-a % m, -b % m, -c % m, -d % m)
 
-    def images(move) -> list[int]:
-        return [index[move(v2, v3)] for v2, v3 in inner]
+    def canon(a, b, c, d):
+        return np.minimum(code(a, b, c, d), negated(a, b, c, d))
+
+    a, b, c, d = np.indices((m, m, m, m), dtype=np.int32).reshape(4, -1)
+    codes = np.arange(m**4, dtype=np.int32)
+    # a symbol and its negation differ (m is odd and the zero symbol does not
+    # span), so the least member of each class is the one below its negation
+    keep = ((a * d - b * c) % p != 0) & (codes < negated(a, b, c, d))
+    inner = codes[keep]
+    a, b, c, d = a[keep], b[keep], c[keep], d[keep]
+    del codes, keep
+
+    # every image list holds the same n int objects: .tolist() alone makes a
+    # fresh int per entry, which raised a structural round's peak RSS by 1 MB
+    ids = list(range(len(inner)))
+
+    def images(a2, b2, c2, d2) -> list[int]:
+        return list(map(ids.__getitem__, np.searchsorted(inner, canon(a2, b2, c2, d2)).tolist()))
 
     # the three twists in normalized symbols; two of them coincide
     braid_moves = [
-        images(lambda v2, v3: canon(v2, ((v3[0] + v2[0]) % m, (v3[1] + v2[1]) % m))),
-        images(lambda v2, v3: canon(((2 * v2[0] - v3[0]) % m, (2 * v2[1] - v3[1]) % m), v2)),
+        images(a, b, (c + a) % m, (d + b) % m),
+        images((2 * a - c) % m, (2 * b - d) % m, a, b),
     ]
     g = _primitive_root(m, p)
     abs_moves = [
-        images(lambda v2, v3: canon(_mat_apply(mt, v2, m), _mat_apply(mt, v3, m)))
-        for mt in ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))
+        images(
+            (m0 * a + m1 * b) % m,
+            (m2 * a + m3 * b) % m,
+            (m0 * c + m1 * d) % m,
+            (m2 * c + m3 * d) % m,
+        )
+        for m0, m1, m2, m3 in ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))
     ]
 
-    tuples = []
-    for v2, v3 in inner:
-        v4 = ((v3[0] - v2[0]) % m, (v3[1] - v2[1]) % m)
-        tuples.append(((0, 0), v2, v3, v4))
+    def pairs(x, y):
+        return zip(x.tolist(), y.tolist())
+
+    tuples = tuple(
+        ((0, 0), v2, v3, v4)
+        for v2, v3, v4 in zip(pairs(a, b), pairs(c, d), pairs((c - a) % m, (d - b) % m))
+    )
     return ModularClasses(
         p=p,
         k=k,
-        tuples=tuple(tuples),
+        tuples=tuples,
         inner_class_count=len(inner),
         inner_braid_orbit_count=len(set(_orbit_labels(braid_moves, len(inner)))),
         abs_class_count=len(set(_orbit_labels(abs_moves, len(inner)))),

@@ -230,6 +230,16 @@ GOLDEN = [
         '"inner_classes":1944,"k":1,"p":3}\n',
     ),
     (
+        'nielsen --modular 11,0',
+        '{"absolute_classes":1,"family":"modular","inner_braid_orbits":10,'
+        '"inner_classes":6600,"k":0,"p":11}\n',
+    ),
+    (
+        'nielsen --modular 13,0',
+        '{"absolute_classes":1,"family":"modular","inner_braid_orbits":12,'
+        '"inner_classes":13104,"k":0,"p":13}\n',
+    ),
+    (
         'oit --curve ogg --p 5 --lmax 30',
         '{"all_match":true,"ell_max":30,"notices":["skip ell=2: bad reduction",'
         '"skip ell=3: bad reduction","skip ell=5: equals p"],"p":5,'

@@ -2,9 +2,11 @@ import pytest
 
 from excov import nielsen
 from excov.errors import ValidationError
-from excov.grouptheory import Perm, PermGroup, group_from_gens
+from excov.grouptheory import Perm, PermGroup, _orbit_labels, group_from_gens
 from excov.nielsen import (
+    ModularClasses,
     NielsenTuple,
+    _primitive_root,
     braid_act,
     braid_orbit,
     cyclic_branch_pair,
@@ -284,6 +286,92 @@ def test_modular_size_guard_runs_before_primality(monkeypatch):
         modular_nielsen(1_000_000_007)
     with pytest.raises(ValidationError, match="size guard"):
         modular_nielsen(3, 10**18)
+
+
+def test_modular_rejects_arguments_that_are_not_ints(monkeypatch):
+    def trial_division(n):
+        raise AssertionError(f"primality of {n} tested before the type check")
+
+    monkeypatch.setattr(nielsen, "_is_prime", trial_division)
+    for args in ((3.0,), (3, True), (True,), ("3",), (3, 0.0), (1_000_000_007.0,)):
+        with pytest.raises(ValidationError, match="must be an int"):
+            modular_nielsen(*args)
+
+
+def _modular_oracle(p: int, k: int) -> ModularClasses:
+    """modular_nielsen as one Python loop over symbols, without the guards."""
+    m = p ** (k + 1)
+
+    def canon(v2, v3):
+        neg = ((-v2[0]) % m, (-v2[1]) % m), ((-v3[0]) % m, (-v3[1]) % m)
+        return min((v2, v3), neg)
+
+    def mat_apply(mt, v):
+        return ((mt[0] * v[0] + mt[1] * v[1]) % m, (mt[2] * v[0] + mt[3] * v[1]) % m)
+
+    classes = set()
+    for a in range(m):
+        for b in range(m):
+            for c in range(m):
+                for d in range(m):
+                    if (a * d - b * c) % p == 0:
+                        continue  # differences fail to span
+                    classes.add(canon((a, b), (c, d)))
+    inner = sorted(classes)
+    index = {v: i for i, v in enumerate(inner)}
+
+    def images(move) -> list[int]:
+        return [index[move(v2, v3)] for v2, v3 in inner]
+
+    braid_moves = [
+        images(lambda v2, v3: canon(v2, ((v3[0] + v2[0]) % m, (v3[1] + v2[1]) % m))),
+        images(lambda v2, v3: canon(((2 * v2[0] - v3[0]) % m, (2 * v2[1] - v3[1]) % m), v2)),
+    ]
+    g = _primitive_root(m, p)
+    abs_moves = [
+        images(lambda v2, v3: canon(mat_apply(mt, v2), mat_apply(mt, v3)))
+        for mt in ((1, 1, 0, 1), (1, 0, 1, 1), (g, 0, 0, 1))
+    ]
+    tuples = []
+    for v2, v3 in inner:
+        v4 = ((v3[0] - v2[0]) % m, (v3[1] - v2[1]) % m)
+        tuples.append(((0, 0), v2, v3, v4))
+    return ModularClasses(
+        p=p,
+        k=k,
+        tuples=tuple(tuples),
+        inner_class_count=len(inner),
+        inner_braid_orbit_count=len(set(_orbit_labels(braid_moves, len(inner)))),
+        abs_class_count=len(set(_orbit_labels(abs_moves, len(inner)))),
+    )
+
+
+@pytest.mark.parametrize("p, k", [(3, 0), (5, 0), (7, 0), (3, 1), (11, 0), (13, 0)])
+def test_modular_matches_loop_oracle(p, k):
+    got, want = modular_nielsen(p, k), _modular_oracle(p, k)
+    assert got.tuples == want.tuples  # same representatives in the same order
+    assert got == want
+    assert type(got.inner_class_count) is int
+    assert all(type(x) is int for t in got.tuples for v in t for x in v)
+
+
+def test_modular_moves_are_permutations(monkeypatch):
+    # _orbit_labels grows orbits by forward images, right only on permutations
+    seen = []
+
+    def recording(images, n):
+        seen.append((images, n))
+        return _orbit_labels(images, n)
+
+    monkeypatch.setattr(nielsen, "_orbit_labels", recording)
+    for p, k in ((7, 0), (3, 1)):
+        seen.clear()
+        n = modular_nielsen(p, k).inner_class_count
+        assert [len(images) for images, _ in seen] == [2, 3]  # braid, then absolute
+        for images, size in seen:
+            assert size == n
+            for img in images:
+                assert sorted(img) == list(range(n))
 
 
 def test_modular_class_counts():
