@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import excscan, frobset, grouptheory, lattes, nielsen, pencil, projmap
 from ._batch import get_batch
-from .errors import CapExceededError, ExcovError, ValidationError
+from .errors import CapExceededError, ExcovError, ValidationError, check_field_cap
 from .gf import FieldCtx, _is_prime, make_field, parse_field_spec
 
 
@@ -182,6 +182,8 @@ def cmd_nielsen(ns) -> dict:
 
 
 def cmd_oit(ns) -> dict:
+    # the isogeny map has degree p^2; refuse it before the primality test
+    check_field_cap(ns.p * ns.p, "map degree")
     if ns.p == 2 or not _is_prime(ns.p):
         raise ValidationError(f"--p must be an odd prime, got {ns.p}")
     e = parse_curve_spec(ns.curve)

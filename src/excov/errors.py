@@ -45,10 +45,11 @@ class InternalInvariantError(ExcovError):
 
 
 def field_cap() -> int:
-    """Current cap on enumerated field size.
+    """Current enumeration budget: the most entries one table may hold.
 
-    The innermost ``field_cap_scope`` decides, then EXCOV_CAP, then
-    DEFAULT_FIELD_CAP.
+    It caps field orders, p^2 for pencils and isogeny map degrees, and the
+    order * degree entries of a permutation group's closure.  The innermost
+    ``field_cap_scope`` decides, then EXCOV_CAP, then DEFAULT_FIELD_CAP.
     """
     scoped = _CAP_SCOPE.get()
     if scoped is not None:

@@ -19,7 +19,7 @@ from ._batch import get_batch, permutation_period
 from .errors import CapExceededError, ValidationError, check_power_cap
 from .frobset import FrobeniusSet
 from .gf import FieldCtx, make_extension
-from .projmap import Poly, RationalMap
+from .projmap import P1Point, Poly, RationalMap, eval_p1
 
 DEFAULT_FIT_DEPTH = 24
 
@@ -48,16 +48,7 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     out = np.empty(Q + 1, dtype=np.int64)
     den = None if f.is_polynomial else _poly_terms(f.den)
     get_batch(K).eval_sparse(_poly_terms(f.num), den, out=out[:Q])
-    if f.is_polynomial:
-        out[Q] = Q if f.degree >= 1 else out[0]
-        return out
-    dn, dd = f.num.degree, f.den.degree
-    if dn > dd:
-        out[Q] = Q
-    elif dn < dd:
-        out[Q] = 0
-    else:
-        out[Q] = K.embed(f.num.lead / f.den.lead).index
+    out[Q] = eval_p1(f, P1Point.infinity(K)).index()
     return out
 
 

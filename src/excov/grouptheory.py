@@ -7,13 +7,17 @@ the extensions of degree t.  Exceptionality, range equality, and fiber
 component counts all become statements about fixed points on those cosets.
 
 All groups here are materialized element lists.  That is deliberate: every
-model this package builds (dihedral, affine, plane collineations) is tiny.
-Beside the list, each group keeps one (order, degree) int32 array of the
-element images, built on first use.  The coset passes run on that array:
-with T the images of tau^t, the images of every g*tau^t are the one gather
-T[E], their fixed points T[E] == arange, and tau^(t+1) is one more gather.
-`Perm` is the scalar type, and `MonodromyData.coset` with
-`Perm.fixed_count` is the element-by-element oracle the tests compare with.
+model this package builds (dihedral, affine, plane collineations) is tiny,
+and a closure's order * degree entries count against the field cap.
+Beside the list, each group keeps one (order, degree) int32 array E of the
+element images, built on first use, and everything is read off it.  The
+coset passes share one loop: with T the images of tau^t, the images of
+every g*tau^t are the one gather T[E], their fixed points T[E] == arange,
+and tau^(t+1) is one more gather.  `analyze_rep` reads transitivity,
+primitivity and the centralizer off the columns of E.  `Perm` is the
+scalar type; the element-by-element oracles (`MonodromyData.coset` with
+`Perm.fixed_count`, and the generator-based orbit, block and centralizer
+searches) live in the tests.
 """
 
 from __future__ import annotations
@@ -25,11 +29,12 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, InternalInvariantError, ValidationError
+from .errors import CapExceededError, InternalInvariantError, ValidationError, check_field_cap, field_cap
 from .frobset import FrobeniusSet, _unit_closure, from_residues
 from .gf import _power
 
 GROUP_CAP = 10 ** 6
+ELEMENT_ARRAY = "group element array"
 
 
 # -- permutations ---------------------------------------------------------------
@@ -182,6 +187,9 @@ class PermGroup:
                 )
         self.degree = degree
         self.generators = tuple(generators)
+        # the element array's order * degree entries count against the field
+        # cap: len(seen) reaches most exactly when one more element passes it
+        most = field_cap() // max(degree, 1)
         ident = Perm.identity(degree)
         elements = [ident]
         seen = {ident.images}
@@ -196,6 +204,8 @@ class PermGroup:
                             raise CapExceededError(
                                 f"group closure exceeds cap {cap}"
                             )
+                        if len(seen) >= most:
+                            check_field_cap((len(seen) + 1) * degree, ELEMENT_ARRAY)
                         seen.add(w.images)
                         elements.append(w)
                         nxt.append(w)
@@ -268,97 +278,29 @@ def _is_transitive(gens: Sequence[Perm], n: int) -> bool:
     return set(_orbit_labels([g.images for g in gens], n)) == {0}
 
 
-def _is_primitive(gens: Sequence[Perm], n: int) -> bool:
-    """Transitive and without a nontrivial block system.
-
-    For each b, grow the finest G-congruence gluing 0 to b; a congruence
-    class strictly between a point and everything is a block system.
-    """
-    if n == 1:
-        return True
-    for b in range(1, n):
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        work = [(0, b)]
-        parent[find(b)] = find(0)
-        while work:
-            x, y = work.pop()
-            for g in gens:
-                gx, gy = find(g.act(x)), find(g.act(y))
-                if gx != gy:
-                    parent[gx] = gy
-                    work.append((gx, gy))
-        size = sum(1 for x in range(n) if find(x) == find(0))
-        if size < n:
-            return False
-    return True
-
-
-def _is_doubly_transitive(gens: Sequence[Perm], n: int) -> bool:
-    """Transitive on ordered pairs of distinct points."""
-    return n >= 2 and component_count(fiber_tensor(gens, gens), off_diagonal=True) == 1
-
-
-def _equivariant_map(
-    gens: Sequence[Perm], base: int, target: int
-) -> Optional[dict[int, int]]:
-    """Propagate c(base)=target through c(x^g)=c(x)^g; None on conflict."""
-    c = {base: target}
-    queue = [base]
-    while queue:
-        x = queue.pop()
-        for g in gens:
-            y, cy = g.act(x), g.act(c[x])
-            if y in c:
-                if c[y] != cy:
-                    return None
-            else:
-                c[y] = cy
-                queue.append(y)
-    if len(set(c.values())) != len(c):
-        return None
-    return c
-
-
-def _centralizer_trivial(gens: Sequence[Perm], n: int) -> bool:
-    """Is the centralizer in the full symmetric group just the identity?
-
-    A centralizing permutation restricts to equivariant bijections between
-    orbits, and conversely any nontrivial such bijection extends by the
-    identity (pairing a cross-orbit map with its inverse).
-    """
-    labels = _orbit_labels([g.images for g in gens], n)
-    orbits: list[list[int]] = [[] for _ in range(max(labels, default=-1) + 1)]
-    for x, label in enumerate(labels):
-        orbits[label].append(x)
-    for i, A in enumerate(orbits):
-        for j, B in enumerate(orbits):
-            if len(A) != len(B):
-                continue
-            for target in B:
-                if i == j and target == A[0]:
-                    continue  # propagates to the identity on A
-                if _equivariant_map(gens, A[0], target) is not None:
-                    return False
-    return True
-
-
 def analyze_rep(G: PermGroup) -> dict[str, bool]:
-    """Transitivity ladder and self-normalization of a permutation action."""
-    gens = G.generators if G.generators else (Perm.identity(G.degree),)
-    n = G.degree
-    transitive = _is_transitive(gens, n)
+    """Transitivity ladder and self-normalization, read off the element array.
+
+    Column x of E lists the images of x, so G is transitive when column 0
+    takes n values and doubly transitive when columns 0 and 1 take n(n-1)
+    pairs.  The least block holding 0 and b is the orbit of 0 under <H, g>,
+    with H the stabilizer of 0 and g any element taking 0 to b.  A
+    nontrivial permutation centralizes G exactly when two points have one
+    stabilizer, that is when two columns of E == arange agree.
+    """
+    E, n = G.element_array, G.degree
+    fixes = E == np.arange(n)
+    images, first = np.unique(E[:, :1], return_index=True)
+    transitive = n > 0 and len(images) == n
+    primitive = transitive
+    if transitive:
+        H = E[fixes[:, 0]].tolist()
+        primitive = all(not any(_orbit_labels(H + [g.tolist()], n)) for g in E[first[1:]])
     return {
         "transitive": transitive,
-        "primitive": transitive and _is_primitive(gens, n),
-        "doubly_transitive": _is_doubly_transitive(gens, n),
-        "self_normalizing": _centralizer_trivial(gens, n),
+        "primitive": primitive,
+        "doubly_transitive": n >= 2 and len(np.unique(E[:, :2], axis=0)) == n * (n - 1),
+        "self_normalizing": len(np.unique(fixes.T, axis=0)) == n,
     }
 
 
@@ -407,12 +349,18 @@ def _coset_period(group: PermGroup, tau: Perm, what: str) -> int:
     return d
 
 
-def _tau_powers(tau: Perm, d: int) -> Iterator[np.ndarray]:
-    """Images of tau^0, ..., tau^(d-1) as int32 arrays, one gather per step."""
+def _coset_fixes(group: PermGroup, tau: Perm, d: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, F) for t = 0..d-1, with F[r, x] true where elements[r]*tau^t fixes x.
+
+    g*tau^t applies g first, so with T the images of tau^t the images of the
+    coset are the one gather T[E], and tau^(t+1) is one more gather.
+    """
+    E = group.element_array
+    A = np.arange(group.degree, dtype=np.int32)
     step = np.array(tau.images, dtype=np.int32)
-    T = np.arange(tau.degree, dtype=np.int32)
-    for _ in range(d):
-        yield T
+    T = A
+    for t in range(d):
+        yield t, T[E] == A
         T = step[T]
 
 
@@ -430,12 +378,9 @@ def coset_exceptionality(M: MonodromyData, mode: str = "exceptional") -> Frobeni
     if mode not in ("exceptional", "pr-exceptional"):
         raise ValidationError(f"unknown mode {mode!r}")
     exact = mode == "exceptional"
-    E = M.group.element_array
-    A = np.arange(M.group.degree, dtype=np.int32)
     passing = set()
-    for t, T in enumerate(_tau_powers(M.tau, M.d)):
-        # g*tau^t applies g first, so row r of T[E] is elements[r]*tau^t
-        counts = (T[E] == A).sum(1)
+    for t, F in _coset_fixes(M.group, M.tau, M.d):
+        counts = F.sum(1)
         if ((counts == 1) if exact else (counts >= 1)).all():
             passing.add(t)
     return _closed_residues(passing, M.d, mode)
@@ -450,6 +395,7 @@ def cyclic_cover_model(n: int, q: int) -> MonodromyData:
     """
     if n < 1 or q < 2 or math.gcd(n, q) != 1:
         raise ValidationError("need n >= 1 and q >= 2 with gcd(n, q) = 1")
+    check_field_cap(n * n, ELEMENT_ARRAY)
     shift = Perm(tuple((i + 1) % n for i in range(n)))
     tau = Perm(tuple((i * q) % n for i in range(n)))
     return MonodromyData(PermGroup(n, (shift,)), tau)
@@ -459,6 +405,7 @@ def dickson_cover_model(n: int, q: int) -> MonodromyData:
     """Signed translations x -> +-x + b of Z/n with tau = multiplication by q."""
     if n < 3 or n % 2 == 0 or q < 2 or math.gcd(n, q) != 1:
         raise ValidationError("need odd n >= 3 and gcd(n, q) = 1")
+    check_field_cap(n * n, ELEMENT_ARRAY)
     shift = Perm(tuple((i + 1) % n for i in range(n)))
     flip = Perm(tuple((-i) % n for i in range(n)))
     tau = Perm(tuple((i * q) % n for i in range(n)))
@@ -599,13 +546,10 @@ def _trace_residues(P: PairedMonodromy, agree, what: str) -> FrobeniusSet:
     f1 and f2 are arrays of the fixed-point counts on the two blocks, one
     entry per coset element, as `PairedMonodromy.fix_pair` counts them.
     """
-    E = P.group.element_array
-    A = np.arange(P.group.degree, dtype=np.int32)
     passing = set()
-    for t, T in enumerate(_tau_powers(P.tau, P.d)):
+    for t, F in _coset_fixes(P.group, P.tau, P.d):
         if P.swaps and t % 2 == 1:
             continue  # this coset exchanges the two fibers outright
-        F = T[E] == A
         if agree(F[:, : P.n1].sum(1), F[:, P.n1 :].sum(1)).all():
             passing.add(t)
     return _closed_residues(passing, P.d, what)

@@ -15,9 +15,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, ValidationError, check_field_cap
 from .gf import _is_prime, _prime_factors
 from .grouptheory import (
+    ELEMENT_ARRAY,
     GROUP_CAP,
     Perm,
     PermGroup,
@@ -154,6 +155,7 @@ def cyclic_branch_pair(n: int) -> NielsenTuple:
     """Two inverse n-cycles: the branch cycles of one full twist."""
     if n < 2:
         raise ValidationError("need n >= 2")
+    check_field_cap(n * n, ELEMENT_ARRAY)
     s = Perm(tuple((i + 1) % n for i in range(n)))
     return NielsenTuple((s, s.inverse()), group_from_gens([s]))
 
@@ -177,6 +179,7 @@ def dickson_branch_triple(n: int) -> NielsenTuple:
     """
     if n < 3 or n % 2 == 0:
         raise ValidationError("need odd n >= 3")
+    check_field_cap(n * n, ELEMENT_ARRAY)
     g1, g2 = _involution_pair(n)
     ginf = (g1 * g2).inverse()
     return NielsenTuple((g1, g2, ginf), group_from_gens([g1, g2]))

@@ -405,6 +405,14 @@ def test_pencil_cap_is_the_field_cap_on_p_squared(capsys):
     assert json.loads(err)["error"]["type"] == "CapExceededError"
 
 
+def test_oit_checks_the_map_degree_cap_before_primality(capsys, monkeypatch):
+    monkeypatch.setenv("EXCOV_CAP", "100")
+    code, out, err = run_cli(capsys, ["oit", "--curve", "ogg", "--p", "15", "--lmax", "20"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"]["message"] == "map degree of size 225 exceeds cap 100"
+
+
 def test_argparse_rejects_unknown_subcommand(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
@@ -419,7 +427,11 @@ def run_module(*argv):
     path = [str(Path(excov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     return subprocess.run(
-        [sys.executable, "-m", "excov.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "excov.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
     )
 
 
@@ -432,6 +444,22 @@ def test_console_script_end_to_end():
 def test_console_script_error_code():
     proc = run_module("field", "--field", "0")
     assert proc.returncode == 2
+
+
+# each of these once ran out of memory or trial-divided for minutes
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "group --model cyclic:20011,3",
+        "nielsen --cyclic 30011",
+        "oit --curve ogg --p 1000000000000000003 --lmax 5",
+    ],
+)
+def test_outsized_structural_inputs_exit_3_without_traceback(argv):
+    proc = run_module(*argv.split())
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr)["error"]["type"] == "CapExceededError"
 
 
 def test_every_schema_file_is_a_valid_schema():

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from excov.errors import CapExceededError, ValidationError
+from excov.errors import CapExceededError, ValidationError, field_cap_scope
 from excov.frobset import from_residues
 from excov.grouptheory import (
     MonodromyData,
@@ -23,6 +23,7 @@ from excov.grouptheory import (
     davenport_trace_test,
     dickson_cover_model,
     fano_actions,
+    fiber_sum,
     fiber_tensor,
     group_from_gens,
     idp_trace_test,
@@ -104,6 +105,19 @@ def test_group_cap():
         group_from_gens([C("(1 2 3 4 5 6 7 8)"), C("(1 2)", 8)], cap=100)
 
 
+def test_closure_counts_order_times_degree_against_the_field_cap():
+    with field_cap_scope(120):
+        assert group_from_gens([C("(1 2 3 4 5 6 7 8 9 10)")]).order == 10
+        with pytest.raises(CapExceededError, match="group element array of size 121"):
+            group_from_gens([C("(1 2 3 4 5 6 7 8 9 10 11)")])
+    with field_cap_scope(49):
+        assert cyclic_cover_model(7, 2).group.order == 7
+        with pytest.raises(CapExceededError, match="of size 81"):
+            cyclic_cover_model(9, 2)  # refused before any permutation is built
+        with pytest.raises(CapExceededError, match="of size 50"):
+            dickson_cover_model(5, 2)  # the model passes, its closure does not
+
+
 def test_analyze_dihedral_5():
     info = analyze_rep(dickson_cover_model(5, 3).group)
     assert info["transitive"]
@@ -141,6 +155,153 @@ def test_analyze_fano_points_two_transitive():
     assert info["doubly_transitive"]
     assert info["primitive"]
     assert info["self_normalizing"]
+
+
+# -- the analysis against the generator oracle ---------------------------------
+
+
+def primitive_oracle(gens, n):
+    """For each b, grow the finest G-congruence gluing 0 to b by union-find."""
+    for b in range(1, n):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        work = [(0, b)]
+        parent[find(b)] = find(0)
+        while work:
+            x, y = work.pop()
+            for g in gens:
+                gx, gy = find(g.act(x)), find(g.act(y))
+                if gx != gy:
+                    parent[gx] = gy
+                    work.append((gx, gy))
+        if sum(1 for x in range(n) if find(x) == find(0)) < n:
+            return False
+    return True
+
+
+def equivariant_map(gens, base, target):
+    """Propagate c(base)=target through c(x^g)=c(x)^g; None on conflict."""
+    c = {base: target}
+    queue = [base]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y, cy = g.act(x), g.act(c[x])
+            if y in c:
+                if c[y] != cy:
+                    return None
+            else:
+                c[y] = cy
+                queue.append(y)
+    return c if len(set(c.values())) == len(c) else None
+
+
+def centralizer_trivial_oracle(gens, n):
+    """No nontrivial equivariant bijection between orbits of equal size.
+
+    Such a bijection, paired with its inverse and extended by the identity,
+    centralizes G; a nontrivial centralizing permutation restricts to one.
+    """
+    labels = _orbit_labels([g.images for g in gens], n)
+    orbits = [[x for x in range(n) if labels[x] == k] for k in sorted(set(labels))]
+    for i, A in enumerate(orbits):
+        for j, B in enumerate(orbits):
+            if len(A) != len(B):
+                continue
+            for target in B:
+                if (i, target) == (j, A[0]):
+                    continue  # propagates to the identity on A
+                if equivariant_map(gens, A[0], target) is not None:
+                    return False
+    return True
+
+
+def analyze_oracle(G):
+    """analyze_rep from the generators: orbit search, blocks, fiber tensor."""
+    gens = G.generators or (Perm.identity(G.degree),)
+    n = G.degree
+    transitive = set(_orbit_labels([g.images for g in gens], n)) == {0}
+    return {
+        "transitive": transitive,
+        "primitive": transitive and primitive_oracle(gens, n),
+        "doubly_transitive": n >= 2
+        and component_count(fiber_tensor(gens, gens), off_diagonal=True) == 1,
+        "self_normalizing": centralizer_trivial_oracle(gens, n),
+    }
+
+
+def ambient_groups():
+    """Transitive groups of degree 1-9: affine, symmetric, plane, wreath."""
+    out = []
+    for n in range(1, 10):
+        units = [a for a in range(1, n) if math.gcd(a, n) == 1] or [0]
+        affine = [Perm(tuple((a * x + 1) % n for x in range(n))) for a in units]
+        out.append(PermGroup(n, affine))
+    for n in range(2, 6):
+        out.append(PermGroup(n, [C("(1 2)", n), Perm(tuple((i + 1) % n for i in range(n)))]))
+    out.append(group_from_gens(fano_actions()[0]))
+    # S_a wr S_b on blocks {i*a .. i*a + a-1}: S_a on the first block, S_b on blocks
+    for a, b in ((2, 2), (2, 3), (3, 2), (2, 4)):
+        first = [C("(1 2)", a * b), C("(" + " ".join(map(str, range(1, a + 1))) + ")", a * b)]
+        blocks = [Perm(tuple((x + a) % (a * b) for x in range(a * b)))]
+        swap = list(range(a * b))
+        swap[:2 * a] = swap[a:2 * a] + swap[:a]
+        out.append(group_from_gens(first + blocks + [Perm(tuple(swap))]))
+    return out
+
+
+def random_group(rng, ambient):
+    """A seeded random group of degree 1-9: trivial, one block or two blocks.
+
+    A block action is up to three random elements of an ambient group,
+    relabeled by a random permutation.  Two blocks act in parallel; half of
+    the time the second repeats the first under a relabeling, so that the
+    two orbits are equivalent and the centralizer is nontrivial.
+    """
+    shape = rng.choice(("trivial", "one", "two"))
+    if shape == "trivial":
+        return PermGroup(rng.randrange(1, 10), ())
+
+    def block(A, k):
+        s = random_perm(rng, A.degree)
+        return [conj(rng.choice(A.elements), s) for _ in range(k)]
+
+    k = rng.randrange(1, 4)
+    A = rng.choice([G for G in ambient if shape == "one" or G.degree <= 8])
+    first = block(A, k)
+    if shape == "one":
+        return PermGroup(A.degree, first)
+    if A.degree <= 4 and rng.random() < 0.5:
+        s = random_perm(rng, A.degree)
+        second = [conj(g, s) for g in first]
+    else:
+        second = block(rng.choice([G for G in ambient if G.degree <= 9 - A.degree]), k)
+    return PermGroup(first[0].degree + second[0].degree, fiber_sum(first, second))
+
+
+def test_analysis_matches_generator_oracle_on_random_groups():
+    rng = random.Random(15)
+    ambient = ambient_groups()
+    seen = {key: set() for key in ("transitive", "primitive", "doubly_transitive", "self_normalizing")}
+    for _ in range(2000):
+        G = random_group(rng, ambient)
+        info = analyze_rep(G)
+        assert info == analyze_oracle(G), [g.images for g in G.generators]
+        for key, value in info.items():
+            seen[key].add(value)
+    assert all(values == {True, False} for values in seen.values())
+
+
+@pytest.mark.parametrize("n", [5, 9, 15, 499])
+def test_analysis_matches_generator_oracle_on_models(n):
+    for M in (cyclic_cover_model(n, 2), dickson_cover_model(n, 2)):
+        assert analyze_rep(M.group) == analyze_oracle(M.group)
 
 
 # -- coset exceptionality -----------------------------------------------------

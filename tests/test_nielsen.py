@@ -1,7 +1,7 @@
 import pytest
 
 from excov import nielsen
-from excov.errors import ValidationError
+from excov.errors import CapExceededError, ValidationError, field_cap_scope
 from excov.grouptheory import Perm, PermGroup, _orbit_labels, group_from_gens
 from excov.nielsen import (
     ModularClasses,
@@ -71,6 +71,14 @@ def test_dickson_triple_entries():
     assert t.perms[1] == C("(5 2)(4 3)", 5)
     assert (t.perms[0] * t.perms[1]) == C("(1 2 3 4 5)", 5)
     assert t.group.order == 10
+
+
+def test_branch_tuples_refuse_outsized_degrees_before_building(monkeypatch):
+    monkeypatch.setattr(nielsen, "Perm", None)  # any permutation built is a TypeError
+    with field_cap_scope(48):
+        for family in (cyclic_branch_pair, dickson_branch_triple):
+            with pytest.raises(CapExceededError, match="of size 49"):
+                family(7)
 
 
 def test_dickson_triple_validates():
