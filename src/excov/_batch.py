@@ -415,8 +415,10 @@ def permutation_period(perm: np.ndarray) -> int:
     n = perm.shape[0]
     if n == 0:
         return 1
-    lens = np.unique(np.concatenate(_cycle_weights(perm.astype(_index_dtype(n)), None)))
-    return math.lcm(*(int(c) for c in lens))
+    lens = np.sort(np.concatenate(_cycle_weights(perm.astype(_index_dtype(n)), None)))
+    # distinct lengths by sort and diff: np.unique would import numpy.ma
+    lens = lens[np.flatnonzero(np.diff(lens, prepend=0))]
+    return math.lcm(*lens.tolist())
 
 
 def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:

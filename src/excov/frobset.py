@@ -16,14 +16,15 @@ from typing import Optional, Sequence
 from .errors import ValidationError
 
 
-def _unit_closure(d: int, residues: set[int]) -> frozenset[int]:
-    units = [u for u in range(1, d + 1) if math.gcd(u, d) == 1]
-    out = set()
-    for r in residues:
-        r %= d
-        for u in units:
-            out.add((r * u) % d)
-    return frozenset(out)
+def _unit_closure(d: int, residues) -> frozenset[int]:
+    """The residues mod d reached from residues by multiplying with units.
+
+    The units of Z/d act transitively on the residues r with one value of
+    gcd(r, d), so the closure is every r whose gcd with d is one of the
+    gcds of the given residues: O(d) gcds, whatever the number of units.
+    """
+    gcds = {math.gcd(r, d) for r in residues}
+    return frozenset(r for r in range(d) if math.gcd(r, d) in gcds)
 
 
 def _minimal_modulus(d: int, residues: frozenset[int]) -> tuple[int, frozenset[int]]:
@@ -100,9 +101,20 @@ def from_residues(d: int, residues) -> FrobeniusSet:
     """Close under units of Z/d, then minimize the modulus."""
     if d < 1:
         raise ValidationError("modulus must be >= 1")
-    closed = _unit_closure(d, {int(r) for r in residues})
+    return _from_closed(d, _unit_closure(d, {int(r) for r in residues}))
+
+
+def _from_closed(d: int, closed: frozenset[int]) -> FrobeniusSet:
+    """The set of a unit-closed residue set mod d, with its modulus minimized.
+
+    The caller has closed the set, so the constructor's checks, which
+    would close it again, are skipped.
+    """
     dmin, rmin = _minimal_modulus(d, closed)
-    return FrobeniusSet(dmin, rmin)
+    out = object.__new__(FrobeniusSet)
+    object.__setattr__(out, "modulus", dmin)
+    object.__setattr__(out, "residues", rmin)
+    return out
 
 
 def intersect(a: FrobeniusSet, b: FrobeniusSet) -> FrobeniusSet:

@@ -6,18 +6,27 @@ G together with a normalizing element tau whose cosets G*tau^t stand in for
 the extensions of degree t.  Exceptionality, range equality, and fiber
 component counts all become statements about fixed points on those cosets.
 
-All groups here are materialized element lists.  That is deliberate: every
-model this package builds (dihedral, affine, plane collineations) is tiny,
-and a closure's order * degree entries count against the field cap.
-Beside the list, each group keeps one (order, degree) int32 array E of the
-element images, built on first use, and everything is read off it.  The
-coset passes share one loop: with T the images of tau^t, the images of
-every g*tau^t are the one gather T[E], their fixed points T[E] == arange,
-and tau^(t+1) is one more gather.  `analyze_rep` reads transitivity,
-primitivity and the centralizer off the columns of E.  `Perm` is the
-scalar type; the element-by-element oracles (`MonodromyData.coset` with
-`Perm.fixed_count`, and the generator-based orbit, block and centralizer
-searches) live in the tests.
+Every group is materialized as one (order, degree) int32 array E of the
+element images, grown by a breadth-first closure in which each step is one
+gather and new rows are found by their bytes; a closure's order * degree
+entries count against the field cap.  Everything is read off E:
+- Exceptionality of a transitive group is Fried's criterion.  Every
+  element of G*tau^t fixes exactly one point iff tau^t fixes no G-orbit on
+  the off-diagonal pairs X x X minus the diagonal (the absolutely
+  irreducible components of the fiber product).  Those orbits are the
+  suborbits of the stabilizer of 0, and one pass over E finds them and the
+  permutation tau makes of them, whatever the coset period d.
+- The coset pass serves the pr-exceptional mode, intransitive groups and
+  the paired range and fiber-count tests.  With T the images of tau^t, the
+  images of every g*tau^t are the one gather T[E], their fixed points
+  T[E] == arange, and tau^(t+1) is one more gather.
+- `analyze_rep` reads transitivity, primitivity and the centralizer off
+  the columns of E.
+`Perm` is the scalar type.  The oracles live in the tests: the coset pass
+against Fried's criterion, the Perm-by-Perm closure against the array
+closure, `MonodromyData.coset` with `Perm.fixed_count` against the coset
+pass, and the generator-based orbit, block and centralizer searches
+against `analyze_rep`.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError, check_field_cap, field_cap
-from .frobset import FrobeniusSet, _unit_closure, from_residues
+from .frobset import FrobeniusSet, _from_closed, _unit_closure
 from .gf import _power
 
 GROUP_CAP = 10 ** 6
@@ -177,7 +186,14 @@ class Perm:
 
 
 class PermGroup:
-    """A finite permutation group as an explicit element list (BFS order)."""
+    """A finite permutation group as an element array in BFS order.
+
+    The closure grows the frontier as one gather per step: the products
+    h*g of the frontier rows h with the generators g are g[h], taken
+    h-major and g-minor, and a row is new when its bytes are not yet in
+    the set of seen rows.  `elements` lists the same rows as `Perm`s, built
+    on first use.
+    """
 
     def __init__(self, degree: int, generators: Sequence[Perm], cap: int = GROUP_CAP):
         for g in generators:
@@ -187,54 +203,61 @@ class PermGroup:
                 )
         self.degree = degree
         self.generators = tuple(generators)
+        gens = np.array([g.images for g in generators], dtype=np.int32)
+        gens = gens.reshape(len(generators), degree)
         # the element array's order * degree entries count against the field
-        # cap: len(seen) reaches most exactly when one more element passes it
-        most = field_cap() // max(degree, 1)
-        ident = Perm.identity(degree)
-        elements = [ident]
-        seen = {ident.images}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in self.generators:
-                    w = h * g
-                    if w.images not in seen:
+        # cap: len(seen) reaches field_cap() // degree exactly when one more
+        # element passes it
+        most = min(cap, field_cap() // max(degree, 1))
+        frontier = np.arange(degree, dtype=np.int32)[None]
+        blocks = [frontier]
+        seen = set(_row_keys(frontier))
+        while len(frontier):
+            products = gens[:, frontier].transpose(1, 0, 2).reshape(len(frontier) * len(gens), degree)
+            new = []
+            for i, key in enumerate(_row_keys(products)):
+                if key not in seen:
+                    if len(seen) >= most:
                         if len(seen) >= cap:
-                            raise CapExceededError(
-                                f"group closure exceeds cap {cap}"
-                            )
-                        if len(seen) >= most:
-                            check_field_cap((len(seen) + 1) * degree, ELEMENT_ARRAY)
-                        seen.add(w.images)
-                        elements.append(w)
-                        nxt.append(w)
-            frontier = nxt
-        self.elements = tuple(elements)
-        self._set = seen
+                            raise CapExceededError(f"group closure exceeds cap {cap}")
+                        check_field_cap((len(seen) + 1) * degree, ELEMENT_ARRAY)
+                    seen.add(key)
+                    new.append(i)
+            frontier = products[new]
+            blocks.append(frontier)
+        self.element_array = np.concatenate(blocks)
+        self.element_array.flags.writeable = False
+        self._keys = seen
 
     @cached_property
-    def element_array(self) -> np.ndarray:
-        """Row r holds the images of elements[r], as a read-only int32 array."""
-        arr = np.array([g.images for g in self.elements], dtype=np.int32)
-        arr.flags.writeable = False
-        return arr
+    def elements(self) -> tuple[Perm, ...]:
+        """The rows of element_array as `Perm`s, in the same order."""
+        return tuple(Perm(tuple(row)) for row in self.element_array.tolist())
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.element_array)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.element_array)
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
     def __contains__(self, g: Perm) -> bool:
-        return isinstance(g, Perm) and g.images in self._set
+        return isinstance(g, Perm) and np.array(g.images, dtype=np.int32).tobytes() in self._keys
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a C-contiguous 2-d array."""
+    width = rows.shape[1] * rows.itemsize
+    if not width:
+        return [b""] * len(rows)
+    data = rows.tobytes()
+    return [data[i : i + width] for i in range(0, len(data), width)]
 
 
 def group_from_gens(gens: Sequence[Perm], cap: int = GROUP_CAP) -> PermGroup:
@@ -336,15 +359,22 @@ class MonodromyData:
 
 
 def _coset_period(group: PermGroup, tau: Perm, what: str) -> int:
-    """Check that tau normalizes group; return the least d >= 1 with tau^d in it."""
-    tinv = tau.inverse()
-    for g in group.generators:
-        if tinv * g * tau not in group:
+    """Check that tau normalizes group; return the least d >= 1 with tau^d in it.
+
+    With T the images of tau, the conjugates tau^-1*g*tau of the generators
+    are T[g[T^-1]], and tau^(d+1) is the gather T[tau^d].
+    """
+    step = np.array(tau.images, dtype=np.int32)
+    inverse = np.empty_like(step)
+    inverse[step] = np.arange(len(step), dtype=np.int32)
+    gens = np.array([g.images for g in group.generators], dtype=np.int32)
+    for conjugate in step[gens.reshape(len(group.generators), group.degree)[:, inverse]]:
+        if conjugate.tobytes() not in group._keys:
             raise ValidationError(f"tau does not normalize {what}")
     d = 1
-    power = tau
-    while power not in group:
-        power = power * tau
+    power = step
+    while power.tobytes() not in group._keys:
+        power = step[power]
         d += 1
     return d
 
@@ -364,20 +394,62 @@ def _coset_fixes(group: PermGroup, tau: Perm, d: int) -> Iterator[tuple[int, np.
         T = step[T]
 
 
+def _suborbit_cycles(group: PermGroup, tau: Perm) -> Optional[set[int]]:
+    """Lengths of the cycles tau makes on the off-diagonal G-orbits of pairs.
+
+    None when G is not transitive.  G is transitive when every column of E
+    holds a 0; to0[a] is a row taking a to 0.  The G-orbits on pairs are
+    the orbits (0, s)^G, one per suborbit of s under the stabilizer H of 0,
+    named by its least point sub[s].  tau takes (0, s) to (tau(0), tau(s)),
+    which the row to0[tau(0)] carries back to (0, E[to0[tau(0)], tau(s)]).
+    """
+    E, n = group.element_array, group.degree
+    if not n:
+        return None
+    to0 = np.full(n, -1, dtype=np.intp)
+    to0[E.argmin(1)] = np.arange(len(E))
+    if (to0 < 0).any():
+        return None
+    sub = E[E[:, 0] == 0].min(0)
+    step = np.array(tau.images, dtype=np.intp)
+    image = sub[E[to0[step[0]], step]].tolist()
+    seen = [False] * n
+    lengths = set()
+    for s in np.flatnonzero(sub[1:] == np.arange(1, n)).tolist():
+        x, length = s + 1, 0
+        while not seen[x]:
+            seen[x] = True
+            x = image[x]
+            length += 1
+        if length:
+            lengths.add(length)
+    return lengths
+
+
 def _closed_residues(passing: set[int], d: int, what: str) -> FrobeniusSet:
-    if _unit_closure(d, passing) != passing:
+    closed = _unit_closure(d, passing)
+    if closed != passing:
         raise InternalInvariantError(
             f"{what} residues {sorted(passing)} mod {d} not unit-closed"
         )
-    return from_residues(d, passing)
+    return _from_closed(d, closed)
 
 
 def coset_exceptionality(M: MonodromyData, mode: str = "exceptional") -> FrobeniusSet:
     """Residues t where every element of group*tau^t fixes exactly
-    (mode "exceptional") or at least (mode "pr-exceptional") one point."""
+    (mode "exceptional") or at least (mode "pr-exceptional") one point.
+
+    For a transitive group, mode "exceptional" is Fried's criterion: t
+    passes when no cycle of tau on the off-diagonal pair orbits has a
+    length dividing t.  Otherwise each coset is counted out.
+    """
     if mode not in ("exceptional", "pr-exceptional"):
         raise ValidationError(f"unknown mode {mode!r}")
     exact = mode == "exceptional"
+    lengths = _suborbit_cycles(M.group, M.tau) if exact else None
+    if lengths is not None:
+        passing = {t for t in range(M.d) if all(t % k for k in lengths)}
+        return _closed_residues(passing, M.d, mode)
     passing = set()
     for t, F in _coset_fixes(M.group, M.tau, M.d):
         counts = F.sum(1)

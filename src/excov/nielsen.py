@@ -24,6 +24,7 @@ from .grouptheory import (
     PermGroup,
     _is_transitive,
     _orbit_labels,
+    _row_keys,
     group_from_gens,
 )
 
@@ -96,32 +97,57 @@ def braid_act(t: NielsenTuple, i: int) -> NielsenTuple:
     return NielsenTuple(tuple(new), t.group, t.class_reps)
 
 
-def _conjugators(t: NielsenTuple, equivalence) -> list[Perm]:
+def _conjugators(t: NielsenTuple, equivalence) -> np.ndarray:
+    """The conjugating permutations, one int32 image row each."""
     if equivalence is None or equivalence == "none":
-        return [Perm.identity(t.degree)]
+        return np.arange(t.degree, dtype=np.int32)[None]
     if equivalence == "inner":
-        return list(t.group.elements)
-    return list(equivalence)  # explicit normalizer elements
+        return t.group.element_array
+    conj = list(equivalence)  # explicit normalizer elements
+    if not conj:
+        raise ValidationError("need at least one conjugating permutation")
+    for h in conj:
+        if h.degree != t.degree:
+            raise ValidationError(f"degree mismatch: {t.degree} vs {h.degree}")
+    return np.array([h.images for h in conj], dtype=np.int32)
 
 
-def _canonical(perms: tuple[Perm, ...], conjugators: list[Perm]) -> tuple:
-    best = None
-    for h in conjugators:
-        hi = h.inverse()
-        key = tuple((hi * g * h).images for g in perms)
-        if best is None or key < best:
-            best = key
-    return best
+def _twist(tup: np.ndarray, i: int) -> np.ndarray:
+    """`braid_act` at position i on the (r, n) image array of a tuple."""
+    a, b = tup[i - 1], tup[i]
+    a_inv = np.empty_like(a)
+    a_inv[a] = np.arange(len(a), dtype=a.dtype)
+    out = tup.copy()
+    out[i - 1] = a_inv[b[a]]
+    out[i] = a
+    return out
 
 
-def _orbit(start: NielsenTuple, moves, conjugators: list[Perm], cap: int):
-    seen = {_canonical(start.perms, conjugators)}
-    queue = [start]
+def _canonical(tup: np.ndarray, conj: np.ndarray, conj_inv: np.ndarray) -> bytes:
+    """The least conjugate of tup, as big-endian bytes.
+
+    Row r of the keys holds h^-1*g*h = h[g[h^-1]] for every entry g of tup,
+    h = conj[r].  The images are non-negative, so the byte order of the
+    big-endian rows is the order of the image tuples.
+    """
+    m = len(conj)
+    inner = tup[:, conj_inv].transpose(1, 0, 2).reshape(m, -1)
+    keys = np.take_along_axis(conj, inner, axis=1).astype(">i4")
+    return min(_row_keys(keys))
+
+
+def _orbit(start: NielsenTuple, conj: np.ndarray, cap: int) -> list[NielsenTuple]:
+    r, n = start.r, start.degree
+    conj_inv = np.empty_like(conj)
+    np.put_along_axis(conj_inv, conj, np.arange(n, dtype=np.int32)[None], axis=1)
+    tup = np.array([g.images for g in start.perms], dtype=np.int32)
+    seen = {_canonical(tup, conj, conj_inv)}
+    queue = [tup]
     while queue:
         cur = queue.pop()
-        for mv in moves:
-            nxt = mv(cur)
-            key = _canonical(nxt.perms, conjugators)
+        for i in range(1, r):
+            nxt = _twist(cur, i)
+            key = _canonical(nxt, conj, conj_inv)
             if key not in seen:
                 if len(seen) >= cap:
                     raise CapExceededError(f"braid orbit exceeds cap {cap}")
@@ -129,7 +155,11 @@ def _orbit(start: NielsenTuple, moves, conjugators: list[Perm], cap: int):
                 queue.append(nxt)
     # canonical forms are conjugate to visited tuples, hence equally valid
     return [
-        NielsenTuple(tuple(Perm(img) for img in key), start.group, start.class_reps)
+        NielsenTuple(
+            tuple(Perm(tuple(g)) for g in np.frombuffer(key, ">i4").reshape(r, n).tolist()),
+            start.group,
+            start.class_reps,
+        )
         for key in sorted(seen)
     ]
 
@@ -142,10 +172,10 @@ def braid_orbit(
     equivalence: "none", "inner" (conjugation by the declared group), or an
     explicit list of conjugating permutations (e.g. a known normalizer).
     Twists are invertible on the finite orbit, so forward moves suffice.
+    Tuples and conjugators are int32 image arrays: a tuple's key is its
+    least conjugate, taken over all conjugators in one gather.
     """
-    conj = _conjugators(t, equivalence)
-    moves = [lambda x, i=i: braid_act(x, i) for i in range(1, t.r)]
-    return _orbit(t, moves, conj, cap)
+    return _orbit(t, _conjugators(t, equivalence), cap)
 
 
 # -- stock families -------------------------------------------------------------------

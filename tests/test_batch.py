@@ -1,12 +1,17 @@
 """The index-space field engine must agree with the scalar field engine."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import excov
 from excov import _batch
 from excov._batch import (
     _BLOCK,
@@ -294,6 +299,31 @@ def test_permutation_period_of_frobenius():
     tab = value_table(cyclic(make_field(3, 1), 3), 13)
     assert tab.shape[0] > 16 * _RULING_MIN
     assert permutation_period(tab) == 13
+
+
+def test_scan_and_structural_ops_leave_numpy_ma_unimported():
+    # np.unique imports numpy.ma on first use (10-13 ms under NumPy 2.4); a
+    # scan's periods and the structural passes dedupe without it
+    def child(code):
+        path = [str(Path(excov.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        run = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert run.returncode == 0, run.stderr
+        return run.stdout.split()
+
+    if child("import sys, numpy; print('numpy.ma' in sys.modules)") == ["True"]:
+        pytest.skip("this NumPy imports numpy.ma together with numpy")
+    out = child(
+        "import sys, excov\n"
+        "rep = excov.exceptionality_scan(excov.cyclic(excov.make_field(3, 1), 5), 6)\n"
+        "print(sum(r.period is not None for r in rep.records))\n"
+        "excov.coset_exceptionality(excov.dickson_cover_model(7, 3))\n"
+        "excov.braid_orbit(excov.dickson_branch_triple(5))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    assert out == ["5", "False"]
 
 
 def mult_order(a, m):

@@ -1,12 +1,14 @@
 """Progression-set arithmetic: closure, normalization, fitting."""
 
 import math
+import random
 
 import pytest
 
 from excov.errors import ValidationError
 from excov.frobset import (
     FrobeniusSet,
+    _unit_closure,
     fit_from_samples,
     from_residues,
     intersect,
@@ -16,6 +18,25 @@ from excov.frobset import (
 
 def brute_members(s: FrobeniusSet, upto: int) -> set[int]:
     return {t for t in range(1, upto + 1) if s.contains(t)}
+
+
+def unit_closure_oracle(d, residues):
+    """Every product of a residue with a unit of Z/d."""
+    units = [u for u in range(1, d + 1) if math.gcd(u, d) == 1]
+    return frozenset((r % d) * u % d for r in residues for u in units)
+
+
+def test_unit_closure_matches_unit_products():
+    rng = random.Random(17)
+    for d in range(1, 121):
+        subsets = [set(), set(range(d)), {0}, {d - 1}]
+        subsets += [set(rng.sample(range(d), rng.randrange(1, min(d, 6) + 1))) for _ in range(6)]
+        subsets.append({r + d * rng.randrange(-3, 4) for r in subsets[-1]})  # outside 0..d-1
+        for residues in subsets:
+            assert _unit_closure(d, residues) == unit_closure_oracle(d, residues), (d, residues)
+            # from_residues skips the constructor's checks; they must hold
+            fs = from_residues(d, residues)
+            assert FrobeniusSet(fs.modulus, fs.residues) == fs
 
 
 def test_unit_closure_of_two_mod_twelve():

@@ -14,7 +14,9 @@ from excov.grouptheory import (
     Perm,
     PermGroup,
     _block_sum,
+    _coset_fixes,
     _orbit_labels,
+    _suborbit_cycles,
     analyze_rep,
     block_swap,
     component_count,
@@ -455,6 +457,124 @@ def test_element_array_matches_elements_and_is_built_once():
     assert G.element_array is E
     trivial = group_from_gens([Perm.identity(1)])
     assert trivial.element_array.tolist() == [[0]]
+
+
+# -- Fried's criterion and the array closure against their oracles -----------
+
+
+def coset_pass(M):
+    """Mode "exceptional" counted out coset by coset, whatever the group."""
+    passing = {t for t, F in _coset_fixes(M.group, M.tau, M.d) if (F.sum(1) == 1).all()}
+    return from_residues(M.d, passing)
+
+
+def test_fried_criterion_matches_coset_pass_on_models():
+    count = 0
+    for n in range(1, 60):
+        for q in range(2, 40):
+            if math.gcd(n, q) != 1:
+                continue
+            models = [cyclic_cover_model(n, q)]
+            if n >= 3 and n % 2:
+                models.append(dickson_cover_model(n, q))
+            for M in models:
+                assert _suborbit_cycles(M.group, M.tau) is not None
+                assert coset_exceptionality(M) == coset_pass(M), (n, q, M.group.order)
+                count += 1
+    assert count == 2266  # 2,228 with n >= 2, and the 38 of degree 1
+
+
+def random_normalized(rng, ambient, cap=400):
+    """A seeded random group of degree 1-9 with a tau that normalizes it.
+
+    One block: conjugates of random elements of an ambient group under
+    the powers of tau, which is mostly an element of the same ambient group
+    and sometimes any permutation, all relabeled.  Two blocks: the direct
+    product of two such groups, an intransitive group normalized by the
+    block sum of the two taus.  Groups over cap elements are drawn again.
+    """
+
+    def one(A):
+        tau = rng.choice(A.elements) if rng.random() < 0.8 else random_perm(rng, A.degree)
+        base = [rng.choice(A.elements) for _ in range(rng.randrange(0, 3))]
+        gens = [conj(g, tau ** i) for g in base for i in range(tau.order())]
+        s = random_perm(rng, A.degree)
+        return [conj(g, s) for g in gens], conj(tau, s)
+
+    while True:
+        if rng.random() < 0.8:
+            A = rng.choice(ambient)
+            n, (gens, tau) = A.degree, one(A)
+        else:
+            A = rng.choice([G for G in ambient if G.degree <= 8])
+            B = rng.choice([G for G in ambient if G.degree <= 9 - A.degree])
+            (gens1, tau1), (gens2, tau2) = one(A), one(B)
+            one1, one2 = Perm.identity(A.degree), Perm.identity(B.degree)
+            gens = [_block_sum(g, one2) for g in gens1] + [_block_sum(one1, g) for g in gens2]
+            n, tau = A.degree + B.degree, _block_sum(tau1, tau2)
+        try:
+            return MonodromyData(PermGroup(n, gens, cap=cap), tau)
+        except CapExceededError:
+            continue
+
+
+def test_fried_criterion_matches_coset_pass_on_random_models():
+    rng = random.Random(17)
+    ambient = ambient_groups()
+    outcomes = set()
+    for _ in range(2400):
+        M = random_normalized(rng, ambient)
+        G, n = M.group, M.group.degree
+        transitive = set(_orbit_labels([g.images for g in G.generators], n)) == {0}
+        # intransitive groups take the coset pass
+        assert (_suborbit_cycles(G, M.tau) is None) == (not transitive)
+        got = coset_exceptionality(M)
+        assert got == coset_pass(M), ([g.images for g in G.generators], M.tau.images)
+        images = {g.images for g in G}
+        assert M.d == min(d for d in range(1, M.tau.order() + 1) if (M.tau ** d).images in images)
+        outcomes.add((transitive, got.is_empty(), got.modulus > 1))
+    # (transitive, empty, modulus > 1): every shape of answer on both paths
+    assert outcomes == {(True, True, False), (True, False, False), (True, False, True),
+                        (False, True, False), (False, False, True)}
+
+
+def closure_oracle(degree, gens):
+    """The element list of a Perm-by-Perm breadth-first closure."""
+    ident = Perm.identity(degree)
+    elements, seen, frontier = [ident], {ident.images}, [ident]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                w = h * g
+                if w.images not in seen:
+                    seen.add(w.images)
+                    elements.append(w)
+                    nxt.append(w)
+        frontier = nxt
+    return elements
+
+
+def test_closure_order_matches_perm_closure_on_random_groups():
+    rng = random.Random(16)
+    ambient = ambient_groups()
+    for _ in range(2000):
+        G = random_group(rng, ambient)
+        want = closure_oracle(G.degree, G.generators)
+        assert G.elements == tuple(want), [g.images for g in G.generators]
+        assert G.element_array.tolist() == [list(g.images) for g in want]
+        assert G.order == len(G) == len(want)
+        images = {g.images for g in want}
+        for h in [random_perm(rng, G.degree) for _ in range(3)] + want[-2:]:
+            assert (h in G) == (h.images in images)
+
+
+def test_fried_criterion_on_a_large_cyclic_model():
+    # 2 has order 2052 mod 2053, so only t divisible by 2052 fails; the coset
+    # pass would take d = 2052 gathers of a 2053 x 2053 array here
+    M = cyclic_cover_model(2053, 2)
+    assert M.d == 2052
+    assert coset_exceptionality(M) == from_residues(2052, range(1, 2052))
 
 
 def trace_oracle(P, agree):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from excov import nielsen
@@ -474,3 +475,69 @@ def test_modular_braid_count_against_generic_orbits():
         for member in braid_orbit(t, equivalence="inner"):
             seen.add(_symbol_of(member.perms, 3))
     assert orbits == out.inner_braid_orbit_count
+
+
+# -- array canonical forms against Perm products ------------------------------
+
+
+def canonical_oracle(perms, conjugators):
+    """The least (h^-1*g*h for g in perms) over conjugators, by Perm products."""
+    return min(tuple((h.inverse() * g * h).images for g in perms) for h in conjugators)
+
+
+def orbit_oracle(start, conjugators):
+    """The sorted canonical keys of the braid orbit, by Perm products."""
+    seen = {canonical_oracle(start.perms, conjugators)}
+    queue = [start]
+    while queue:
+        cur = queue.pop()
+        for i in range(1, cur.r):
+            nxt = braid_act(cur, i)
+            key = canonical_oracle(nxt.perms, conjugators)
+            if key not in seen:
+                seen.add(key)
+                queue.append(nxt)
+    return sorted(seen)
+
+
+def array_key(perms, conjugators):
+    conj = np.array([h.images for h in conjugators], dtype=np.int32)
+    conj_inv = np.array([h.inverse().images for h in conjugators], dtype=np.int32)
+    tup = np.array([g.images for g in perms], dtype=np.int32)
+    key = nielsen._canonical(tup, conj, conj_inv)
+    return tuple(map(tuple, np.frombuffer(key, ">i4").reshape(len(perms), -1).tolist()))
+
+
+def orbit_keys(orbit):
+    return [tuple(g.images for g in t.perms) for t in orbit]
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
+def test_braid_keys_match_perm_products_on_dickson_triples(n):
+    t = dickson_branch_triple(n)
+    inner = list(t.group)
+    some = inner[1::3]  # a conjugator list that is not a group
+    for member in braid_orbit(t, equivalence="none"):  # the twisted tuples themselves
+        for conj in (inner, some):
+            assert array_key(member.perms, conj) == canonical_oracle(member.perms, conj)
+    for equivalence, conj in (("inner", inner), ("none", [Perm.identity(n)]), (some, some)):
+        assert orbit_keys(braid_orbit(t, equivalence)) == orbit_oracle(t, conj)
+
+
+@pytest.mark.parametrize("p, stride", [(3, 1), (5, 120)])
+def test_braid_keys_match_perm_products_on_modular_tuples(p, stride):
+    # a p = 5 orbit holds 60 classes, of 3000 tuples under no equivalence
+    for _, v2, v3, _ in modular_nielsen(p).tuples[::stride]:
+        t = modular_tuple_perms(p, 0, v2, v3)
+        inner = list(t.group)
+        assert orbit_keys(braid_orbit(t)) == orbit_oracle(t, inner)
+        for member in braid_orbit(t, equivalence="none")[:10]:
+            assert array_key(member.perms, inner) == canonical_oracle(member.perms, inner)
+
+
+def test_explicit_conjugators_are_checked():
+    t = dickson_branch_triple(5)
+    with pytest.raises(ValidationError):
+        braid_orbit(t, equivalence=[])
+    with pytest.raises(ValidationError):
+        braid_orbit(t, equivalence=[Perm.identity(6)])
