@@ -2,12 +2,18 @@
 
 Field elements exist here only as element indices: index i is the
 element whose base-p digits, low first, are its prime-field coefficients
-(``FieldElem.index``).  Each field F_Q gets three tables, built once from
-a fixed multiplicative generator g, with m = Q - 1:
+(``FieldElem.index``).  Each field F_Q gets up to three tables, built
+from a fixed multiplicative generator g, with m = Q - 1:
 
 - ``exp[j]``, the index of g**j for 0 <= j < m;
 - ``log``, its inverse, with ``log[0] = m`` standing for the log of zero;
-- ``zech[n] = log(1 + g**n)``, Zech's logarithm, or m where 1 + g**n = 0.
+- ``zech[n] = log(1 + g**n)``, Zech's logarithm, or m where 1 + g**n = 0
+  (Lidl and Niederreiter, *Finite Fields*, ch. 3).
+
+exp and log are one build, made on first use: log is exp's scatter, and
+every evaluation reads it for its coefficients.  zech is built only when
+a sum of two or more terms is evaluated (``_logs_at``) or ``tables()`` is
+asked for, so power maps and products never pay for it.
 
 The generator and the tables come from the F_p-matrix engine in ``gf``:
 multiplication by an element is a D x D matrix over F_p on its digit
@@ -23,7 +29,11 @@ only its lowest base-p digit, so the "+1" step behind ``zech`` is index
 arithmetic: i + 1, or i - (p - 1) when i % p == p - 1.
 
 A sparse polynomial (``eval_sparse``) is evaluated one log at a time:
-term by term, each new term added by one Zech gather.  When its
+term by term, each new term added by one Zech gather.  Its table comes in
+index order, or, for a scan, in log coordinates: the unit g**j is label
+j, 0 is label m and infinity label Q, and slot j holds the label of
+f(g**j), slot m that of f(0).  That is the value log the evaluation
+computes anyway, so no exp gather or scatter is made.  When its
 coefficients lie in F_{p**d} for a d < D, x -> x**(p**d) commutes with
 it, and in log space that map is j -> j * p**d mod m.  So a sum of two
 or more terms is evaluated only at the least log of each of these orbits
@@ -32,11 +42,14 @@ written out at j * p**(d*k) as v * p**(d*k), k < D/d.  The representatives
 are cached per field and d, at about 4d/D bytes per point.
 
 Tables are stored at the width ``_index_dtype(Q)``: int32 while
-Q < 2**31, 12 bytes per point, else int64.  A sum or product of two logs
-can pass int32, so it is always formed in int64 after a cast; such a
-product is below m**2, so fields with m**2 >= 2**63 are refused with
-``CapExceededError`` before any table is built rather than allowed to
-wrap.  Whole-field outputs (``eval_sparse``) are int64.
+Q < 2**31, 8 bytes per point for exp and log and 4 more for zech, else
+int64.  A sum or product of two logs can pass int32, so it is always
+formed in int64 after a cast; such a product is below m**2, so fields
+with m**2 >= 2**63 are refused with ``CapExceededError`` before any table
+is built rather than allowed to wrap.  Whole-field outputs
+(``eval_sparse``) are int64: ``np.bincount`` and fancy indexing widen an
+int32 index array to a full int64 copy, so a narrower output would raise
+a scan's peak memory, not lower it.
 """
 
 from __future__ import annotations
@@ -83,11 +96,13 @@ class BatchField:
         self._work = np.int64 if self.D == 1 else np.float64
         self._pack_weights = self.p ** np.arange(self.D, dtype=self._work)
         self.dtype = _index_dtype(self.order)
-        # exp, log and zech of Q - 1, Q and Q - 1 entries, once built, and
-        # the orbit_reps built so far
-        self.table_bytes = np.dtype(self.dtype).itemsize * (3 * self.order - 2)
-        self._tables: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # orbit_reps per Frobenius step d, added to table_bytes as built
+        # exp and log, of Q - 1 and Q entries, are counted from the start:
+        # any use of the tables builds both.  zech and the orbit_reps are
+        # added as built
+        self.table_bytes = np.dtype(self.dtype).itemsize * (2 * self.order - 1)
+        self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._zech: np.ndarray | None = None
+        # orbit_reps per Frobenius step d
         self._reps: dict[int, np.ndarray] = {}
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
@@ -96,15 +111,15 @@ class BatchField:
 
     # -- discrete-log layer ---------------------------------------------------
     #
-    # Three tables per field: exp, log and zech.  Multiplication by g is
-    # linear over the prime field: the first _CHUNK digit rows of g**j come
-    # by doubling, and each later block is the block before times
-    # M(g)**_CHUNK, one matmul.  Each block is packed into exp and scattered
-    # into log as it is made, then dropped.  zech gathers log at each exp
-    # entry plus one, a step on the lowest base-p digit that wraps at p - 1,
-    # in blocks of _BLOCK.  Logs stay below m, so a product of two fits
-    # int64 once m**2 < 2**63, the bound __init__ enforces; the int32 tables
-    # are widened first.
+    # Up to three tables per field: exp and log, then zech once a sum needs
+    # it.  Multiplication by g is linear over the prime field: the first
+    # _CHUNK digit rows of g**j come by doubling, and each later block is
+    # the block before times M(g)**_CHUNK, one matmul.  Each block is packed
+    # into exp and scattered into log as it is made, then dropped.  zech
+    # gathers log at each exp entry plus one, a step on the lowest base-p
+    # digit that wraps at p - 1, in blocks of _BLOCK.  Logs stay below m, so
+    # a product of two fits int64 once m**2 < 2**63, the bound __init__
+    # enforces; the int32 tables are widened first.
 
     def generator(self) -> FieldElem:
         """A fixed multiplicative generator, smallest by element index.
@@ -138,7 +153,11 @@ class BatchField:
         return g
 
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(exp, log, zech) as described in the module docstring."""
+        """(exp, log, zech) as described in the module docstring; builds
+        zech if no sum has yet."""
+        return (*self._exp_log(), self._zech_table())
+
+    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         if self._tables is None:
             m, p = self.order - 1, self.p
             exp = np.empty(m, dtype=self.dtype)
@@ -165,18 +184,31 @@ class BatchField:
                 hi = min(lo + rows, m)
                 exp[lo:hi] = self.pack(block[: hi - lo])
                 log[exp[lo:hi]] = np.arange(lo, hi, dtype=self.dtype)
+            self._tables = (exp, log)
+        return self._tables
+
+    def _zech_table(self) -> np.ndarray:
+        if self._zech is None:
+            exp, log = self._exp_log()
+            m, p = self.order - 1, self.p
             zech = np.empty(m, dtype=self.dtype)
             for lo in range(0, m, _BLOCK):
                 plus_one = exp[lo : lo + _BLOCK] + 1
                 plus_one[plus_one % p == 0] -= p
                 zech[lo : lo + _BLOCK] = log[plus_one]
-            self._tables = (exp, log, zech)
-        return self._tables
+            self._zech = zech
+            self.table_bytes += zech.nbytes
+        return self._zech
+
+    def label(self, index: int) -> int:
+        """The log-coordinate label of an element index: log x for a unit,
+        m for 0; Q, standing for infinity, stays Q."""
+        return index if index == self.order else int(self._exp_log()[1][index])
 
     def pow_indices(self, idx: np.ndarray, e: int) -> np.ndarray:
         """Index array of x**e; zero stays zero for every e, even e <= 0."""
         m = self.order - 1
-        exp, log, _ = self.tables()
+        exp, log = self._exp_log()
         k = log[idx].astype(np.int64)
         k *= e % m
         k %= m
@@ -185,13 +217,13 @@ class BatchField:
     def quadratic_character(self, idx: np.ndarray) -> np.ndarray:
         """chi(x) per index: 0 at zero (log[0] = m is even, so masked), else
         +1 or -1 by the parity of log x; every unit is a square in char 2."""
-        log = self.tables()[1]
+        log = self._exp_log()[1]
         out = 1 - 2 * (log[idx] & (self.p % 2))
         return np.where(idx == 0, 0, out)
 
     def mul_indices(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         m = self.order - 1
-        exp, log, _ = self.tables()
+        exp, log = self._exp_log()
         out = exp[(log[a_idx].astype(np.int64) + log[b_idx]) % m]
         return np.where((a_idx == 0) | (b_idx == 0), 0, out)
 
@@ -202,13 +234,18 @@ class BatchField:
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None = None,
         out: np.ndarray | None = None,
+        *,
+        _labels: bool = False,
     ) -> np.ndarray:
         """Index table of sum(c * x**e) over every x, in index order.
 
         With ``den``, the table of the quotient by that sum, holding Q at
         its zeros (the poles).  Coefficients may come from any field below
         this one.  The table is written into ``out`` (int64, Q slots), or
-        into a new array when it is None.
+        into a new array when it is None.  With ``_labels`` it is written
+        in log coordinates (module docstring): slot j < m holds the label
+        of f(g**j) and slot m that of f(0), so the value logs go out as
+        they are, without the exp gathers and scatter of index order.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
         by ``_logs_at``.  When a sum has two or more terms, only the least
@@ -220,7 +257,7 @@ class BatchField:
         zero or a pole stays one along its orbit.  Otherwise r = 1 and the
         blocks run over every log.  x = 0 takes the constant terms.
         """
-        exp = self.tables()[0]
+        exp = self._exp_log()[0]
         Q, m = self.order, self.order - 1
         sums = [self._term_logs(terms)]
         if den is not None:
@@ -240,7 +277,7 @@ class BatchField:
             else:
                 j = reps[lo:hi].astype(np.int64)
             v, zeros = self._logs_at(j, sums[0][1])
-            marks = [(zeros, 0)]
+            marks = [(zeros, m if _labels else 0)]  # the label or index of 0
             if den is not None:
                 dv, poles = self._logs_at(j, sums[1][1])
                 v -= dv
@@ -252,23 +289,30 @@ class BatchField:
                     j %= m
                     v *= s
                     v %= m
-                vals = exp[v]
+                if not _labels:
+                    dest, vals = exp[j], exp[v]
+                else:  # v itself, marks and all: they are set again after each rotation
+                    dest, vals = (slice(lo, hi) if reps is None else j), v
                 for at, mark in marks:
                     vals[at] = mark
-                out[exp[j]] = vals
+                out[dest] = vals
         top = sums[0][0]
         if den is None:
-            out[0] = top.index
+            at_zero = top.index
         else:
             bottom = sums[1][0]
-            out[0] = Q if bottom.is_zero() else (top / bottom).index
+            at_zero = Q if bottom.is_zero() else (top / bottom).index
+        if _labels:
+            out[m] = self.label(at_zero)
+        else:
+            out[0] = at_zero
         return out
 
     def _term_logs(
         self, terms: Sequence[tuple[int, FieldElem | int]]
     ) -> tuple[FieldElem, list[tuple[int, int]]]:
         """The value at 0 of sum(c * x**e), and (e mod m, log c) per nonzero term."""
-        log = self.tables()[1]
+        log = self._exp_log()[1]
         m = self.order - 1
         const = self.ctx.zero()
         logs = []
@@ -349,9 +393,9 @@ class BatchField:
         """
         if not logs:
             return np.zeros_like(j), np.arange(j.size)
-        zech = self.tables()[2]
         m = self.order - 1
         (s0, lc0), rest = logs[0], logs[1:]
+        zech = self._zech_table() if rest else None  # one term needs no Zech gather
         acc = j * s0  # the running sum's log at each j
         acc += lc0
         acc %= m
@@ -508,11 +552,11 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 # -- instance cache -----------------------------------------------------------
 
-# Bytes of tables the cached fields may hold together: exp, log and zech,
-# and the orbit_reps built so far.  Every field of F_3 up to t = 12
-# (9.6 MB of tables, under 0.3 MB of representatives), the largest tower
-# under a 600000-point scan cap, fits, so repeated scans up one tower
-# build each field once; a larger budget only raises peak RSS.
+# Bytes of tables the cached fields may hold together: exp and log, and the
+# zech tables and orbit_reps built so far.  Every field of F_3 up to t = 12
+# (9.6 MB of tables with zech, under 0.3 MB of representatives), the
+# largest tower under a 600000-point scan cap, fits, so repeated scans up
+# one tower build each field once; a larger budget only raises peak RSS.
 _CACHE_BYTES = 24 << 20
 _CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field
@@ -522,10 +566,12 @@ _GENERATORS: dict[tuple, FieldElem] = {}
 def get_batch(ctx: FieldCtx) -> BatchField:
     """Shared BatchField per field, kept while its tables fit _CACHE_BYTES.
 
-    A hit makes the field the most recent.  A miss adds a new BatchField
-    and drops the least recently used others until the cache's
-    ``table_bytes`` fit the budget; the new field stays even when it alone
-    does not, so a second scan over the same large field reuses it.
+    A hit makes the field the most recent; a miss adds a new BatchField.
+    Then the least recently used others are dropped until the cache's
+    ``table_bytes`` fit the budget; the field asked for stays even when it
+    alone does not, so a second scan over the same large field reuses it.
+    A zech table or orbit_reps built between two calls counts from the
+    second.
     """
     key = ctx.key
     bf = _CACHE.pop(key, None)

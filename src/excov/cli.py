@@ -93,8 +93,7 @@ def cmd_dp(ns) -> dict:
     results = []
     for t in range(1, ns.tmax + 1):
         try:
-            same_range = excscan.dp_range_test(f, g, t)
-            same_multiset = excscan.idp_multiset_test(f, g, t)
+            same_range, same_multiset = excscan._dp_flags(f, g, t)
         except CapExceededError:
             if t == 1:
                 raise

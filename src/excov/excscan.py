@@ -5,6 +5,18 @@ F_{q^t}, records bijectivity, surjectivity, the multiset profile of values,
 and the order of the induced permutation, then fits the bijective t's to a
 unit-closed progression set.  Range and fiber-multiset comparisons for map
 pairs live here too.
+
+``value_table`` lists values in index order: slot i holds the image of
+the i-th element.  Scans and pair comparisons read a table in log
+coordinates instead (``_batch``): with g the field's generator and
+m = q^t - 1, the unit g^j is label j, 0 is label m and infinity label
+q^t, and slot j holds the label of f(g^j), slot m that of f(0) and slot
+q^t that of f(infinity).  This is the same map conjugated by a
+relabelling of P1, so its fibers, its bijectivity and, when it permutes,
+its cycle lengths are those of the index-order table; and two maps
+relabelled alike keep equal or unequal value sets and multisets.  The
+evaluation computes value logs anyway, so the table comes without the
+gathers and scatter that index order costs.
 """
 
 from __future__ import annotations
@@ -41,14 +53,21 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     Slot i < q^t holds the image of the i-th field element; the last slot
     holds the image of infinity.  Infinity itself is encoded as q^t.
     """
+    return _table(f, t, labels=False)
+
+
+def _table(f: Union[RationalMap, Poly], t: int, labels: bool) -> np.ndarray:
+    """``value_table``, or with ``labels`` the table in log coordinates."""
     if isinstance(f, Poly):
         f = RationalMap(f)
     K = _scan_field(f, t)
+    bf = get_batch(K)
     Q = K.order
     out = np.empty(Q + 1, dtype=np.int64)
     den = None if f.is_polynomial else _poly_terms(f.den)
-    get_batch(K).eval_sparse(_poly_terms(f.num), den, out=out[:Q])
-    out[Q] = eval_p1(f, P1Point.infinity(K)).index()
+    bf.eval_sparse(_poly_terms(f.num), den, out=out[:Q], _labels=labels)
+    at_infinity = eval_p1(f, P1Point.infinity(K)).index()
+    out[Q] = bf.label(at_infinity) if labels else at_infinity
     return out
 
 
@@ -139,10 +158,10 @@ def exceptionality_scan(
 
 
 def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
-    """One t of a scan.  Its fiber counts are freed before the period
-    kernel runs, and its value table on return, before the next t builds
-    tables up to q times their size."""
-    tab = value_table(f, t)
+    """One t of a scan, read off the table in log coordinates.  Its fiber
+    counts are freed before the period kernel runs, and its table on
+    return, before the next t builds tables up to q times their size."""
+    tab = _table(f, t, labels=True)
     counts = np.bincount(tab, minlength=tab.shape[0])
     bij = bool(counts.max(initial=0) == 1)
     surj = bool(counts.min(initial=1) >= 1)
@@ -162,29 +181,26 @@ def dp_range_test(
     f: Union[RationalMap, Poly], g: Union[RationalMap, Poly], t: int
 ) -> bool:
     """Are the value sets of f and g on P1(F_{q^t}) equal?"""
-    tf, tg = _pair_tables(f, g, t)
-    n = tf.shape[0]
-    return bool(
-        np.array_equal(np.bincount(tf, minlength=n) > 0, np.bincount(tg, minlength=n) > 0)
-    )
+    return _dp_flags(f, g, t)[0]
 
 
 def idp_multiset_test(
     f: Union[RationalMap, Poly], g: Union[RationalMap, Poly], t: int
 ) -> bool:
     """Do f and g attain every value with the same multiplicity?"""
-    tf, tg = _pair_tables(f, g, t)
-    n = tf.shape[0]
-    return bool(
-        np.array_equal(np.bincount(tf, minlength=n), np.bincount(tg, minlength=n))
-    )
+    return _dp_flags(f, g, t)[1]
 
 
-def _pair_tables(f, g, t):
-    if isinstance(f, Poly):
-        f = RationalMap(f)
-    if isinstance(g, Poly):
-        g = RationalMap(g)
+def _dp_flags(
+    f: Union[RationalMap, Poly], g: Union[RationalMap, Poly], t: int
+) -> tuple[bool, bool]:
+    """(range equal, multiset equal) from one pair of tables in log
+    coordinates, one ``bincount`` each."""
     if f.ctx != g.ctx:
         raise ValidationError("maps over different fields")
-    return value_table(f, t), value_table(g, t)
+    tf = _table(f, t, labels=True)
+    n = tf.shape[0]
+    cf = np.bincount(tf, minlength=n)
+    del tf
+    cg = np.bincount(_table(g, t, labels=True), minlength=n)
+    return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

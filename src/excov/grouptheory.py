@@ -309,21 +309,30 @@ def analyze_rep(G: PermGroup) -> dict[str, bool]:
     pairs.  The least block holding 0 and b is the orbit of 0 under <H, g>,
     with H the stabilizer of 0 and g any element taking 0 to b.  A
     nontrivial permutation centralizes G exactly when two points have one
-    stabilizer, that is when two columns of E == arange agree.
+    stabilizer, that is when two columns of E == arange agree.  Distinct
+    values are counted by sort and diff and distinct columns by a set of
+    their packed bytes: np.unique would import numpy.ma.
     """
     E, n = G.element_array, G.degree
     fixes = E == np.arange(n)
-    images, first = np.unique(E[:, :1], return_index=True)
-    transitive = n > 0 and len(images) == n
+    at0 = E[:, :1].ravel()  # the images of 0, none when n = 0
+    order = np.argsort(at0, kind="stable")
+    first = order[np.flatnonzero(np.diff(at0[order], prepend=-1))]  # one row per image
+    transitive = n > 0 and len(first) == n
     primitive = transitive
     if transitive:
         H = E[fixes[:, 0]].tolist()
         primitive = all(not any(_orbit_labels(H + [g.tolist()], n)) for g in E[first[1:]])
+    doubly = False
+    if n >= 2:
+        pairs = np.sort(E[:, 0].astype(np.int64) * n + E[:, 1])
+        doubly = int(np.count_nonzero(np.diff(pairs))) + 1 == n * (n - 1)
+    columns = np.packbits(fixes.T, axis=1)
     return {
         "transitive": transitive,
         "primitive": primitive,
-        "doubly_transitive": n >= 2 and len(np.unique(E[:, :2], axis=0)) == n * (n - 1),
-        "self_normalizing": len(np.unique(fixes.T, axis=0)) == n,
+        "doubly_transitive": doubly,
+        "self_normalizing": len({c.tobytes() for c in columns}) == n,
     }
 
 

@@ -321,6 +321,7 @@ def test_scan_and_structural_ops_leave_numpy_ma_unimported():
         "print(sum(r.period is not None for r in rep.records))\n"
         "excov.coset_exceptionality(excov.dickson_cover_model(7, 3))\n"
         "excov.braid_orbit(excov.dickson_branch_triple(5))\n"
+        "excov.analyze_rep(excov.dickson_cover_model(7, 3).group)\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     assert out == ["5", "False"]
@@ -402,16 +403,18 @@ def test_table_width_edge_without_building_tables():
     with field_cap_scope(2**32):
         narrow = BatchField(make_field(2**31 - 1, 1))
         wide = BatchField(make_field(2147483659, 1))
+    # exp and log are counted from the start, zech once built
     assert narrow.dtype is np.int32
-    assert narrow.table_bytes == 4 * (3 * narrow.order - 2)
+    assert narrow.table_bytes == 4 * (2 * narrow.order - 1)
     assert wide.dtype is np.int64
-    assert wide.table_bytes == 8 * (3 * wide.order - 2)
+    assert wide.table_bytes == 8 * (2 * wide.order - 1)
     assert narrow._tables is None and wide._tables is None
+    assert narrow._zech is None and wide._zech is None
     # at m = 2**31 - 2 even a sum of two int32 logs passes int32; with exp
     # stubbed to the identity the results are the log arithmetic itself
     m = narrow.order - 1
     logs = [m, 1, m - 1, m - 2, m // 2 + 1, 2**30, 12345]
-    narrow._tables = (IdentityTable(), np.array(logs, dtype=np.int32), None)
+    narrow._tables = (IdentityTable(), np.array(logs, dtype=np.int32))
     idx = np.arange(1, len(logs))
     a, b = np.repeat(idx, idx.size), np.tile(idx, idx.size)
     got = narrow.mul_indices(a, b)
@@ -603,9 +606,47 @@ def test_over_budget_field_is_kept_alone(empty_cache):
 def test_accounted_bytes_match_built_tables(empty_cache):
     for ctx in FIELDS + [make_field(101, 1)]:
         bf = get_batch(ctx)
-        assert bf.table_bytes == sum(t.nbytes for t in bf.tables())
+        tables = bf.tables()  # builds zech, counted as it is built
+        assert bf.table_bytes == sum(t.nbytes for t in tables)
     accounted = sum(bf.table_bytes for bf in _CACHE.values())
     assert accounted == sum(t.nbytes for bf in _CACHE.values() for t in bf.tables())
+
+
+def held_bytes(bf):
+    """Bytes of the exp, log and zech tables and orbit_reps bf holds now."""
+    held = [*(bf._tables or ()), *bf._reps.values()]
+    if bf._zech is not None:
+        held.append(bf._zech)
+    return sum(a.nbytes for a in held)
+
+
+def test_power_map_scan_leaves_zech_unbuilt(empty_cache):
+    excov.exceptionality_scan(cyclic(make_field(3, 1), 5), 8)
+    assert len(_CACHE) == 8
+    for bf in _CACHE.values():
+        assert bf._tables is not None and bf._zech is None
+        assert bf.table_bytes == held_bytes(bf)
+
+
+def test_binomial_scan_builds_zech(empty_cache):
+    F3 = make_field(3, 1)
+    excov.exceptionality_scan(excov.RationalMap(excov.Poly(F3, [0, 1, 0, 0, 0, 1])), 8)
+    assert len(_CACHE) == 8
+    for bf in _CACHE.values():
+        assert bf._zech is not None
+        assert bf.table_bytes == held_bytes(bf)
+
+
+def test_next_get_batch_counts_a_zech_built_since(monkeypatch, empty_cache):
+    a, b = make_field(101, 1), make_field(103, 1)
+    bf_a, bf_b = get_batch(a), get_batch(b)
+    monkeypatch.setattr(_batch, "_CACHE_BYTES", bf_a.table_bytes + bf_b.table_bytes)
+    bf_b.eval_sparse([(2, 1), (1, 1)])  # x^2 + x, a sum: builds zech
+    assert bf_b._zech is not None and bf_a._zech is None
+    assert bf_a.table_bytes + bf_b.table_bytes > _batch._CACHE_BYTES
+    assert list(_CACHE) == [a.key, b.key]
+    assert get_batch(b) is bf_b
+    assert list(_CACHE) == [b.key]
 
 
 def test_wide_characteristic_agrees_with_scalar_engine():
@@ -667,7 +708,8 @@ def test_orbit_reps_are_the_least_log_of_each_orbit(p, D):
         assert np.array_equal(reps, least_rotations(m, p**d, D // d)), d
         built += reps.nbytes
         assert bf.orbit_reps(d) is reps
-    assert bf.table_bytes == np.dtype(bf.dtype).itemsize * (3 * bf.order - 2) + built
+    assert bf._zech is None
+    assert bf.table_bytes == np.dtype(bf.dtype).itemsize * (2 * bf.order - 1) + built
 
 
 def subfield_element(x, e):
@@ -695,6 +737,28 @@ ORBIT_FIELDS = [  # (p, k, t): maps over F_{p^k} evaluated on F_{p^(kt)}
 ]
 
 
+def random_sums(rng, base, trial):
+    """Seeded (terms, den) over base, whose coefficients lie in a random
+    subfield: zeros on short orbits for odd trials, a denominator with
+    poles from trial 3 on."""
+    k = base.k
+    e = rng.choice([e for e in range(1, k + 1) if k % e == 0])
+
+    def coeff():
+        return subfield_element(base.from_index(rng.randrange(1, base.order)), e)
+
+    terms = [(rng.randrange(40), coeff()) for _ in range(rng.randint(2, 5))]
+    if trial % 2:  # a root in F_q: the sum is 0 on a short orbit
+        root = base.from_index(rng.randrange(1, base.order))
+        n = rng.randrange(1, 9)
+        terms += [(n, 1), (0, -(root**n))]
+    den = None
+    if trial >= 3:  # x**n - c: poles wherever c has an n-th root
+        n = rng.randrange(1, 9)
+        den = [(n, 1), (0, -coeff()), (rng.randrange(n + 1, 30), coeff())]
+    return terms, den
+
+
 @pytest.mark.parametrize("p, k, t", ORBIT_FIELDS, ids=lambda v: str(v))
 def test_orbit_path_matches_full_field_evaluation(p, k, t):
     rng = random.Random(p * 100 + k * 10 + t)
@@ -702,24 +766,44 @@ def test_orbit_path_matches_full_field_evaluation(p, k, t):
     K = make_extension(base, t)
     bf = BatchField(K)
     for trial in range(6):
-        e = rng.choice([e for e in range(1, k + 1) if k % e == 0])
-
-        def coeff():
-            return subfield_element(base.from_index(rng.randrange(1, base.order)), e)
-
-        terms = [(rng.randrange(40), coeff()) for _ in range(rng.randint(2, 5))]
-        if trial % 2:  # a root in F_q: the sum is 0 on a short orbit
-            root = base.from_index(rng.randrange(1, base.order))
-            n = rng.randrange(1, 9)
-            terms += [(n, 1), (0, -(root**n))]
-        den = None
-        if trial >= 3:  # x**n - c: poles wherever c has an n-th root
-            n = rng.randrange(1, 9)
-            den = [(n, 1), (0, -coeff()), (rng.randrange(n + 1, 30), coeff())]
+        terms, den = random_sums(rng, base, trial)
         got = bf.eval_sparse(terms, den)
         assert np.array_equal(got, full_field_table(bf, terms, den)), (terms, den)
     if K.k > 1:
         assert bf._reps  # some trial took the orbit path
+
+
+def from_labels(bf, lab):
+    """Element indices of log-coordinate labels: j < m is g**j, m is 0, and
+    Q, infinity, stays Q."""
+    exp = bf._exp_log()[0]
+    m = bf.order - 1
+    out = np.where(lab == m, 0, exp[np.minimum(lab, m - 1)])
+    return np.where(lab == bf.order, bf.order, out)
+
+
+@pytest.mark.parametrize(
+    "p, k, t", ORBIT_FIELDS + [(2, 1, 1), (2, 1, 5), (2, 2, 1), (2, 2, 4)], ids=lambda v: str(v)
+)
+def test_log_coordinate_table_relabels_the_index_table(p, k, t):
+    # slot j of the labelled table is the point g**j and slot m the point 0
+    rng = random.Random(p * 100 + k * 10 + t + 1)
+    base = make_field(p, k)
+    K = make_extension(base, t)
+    bf = BatchField(K)
+    m = K.order - 1
+    exp = bf._exp_log()[0]
+    for trial in range(6):
+        terms, den = random_sums(rng, base, trial)
+        want = bf.eval_sparse(terms, den)
+        out = np.full(K.order, -1, dtype=np.int64)
+        assert bf.eval_sparse(terms, den, out=out, _labels=True) is out
+        assert np.array_equal(from_labels(bf, out[:m]), want[exp]), (terms, den)
+        assert from_labels(bf, out[m]) == want[0], (terms, den)
+    # a constant and a zero map: every slot takes the one value
+    for terms in ([(0, base.one())], []):
+        lab = bf.eval_sparse(terms, _labels=True)
+        assert np.array_equal(from_labels(bf, lab), bf.eval_sparse(terms))
 
 
 def test_orbit_path_writes_in_place_and_marks_poles():

@@ -87,6 +87,24 @@ def test_dp_subcommand(capsys):
     assert [r["range_equal"] for r in doc["results"]] == [False, True]
 
 
+def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch):
+    # both flags come from one table per map and t
+    calls = []
+    eval_sparse = excov._batch.BatchField.eval_sparse
+
+    def counting(self, *args, **kwargs):
+        calls.append(self.order)
+        return eval_sparse(self, *args, **kwargs)
+
+    monkeypatch.setattr(excov._batch.BatchField, "eval_sparse", counting)
+    doc = run_json(
+        capsys,
+        ["dp", "--field", "5", "--f", "poly:0,0,1", "--g", "poly:0,0,2", "--tmax", "3"],
+    )
+    assert len(doc["results"]) == 3
+    assert calls == [5, 5, 25, 25, 125, 125]
+
+
 def test_group_subcommand(capsys):
     doc = run_json(capsys, ["group", "--model", "dickson:5,3"])
     assert doc["set"] == {"modulus": 2, "residues": [1]}

@@ -1,14 +1,18 @@
 """Value tables over the projective line and exceptionality scans."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from excov._batch import get_batch
+from excov._batch import _BLOCK, get_batch, permutation_period
 from excov.errors import CapExceededError, ValidationError
 from excov.excscan import (
+    TRecord,
+    _dp_flags,
+    _record,
     dp_range_test,
     exceptionality_scan,
     idp_multiset_test,
@@ -16,8 +20,16 @@ from excov.excscan import (
     value_table,
 )
 from excov.frobset import from_residues
-from excov.gf import make_extension, make_field
-from excov.projmap import Poly, RationalMap, cyclic, dickson, parse_map_spec, redei
+from excov.gf import _is_prime, make_extension, make_field
+from excov.projmap import (
+    Poly,
+    RationalMap,
+    compose,
+    cyclic,
+    dickson,
+    parse_map_spec,
+    redei,
+)
 
 F3 = make_field(3, 1)
 F5 = make_field(5, 1)
@@ -217,3 +229,122 @@ def test_cubing_permutes_p1_over_f65537():
     assert math.gcd(3, 65536) == 1
     assert rep.records[0].bijective
     assert rep.records[0].value_counts == {1: 65538}
+
+
+# -- records and pair flags in log coordinates ---------------------------------
+
+
+def record_oracle(f, t):
+    """A scan record read off the index-order value table."""
+    tab = value_table(f, t)
+    counts = np.bincount(tab, minlength=tab.shape[0])
+    bij = bool(counts.max(initial=0) == 1)
+    surj = bool(counts.min(initial=1) >= 1)
+    hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
+    del counts
+    period = permutation_period(tab) if bij else None
+    return TRecord(t, bij, surj, hist, period)
+
+
+F2 = make_field(2, 1)
+F11 = make_field(11, 1)
+# m > 2 * _BLOCK, and p = 2 mod 3, so x^3 + c permutes F_p
+BIG_P = next(n for n in range(2 * _BLOCK + 3, 4 * _BLOCK) if n % 3 == 2 and _is_prime(n))
+BIG = make_field(BIG_P, 1)
+
+
+def rat(ctx, num, den):
+    return RationalMap(Poly(ctx, num), Poly(ctx, den))
+
+
+RECORD_CASES = [  # (map, largest t)
+    # polynomials with a constant term
+    (RationalMap(Poly(F5, [3, 0, 1, 1])), 5),
+    (RationalMap(Poly(F7, [1, 2, 0, 0, 1])), 4),
+    (dickson(F7, 5, 3), 4),
+    (RationalMap(Poly(F11, [4, 1, 0, 7, 0, 0, 0, 1])), 3),
+    # rational maps: poles at 0 and infinity, and finite values at infinity
+    (rat(F5, [1, 0, 1], [0, 1]), 6),  # (x^2+1)/x: pole at 0, fixes infinity
+    (rat(F7, [3, 0, 2], [0, 1, 1]), 4),  # (2x^2+3)/(x^2+x): infinity -> 2
+    (rat(F5, [1, 1], [0, 0, 0, 1]), 5),  # (x+1)/x^3: infinity -> 0
+    (rat(F5, [0, 0, 0, 1], [3, 0, 1]), 5),  # x^3/(x^2-2): poles off F_5
+    (redei(F5, 7, 2), 5),
+    (rat(F7, [2], [1]), 3),  # a constant
+    # coefficients from a proper subfield: the orbit path
+    (FROBENIUS_CASES[3][0], 4),
+    (RationalMap(Poly(F9, [1, 2, 0, 1, 0, 1])), 5),
+    (dickson(F3, 7, 1), 10),
+    # the F_2 and F_4 towers
+    (RationalMap(Poly(F2, [1, 1, 0, 1])), 12),
+    (RationalMap(Poly(F2, [0, 1, 1])), 10),
+    (rat(F2, [1, 1, 1], [0, 1]), 10),
+    (cyclic(F2, 3), 10),
+    (FROBENIUS_CASES[4][0], 5),
+    (cyclic(F4, 3), 6),
+    (rat(F4, [F4.gen(), 0, 1], [1, 1]), 6),
+]
+
+
+@pytest.mark.parametrize("f, t_max", RECORD_CASES, ids=lambda v: str(v)[:40])
+def test_records_match_index_order_oracle(f, t_max):
+    for t in range(1, t_max + 1):
+        assert _record(f, t, True) == record_oracle(f, t), t
+
+
+@pytest.mark.parametrize(
+    "f, t",
+    [
+        (RationalMap(Poly(BIG, [5, 0, 0, 1])), 1),  # x^3 + 5: bijective, a period
+        (RationalMap(Poly(BIG, [1, 1, 0, 1])), 1),
+        (rat(BIG, [2, 0, 1], [0, 0, 1, 1]), 1),  # (x^2+2)/(x^3+x^2)
+        (cyclic(BIG, 3), 1),
+        (dickson(F3, 11, 1), 12),  # permutes F_{3^12}: 11 does not divide 3^24 - 1
+        (RationalMap(Poly(F2, [1, 1, 0, 1, 1])), 18),
+    ],
+    ids=lambda v: str(v)[:40],
+)
+def test_records_match_index_order_oracle_past_two_blocks(f, t):
+    assert f.ctx.order**t - 1 > 2 * _BLOCK
+    assert _record(f, t, True) == record_oracle(f, t)
+
+
+def test_records_without_periods():
+    f = dickson(F3, 5, 1)
+    for t in range(1, 7):
+        want = record_oracle(f, t)
+        assert _record(f, t, False) == dataclasses.replace(want, period=None)
+
+
+def dp_oracle(f, g, t):
+    """(range equal, multiset equal) from the index-order value tables."""
+    tf, tg = value_table(f, t), value_table(g, t)
+    cf, cg = (np.bincount(x, minlength=tf.shape[0]) for x in (tf, tg))
+    return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))
+
+
+def test_dp_flags_match_index_order_oracle_on_seeded_pairs():
+    rng = random.Random(18)
+    seen = set()
+    for ctx in (F2, F4, F5, F7, F9):
+
+        def elem(nonzero=False):
+            return ctx.from_index(rng.randrange(1 if nonzero else 0, ctx.order))
+
+        for _ in range(8):
+            num = [elem() for _ in range(rng.randint(1, 6))] + [elem(True)]
+            f = RationalMap(Poly(ctx, num))
+            if rng.random() < 0.5:
+                f = RationalMap(f.num, Poly(ctx, [elem(), elem(True)]))
+            kind = rng.randrange(3)
+            if kind == 0:  # f after an affine bijection: the same multiset
+                g = compose(f, RationalMap(Poly(ctx, [elem(), elem(True)])))
+            elif kind == 1:  # a scalar multiple
+                g = RationalMap(Poly(ctx, [elem(True) * c for c in f.num.coeffs]), f.den)
+            else:
+                g = RationalMap(Poly(ctx, [elem() for _ in range(4)] + [elem(True)]))
+            for t in (1, 2, 3):
+                want = dp_oracle(f, g, t)
+                assert _dp_flags(f, g, t) == want, (f, g, t)
+                assert (dp_range_test(f, g, t), idp_multiset_test(f, g, t)) == want
+                seen.add(want)
+    assert seen == {(False, False), (True, False), (True, True)}
