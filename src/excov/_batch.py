@@ -10,10 +10,14 @@ from a fixed multiplicative generator g, with m = Q - 1:
 - ``zech[n] = log(1 + g**n)``, Zech's logarithm, or m where 1 + g**n = 0
   (Lidl and Niederreiter, *Finite Fields*, ch. 3).
 
-exp and log are one build, made on first use: log is exp's scatter, and
-every evaluation reads it for its coefficients.  zech is built only when
-a sum of two or more terms is evaluated (``_logs_at``) or ``tables()`` is
-asked for, so power maps and products never pay for it.
+exp and log are one build, made on first use: log is exp's scatter.  An
+evaluation reads log only for a coefficient other than 1 (log 1 = 0
+under every generator) and exp only to write index order, so a scan of
+x**n or x**a / x**b builds neither and searches no generator.  zech is
+built only when a sum of two or more terms is evaluated (``_logs_at``) or
+``tables()`` is asked for.  ``table_bytes`` counts exp and log from
+construction, built or not, as a reservation: ``get_batch`` then evicts
+other fields before a large build, not after it.
 
 The generator and the tables come from the F_p-matrix engine in ``gf``:
 multiplication by an element is a D x D matrix over F_p on its digit
@@ -96,9 +100,9 @@ class BatchField:
         self._work = np.int64 if self.D == 1 else np.float64
         self._pack_weights = self.p ** np.arange(self.D, dtype=self._work)
         self.dtype = _index_dtype(self.order)
-        # exp and log, of Q - 1 and Q entries, are counted from the start:
-        # any use of the tables builds both.  zech and the orbit_reps are
-        # added as built
+        # exp and log, of Q - 1 and Q entries, are reserved from the start,
+        # built or not, so get_batch evicts before their build.  zech and
+        # the orbit_reps are added as built
         self.table_bytes = np.dtype(self.dtype).itemsize * (2 * self.order - 1)
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._zech: np.ndarray | None = None
@@ -202,8 +206,10 @@ class BatchField:
 
     def label(self, index: int) -> int:
         """The log-coordinate label of an element index: log x for a unit,
-        m for 0; Q, standing for infinity, stays Q."""
-        return index if index == self.order else int(self._exp_log()[1][index])
+        m for 0; Q, standing for infinity, stays Q; only a unit reads log."""
+        if index == self.order:
+            return index
+        return self.order - 1 if index == 0 else int(self._exp_log()[1][index])
 
     def pow_indices(self, idx: np.ndarray, e: int) -> np.ndarray:
         """Index array of x**e; zero stays zero for every e, even e <= 0."""
@@ -246,6 +252,9 @@ class BatchField:
         in log coordinates (module docstring): slot j < m holds the label
         of f(g**j) and slot m that of f(0), so the value logs go out as
         they are, without the exp gathers and scatter of index order.
+        Index order builds exp and log; log coordinates read log only for
+        a coefficient other than 1, and zech only for a sum, so a monic
+        single term or a quotient of two builds no table at all.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
         by ``_logs_at``.  When a sum has two or more terms, only the least
@@ -257,7 +266,7 @@ class BatchField:
         zero or a pole stays one along its orbit.  Otherwise r = 1 and the
         blocks run over every log.  x = 0 takes the constant terms.
         """
-        exp = self._exp_log()[0]
+        exp = None if _labels else self._exp_log()[0]
         Q, m = self.order, self.order - 1
         sums = [self._term_logs(terms)]
         if den is not None:
@@ -312,7 +321,6 @@ class BatchField:
         self, terms: Sequence[tuple[int, FieldElem | int]]
     ) -> tuple[FieldElem, list[tuple[int, int]]]:
         """The value at 0 of sum(c * x**e), and (e mod m, log c) per nonzero term."""
-        log = self._exp_log()[1]
         m = self.order - 1
         const = self.ctx.zero()
         logs = []
@@ -322,7 +330,8 @@ class BatchField:
                 continue
             if e == 0:
                 const = const + c
-            logs.append((e % m, int(log[c.index])))
+            # log 1 = 0 under any generator: a monic term reads no table
+            logs.append((e % m, 0 if c.index == 1 else int(self._exp_log()[1][c.index])))
         return const, logs
 
     def _frobenius_step(self, lcs: list[int]) -> int:
@@ -552,11 +561,12 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
 
 # -- instance cache -----------------------------------------------------------
 
-# Bytes of tables the cached fields may hold together: exp and log, and the
-# zech tables and orbit_reps built so far.  Every field of F_3 up to t = 12
-# (9.6 MB of tables with zech, under 0.3 MB of representatives), the
-# largest tower under a 600000-point scan cap, fits, so repeated scans up
-# one tower build each field once; a larger budget only raises peak RSS.
+# Bytes of tables the cached fields may hold together: exp and log, built
+# or only reserved, and the zech tables and orbit_reps built so far.  Every
+# field of F_3 up to t = 12 (9.6 MB of tables with zech, under 0.3 MB of
+# representatives), the largest tower under a 600000-point scan cap, fits,
+# so repeated scans up one tower build each field once; a larger budget
+# only raises peak RSS.
 _CACHE_BYTES = 24 << 20
 _CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field

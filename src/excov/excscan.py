@@ -16,7 +16,10 @@ relabelling of P1, so its fibers, its bijectivity and, when it permutes,
 its cycle lengths are those of the index-order table; and two maps
 relabelled alike keep equal or unequal value sets and multisets.  The
 evaluation computes value logs anyway, so the table comes without the
-gathers and scatter that index order costs.
+gathers and scatter that index order costs.  For x^n or x^a/x^b it is
+j -> n*j mod m, evaluated at every point without a generator or a table;
+a coefficient other than 1 or index order (``value_table``) builds exp
+and log, and a sum of two or more terms zech too.
 """
 
 from __future__ import annotations

@@ -621,11 +621,23 @@ def held_bytes(bf):
 
 
 def test_power_map_scan_leaves_zech_unbuilt(empty_cache):
+    # exp and log are not built, yet stay reserved in table_bytes
     excov.exceptionality_scan(cyclic(make_field(3, 1), 5), 8)
     assert len(_CACHE) == 8
     for bf in _CACHE.values():
-        assert bf._tables is not None and bf._zech is None
-        assert bf.table_bytes == held_bytes(bf)
+        assert bf._tables is None and bf._zech is None
+        reserved = np.dtype(bf.dtype).itemsize * (2 * bf.order - 1)
+        assert bf.table_bytes == reserved + held_bytes(bf)
+
+
+def test_labels_of_zero_and_infinity_and_monic_terms_read_no_table():
+    bf = BatchField(make_field(101, 1))
+    assert (bf.label(0), bf.label(101)) == (100, 101)
+    lab = bf.eval_sparse([(3, 1)], [(5, 1)], _labels=True)  # x^3 / x^5, a pole at 0
+    assert np.array_equal(lab, np.append(-2 * np.arange(100) % 100, 101))
+    assert bf._tables is None
+    bf.eval_sparse([(3, 1)])  # index order reads exp
+    assert bf._tables is not None
 
 
 def test_binomial_scan_builds_zech(empty_cache):

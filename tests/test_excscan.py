@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from excov import _batch
 from excov._batch import _BLOCK, get_batch, permutation_period
 from excov.errors import CapExceededError, ValidationError
 from excov.excscan import (
@@ -320,6 +321,69 @@ def dp_oracle(f, g, t):
     tf, tg = value_table(f, t), value_table(g, t)
     cf, cg = (np.bincount(x, minlength=tf.shape[0]) for x in (tf, tg))
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))
+
+
+# the F_2..F_9 towers, and primes on both sides of 2**6, 2**7, 2**15 and
+# sqrt(2**31), and 2**16 + 1
+MONIC_BASES = [F2, F3, F4, F5, F7, make_field(2, 3), F9] + [
+    make_field(p, 1) for p in (61, 67, 127, 131, 32749, 32771, 46337, 46349, 65537)
+]
+
+
+def monic_t_max(ctx, cap=1 << 16):
+    """The largest t with q**t <= cap, and at least 1."""
+    t = 1
+    while ctx.order ** (t + 1) <= cap:
+        t += 1
+    return t
+
+
+def monic_maps(ctx):
+    """x^n, and x^a/x^b, which reduces to 1/x^(b-a)."""
+    mono = [[0] * n + [1] for n in range(7)]
+    return [cyclic(ctx, n) for n in (1, 2, 3, 5)] + [
+        rat(ctx, mono[a], mono[b]) for a, b in ((1, 2), (2, 5), (4, 6))
+    ]
+
+
+@pytest.fixture
+def fresh_tables(monkeypatch):
+    """An empty field cache and generator memo, restored afterwards."""
+    monkeypatch.setattr(_batch, "_CACHE", {})
+    monkeypatch.setattr(_batch, "_GENERATORS", {})
+
+
+def assert_no_table_built():
+    for bf in _batch._CACHE.values():
+        assert bf._tables is None and bf._zech is None and not bf._reps
+    assert not _batch._GENERATORS  # no generator was searched
+
+
+@pytest.mark.parametrize("ctx", MONIC_BASES, ids=lambda c: f"{c.p}^{c.k}")
+def test_monic_scans_build_no_table_and_match_index_order_oracle(ctx, fresh_tables):
+    t_max = monic_t_max(ctx)
+    maps = monic_maps(ctx)
+    for f in maps:
+        _batch._CACHE.clear()
+        _batch._GENERATORS.clear()
+        rep = exceptionality_scan(f, t_max)
+        flags = [_dp_flags(f, maps[-1], t) for t in range(1, t_max + 1)]
+        assert_no_table_built()
+        assert rep.t_reached == t_max
+        assert list(rep.records) == [record_oracle(f, t) for t in range(1, t_max + 1)], f
+        assert flags == [dp_oracle(f, maps[-1], t) for t in range(1, t_max + 1)], f
+
+
+@pytest.mark.parametrize("ctx", [F3, F4, F7, F9, make_field(131, 1)], ids=lambda c: f"{c.p}^{c.k}")
+def test_scaled_power_map_reads_the_log_table(ctx, fresh_tables):
+    t_max = monic_t_max(ctx)
+    c = ctx.from_index(ctx.order - 1)  # neither 0 nor 1
+    f = RationalMap(Poly(ctx, [0, 0, 0, c]))
+    rep = exceptionality_scan(f, t_max)
+    for t in range(1, t_max + 1):
+        bf = _batch._CACHE[make_extension(ctx, t).key]
+        assert bf._tables is not None and bf._zech is None
+    assert list(rep.records) == [record_oracle(f, t) for t in range(1, t_max + 1)]
 
 
 def test_dp_flags_match_index_order_oracle_on_seeded_pairs():
