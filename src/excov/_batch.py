@@ -12,12 +12,11 @@ from a fixed multiplicative generator g, with m = Q - 1:
 
 exp and log are one build, made on first use: log is exp's scatter.  An
 evaluation reads log only for a coefficient other than 1 (log 1 = 0
-under every generator) and exp only to write index order, so a scan of
-x**n or x**a / x**b builds neither and searches no generator.  zech is
-built only when a sum of two or more terms is evaluated (``_logs_at``) or
-``tables()`` is asked for.  ``table_bytes`` counts exp and log from
-construction, built or not, as a reservation: ``get_batch`` then evicts
-other fields before a large build, not after it.
+under every generator) and never reads exp, so a scan of x**n or
+x**a / x**b builds neither and searches no generator.  zech is built
+only when a sum of two or more terms is evaluated or ``tables()`` is
+asked for.  ``table_bytes`` counts exp and log from construction, built
+or not, as a reservation: ``get_batch`` then evicts before a large build.
 
 The generator and the tables come from the F_p-matrix engine in ``gf``:
 multiplication by an element is a D x D matrix over F_p on its digit
@@ -33,27 +32,26 @@ only its lowest base-p digit, so the "+1" step behind ``zech`` is index
 arithmetic: i + 1, or i - (p - 1) when i % p == p - 1.
 
 A sparse polynomial (``eval_sparse``) is evaluated one log at a time:
-term by term, each new term added by one Zech gather.  Its table comes in
-index order, or, for a scan, in log coordinates: the unit g**j is label
-j, 0 is label m and infinity label Q, and slot j holds the label of
-f(g**j), slot m that of f(0).  That is the value log the evaluation
-computes anyway, so no exp gather or scatter is made.  When its
-coefficients lie in F_{p**d} for a d < D, x -> x**(p**d) commutes with
-it, and in log space that map is j -> j * p**d mod m.  So a sum of two
-or more terms is evaluated only at the least log of each of these orbits
-(``orbit_reps``), about m*d/D of them, and each value log v at j is
-written out at j * p**(d*k) as v * p**(d*k), k < D/d.  The representatives
-are cached per field and d, at about 4d/D bytes per point.
+term by term, each new term added by one Zech gather.  Its table is in
+log coordinates, the value logs it computes anyway: the unit g**j is
+label j, 0 is label m and infinity label Q, and slot j holds the label
+of f(g**j), slot m that of f(0).  ``index_order`` alone turns a table
+into element indices.  When the coefficients lie in F_{p**d} for a
+d < D, x -> x**(p**d) commutes with f, and in log space that map is
+j -> j * p**d mod m.  So a sum of two or more terms is evaluated only at
+the least log of each of these orbits (``orbit_reps``), about m*d/D of
+them, and each value log v at j is written out at j * p**(d*k) as
+v * p**(d*k), k < D/d.  The representatives are cached per field and d,
+at about 4d/D bytes per point.
 
 Tables are stored at the width ``_index_dtype(Q)``: int32 while
 Q < 2**31, 8 bytes per point for exp and log and 4 more for zech, else
 int64.  A sum or product of two logs can pass int32, so it is always
 formed in int64 after a cast; such a product is below m**2, so fields
 with m**2 >= 2**63 are refused with ``CapExceededError`` before any table
-is built rather than allowed to wrap.  Whole-field outputs
-(``eval_sparse``) are int64: ``np.bincount`` and fancy indexing widen an
-int32 index array to a full int64 copy, so a narrower output would raise
-a scan's peak memory, not lower it.
+is built rather than allowed to wrap.  Whole-field tables are int64:
+``np.bincount`` and fancy indexing widen an int32 index array to a full
+int64 copy, so a narrower table would raise a scan's peak, not lower it.
 """
 
 from __future__ import annotations
@@ -240,21 +238,12 @@ class BatchField:
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None = None,
         out: np.ndarray | None = None,
-        *,
-        _labels: bool = False,
     ) -> np.ndarray:
-        """Index table of sum(c * x**e) over every x, in index order.
-
-        With ``den``, the table of the quotient by that sum, holding Q at
-        its zeros (the poles).  Coefficients may come from any field below
-        this one.  The table is written into ``out`` (int64, Q slots), or
-        into a new array when it is None.  With ``_labels`` it is written
-        in log coordinates (module docstring): slot j < m holds the label
-        of f(g**j) and slot m that of f(0), so the value logs go out as
-        they are, without the exp gathers and scatter of index order.
-        Index order builds exp and log; log coordinates read log only for
-        a coefficient other than 1, and zech only for a sum, so a monic
-        single term or a quotient of two builds no table at all.
+        """Label table of sum(c * x**e): slot j < m holds the label of
+        f(g**j), slot m that of f(0), so a zero is m.  With ``den``, the
+        quotient by that sum, whose poles are Q.  Coefficients may come
+        from any field below this one.  Written into ``out`` (int64, Q
+        slots), or a new array when it is None.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
         by ``_logs_at``.  When a sum has two or more terms, only the least
@@ -266,7 +255,6 @@ class BatchField:
         zero or a pole stays one along its orbit.  Otherwise r = 1 and the
         blocks run over every log.  x = 0 takes the constant terms.
         """
-        exp = None if _labels else self._exp_log()[0]
         Q, m = self.order, self.order - 1
         sums = [self._term_logs(terms)]
         if den is not None:
@@ -286,35 +274,43 @@ class BatchField:
             else:
                 j = reps[lo:hi].astype(np.int64)
             v, zeros = self._logs_at(j, sums[0][1])
-            marks = [(zeros, m if _labels else 0)]  # the label or index of 0
+            marks = [(zeros, m)]
             if den is not None:
                 dv, poles = self._logs_at(j, sums[1][1])
                 v -= dv
                 v %= m
                 marks.append((poles, Q))  # after the zeros: a pole wins
+            dest = slice(lo, hi) if reps is None else j  # j rotates in place
             for k in range(r):
                 if k:
                     j *= s
                     j %= m
                     v *= s
                     v %= m
-                if not _labels:
-                    dest, vals = exp[j], exp[v]
-                else:  # v itself, marks and all: they are set again after each rotation
-                    dest, vals = (slice(lo, hi) if reps is None else j), v
+                # v itself, marks and all: they are set again after each rotation
                 for at, mark in marks:
-                    vals[at] = mark
-                out[dest] = vals
+                    v[at] = mark
+                out[dest] = v
         top = sums[0][0]
         if den is None:
             at_zero = top.index
         else:
             bottom = sums[1][0]
             at_zero = Q if bottom.is_zero() else (top / bottom).index
-        if _labels:
-            out[m] = self.label(at_zero)
-        else:
-            out[0] = at_zero
+        out[m] = self.label(at_zero)
+        return out
+
+    def index_order(self, table: np.ndarray) -> np.ndarray:
+        """A label table of Q slots, or Q + 1 with infinity last, in index
+        order: slot i holds the index of the value at element i.  One
+        gather through exp extended by 0 and Q, and one scatter by exp."""
+        exp = self._exp_log()[0]
+        m = self.order - 1
+        to_index = np.concatenate([exp, np.array([0, self.order], dtype=exp.dtype)])
+        out = np.empty_like(table)
+        out[exp] = to_index[table[:m]]
+        out[0] = to_index[table[m]]
+        out[m + 1 :] = to_index[table[m + 1 :]]
         return out
 
     def _term_logs(
@@ -428,7 +424,7 @@ class BatchField:
 
     def power_table(self, n: int) -> np.ndarray:
         """Index table of x**n for every x, with 0**0 = 1.  n >= 0."""
-        return self.eval_sparse([(n, 1)])
+        return self.index_order(self.eval_sparse([(n, 1)]))
 
 
 # -- permutation utilities ----------------------------------------------------

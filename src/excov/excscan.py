@@ -6,20 +6,18 @@ and the order of the induced permutation, then fits the bijective t's to a
 unit-closed progression set.  Range and fiber-multiset comparisons for map
 pairs live here too.
 
-``value_table`` lists values in index order: slot i holds the image of
-the i-th element.  Scans and pair comparisons read a table in log
-coordinates instead (``_batch``): with g the field's generator and
-m = q^t - 1, the unit g^j is label j, 0 is label m and infinity label
-q^t, and slot j holds the label of f(g^j), slot m that of f(0) and slot
-q^t that of f(infinity).  This is the same map conjugated by a
-relabelling of P1, so its fibers, its bijectivity and, when it permutes,
-its cycle lengths are those of the index-order table; and two maps
-relabelled alike keep equal or unequal value sets and multisets.  The
-evaluation computes value logs anyway, so the table comes without the
-gathers and scatter that index order costs.  For x^n or x^a/x^b it is
-j -> n*j mod m, evaluated at every point without a generator or a table;
-a coefficient other than 1 or index order (``value_table``) builds exp
-and log, and a sum of two or more terms zech too.
+Every table here is in log coordinates (``_batch``): with g the field's
+generator and m = q^t - 1, the unit g^j is label j, 0 is label m and
+infinity label q^t, and slot j holds the label of f(g^j), slot m that of
+f(0) and slot q^t that of f(infinity).  This is the same map conjugated
+by a relabelling of P1, so its fibers, its bijectivity and, when it
+permutes, its cycle lengths are those in index order; and two maps
+relabelled alike keep equal or unequal value sets and multisets.  For
+x^n or x^a/x^b the table is j -> n*j mod m, evaluated at every point
+without a generator or a table; a coefficient other than 1 builds exp
+and log, and a sum of two or more terms zech too.  ``value_table`` is
+the one reader that wants element indices: it converts the table with
+``BatchField.index_order``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import frobset
-from ._batch import get_batch, permutation_period
+from ._batch import BatchField, get_batch, permutation_period
 from .errors import CapExceededError, ValidationError, check_power_cap
 from .frobset import FrobeniusSet
 from .gf import FieldCtx, make_extension
@@ -56,11 +54,12 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     Slot i < q^t holds the image of the i-th field element; the last slot
     holds the image of infinity.  Infinity itself is encoded as q^t.
     """
-    return _table(f, t, labels=False)
+    bf, tab = _table(f, t)
+    return bf.index_order(tab)
 
 
-def _table(f: Union[RationalMap, Poly], t: int, labels: bool) -> np.ndarray:
-    """``value_table``, or with ``labels`` the table in log coordinates."""
+def _table(f: Union[RationalMap, Poly], t: int) -> tuple[BatchField, np.ndarray]:
+    """The field's ``BatchField`` and the table of f in log coordinates."""
     if isinstance(f, Poly):
         f = RationalMap(f)
     K = _scan_field(f, t)
@@ -68,10 +67,9 @@ def _table(f: Union[RationalMap, Poly], t: int, labels: bool) -> np.ndarray:
     Q = K.order
     out = np.empty(Q + 1, dtype=np.int64)
     den = None if f.is_polynomial else _poly_terms(f.den)
-    bf.eval_sparse(_poly_terms(f.num), den, out=out[:Q], _labels=labels)
-    at_infinity = eval_p1(f, P1Point.infinity(K)).index()
-    out[Q] = bf.label(at_infinity) if labels else at_infinity
-    return out
+    bf.eval_sparse(_poly_terms(f.num), den, out=out[:Q])
+    out[Q] = bf.label(eval_p1(f, P1Point.infinity(K)).index())
+    return bf, out
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,6 @@ class ScanReport:
     records: tuple[TRecord, ...]
     fitted: Optional[FrobeniusSet]
     fit_depth: int
-
-    def bijective_ts(self) -> list[int]:
-        return [r.t for r in self.records if r.bijective]
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,7 +159,7 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
     """One t of a scan, read off the table in log coordinates.  Its fiber
     counts are freed before the period kernel runs, and its table on
     return, before the next t builds tables up to q times their size."""
-    tab = _table(f, t, labels=True)
+    tab = _table(f, t)[1]
     counts = np.bincount(tab, minlength=tab.shape[0])
     bij = bool(counts.max(initial=0) == 1)
     surj = bool(counts.min(initial=1) >= 1)
@@ -201,9 +196,9 @@ def _dp_flags(
     coordinates, one ``bincount`` each."""
     if f.ctx != g.ctx:
         raise ValidationError("maps over different fields")
-    tf = _table(f, t, labels=True)
+    tf = _table(f, t)[1]
     n = tf.shape[0]
     cf = np.bincount(tf, minlength=n)
     del tf
-    cg = np.bincount(_table(g, t, labels=True), minlength=n)
+    cg = np.bincount(_table(g, t)[1], minlength=n)
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

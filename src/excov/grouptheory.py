@@ -15,11 +15,12 @@ entries count against the field cap.  Everything is read off E:
   the off-diagonal pairs X x X minus the diagonal (the absolutely
   irreducible components of the fiber product).  Those orbits are the
   suborbits of the stabilizer of 0, and one pass over E finds them and the
-  permutation tau makes of them, whatever the coset period d.
-- The coset pass serves the pr-exceptional mode, intransitive groups and
-  the paired range and fiber-count tests.  With T the images of tau^t, the
-  images of every g*tau^t are the one gather T[E], their fixed points
-  T[E] == arange, and tau^(t+1) is one more gather.
+  permutation tau makes of them, whatever the coset period d.  It serves
+  the pr-exceptional mode too (`coset_exceptionality`).
+- The coset pass serves intransitive groups and the paired tests.  With
+  T the images of tau^t, the images of every g*tau^t are the one gather
+  T[E], their fixed points T[E] == arange, and tau^(t+1) is one more
+  gather.
 - `analyze_rep` reads transitivity, primitivity and the centralizer off
   the columns of E.
 `Perm` is the scalar type.  The oracles live in the tests: the coset pass
@@ -321,8 +322,12 @@ def analyze_rep(G: PermGroup) -> dict[str, bool]:
     transitive = n > 0 and len(first) == n
     primitive = transitive
     if transitive:
-        H = E[fixes[:, 0]].tolist()
-        primitive = all(not any(_orbit_labels(H + [g.tolist()], n)) for g in E[first[1:]])
+        # h in H maps the block of {0, b} onto that of {0, h(b)}, so one b
+        # per suborbit of H is tested, its least point
+        H = E[fixes[:, 0]]
+        reps = np.flatnonzero(H.min(0) == np.arange(n))[1:]
+        H = H.tolist()
+        primitive = all(not any(_orbit_labels(H + [g.tolist()], n)) for g in E[first[reps]])
     doubly = False
     if n >= 2:
         pairs = np.sort(E[:, 0].astype(np.int64) * n + E[:, 1])
@@ -448,14 +453,17 @@ def coset_exceptionality(M: MonodromyData, mode: str = "exceptional") -> Frobeni
     """Residues t where every element of group*tau^t fixes exactly
     (mode "exceptional") or at least (mode "pr-exceptional") one point.
 
-    For a transitive group, mode "exceptional" is Fried's criterion: t
-    passes when no cycle of tau on the off-diagonal pair orbits has a
-    length dividing t.  Otherwise each coset is counted out.
+    For a transitive group both modes are Fried's criterion: t passes
+    when no cycle of tau on the off-diagonal pair orbits has a length
+    dividing t.  By Burnside's lemma the mean fixed-point count over
+    G*tau^t is the number of G-orbits tau^t maps to themselves, 1 for a
+    transitive G, so at least one fixed point everywhere is exactly one.
+    Otherwise each coset is counted out.
     """
     if mode not in ("exceptional", "pr-exceptional"):
         raise ValidationError(f"unknown mode {mode!r}")
     exact = mode == "exceptional"
-    lengths = _suborbit_cycles(M.group, M.tau) if exact else None
+    lengths = _suborbit_cycles(M.group, M.tau)
     if lengths is not None:
         passing = {t for t in range(M.d) if all(t % k for k in lengths)}
         return _closed_residues(passing, M.d, mode)

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
 
 from ._batch import get_batch
 from .errors import (
@@ -25,7 +22,7 @@ from .errors import (
     check_field_cap,
     check_power_cap,
 )
-from .excscan import value_table
+from .excscan import _record, value_table
 from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import Poly, RationalMap
 
@@ -144,30 +141,15 @@ class EllipticCurveF:
         if (four * self.a ** 3 + twenty7 * self.b ** 2).is_zero():
             raise ValidationError("singular reduction: 4a^3 + 27b^2 = 0")
         check_field_cap(self.ctx.order, "curve point count")
-        bf = get_batch(self.ctx)  # infinity, then 1 + chi(x^3 + ax + b) points per x
-        rhs = bf.eval_sparse([(3, 1), (1, self.a), (0, self.b)])
-        count = self.ctx.order + 1 + int(bf.quadratic_character(rhs).sum())
+        # infinity, then 1 + chi(x^3 + ax + b) points per x
+        rhs = value_table(Poly(self.ctx, [self.b, self.a, 0, 1]), 1)[:-1]
+        count = self.ctx.order + 1 + int(get_batch(self.ctx).quadratic_character(rhs).sum())
         object.__setattr__(self, "n_points", count)
         object.__setattr__(self, "trace", self.ctx.order + 1 - count)
         if self.trace ** 2 > 4 * self.ctx.order:
             raise InternalInvariantError(
                 f"trace {self.trace} violates the Weil bound over order {self.ctx.order}"
             )
-
-    def rhs(self, x: FieldElem) -> FieldElem:
-        return x ** 3 + self.a * x + self.b
-
-    def points(self) -> list[Optional[tuple[FieldElem, FieldElem]]]:
-        """All rational points; None stands for the point at infinity."""
-        pts: list[Optional[tuple[FieldElem, FieldElem]]] = [None]
-        for i in range(self.ctx.order):
-            x = self.ctx.from_index(i)
-            v = self.rhs(x)
-            for j in range(self.ctx.order):
-                y = self.ctx.from_index(j)
-                if y * y == v:
-                    pts.append((x, y))
-        return pts
 
 
 def reduce_curve(e: EllipticCurveQ, ell: int) -> EllipticCurveF:
@@ -380,8 +362,8 @@ def oit_scan(e: EllipticCurveQ, p: int, ell_max: int, t_max: int) -> OitReport:
             except CapExceededError:
                 notices.append(f"ell={ell}: stopped at t={t} by the field cap")
                 break
-            hits = np.bincount(value_table(fmap, t))  # bijective: each slot once
-            cells.append(OitCell(t, oit_predict(red.trace, ell, p, t), bool((hits == 1).all())))
+            bijective = _record(fmap, t, with_periods=False).bijective
+            cells.append(OitCell(t, oit_predict(red.trace, ell, p, t), bijective))
         rows.append(
             OitRow(ell=ell, a_ell=red.trace, disc_nonresidue=marker, cells=tuple(cells))
         )

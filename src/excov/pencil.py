@@ -17,7 +17,8 @@ import numpy as np
 
 from ._batch import get_batch
 from .errors import InternalInvariantError, ValidationError, check_power_cap
-from .grouptheory import MonodromyData, _orbit_labels, fiber_tensor
+from .excscan import value_table
+from .grouptheory import MonodromyData, _coset_fixes
 from .projmap import Poly
 
 
@@ -62,12 +63,11 @@ def pencil_scan(f: Poly) -> PencilReport:
     if f.degree < 1:
         raise ValidationError("need deg f >= 1")
 
-    bf = get_batch(ctx)
-    counts = np.bincount(bf.eval_sparse(list(enumerate(f.coeffs))), minlength=p)
+    counts = np.bincount(value_table(f, 1)[:p], minlength=p)
     n_f = int((counts * (counts - 1)).sum())
     # E_lambda = sum over v of counts[v] * chi(v + lambda): a cyclic
     # correlation, taken exactly in int64 over chi extended by p - 1 entries
-    chi = bf.quadratic_character(np.arange(p))
+    chi = get_batch(ctx).quadratic_character(np.arange(p))
     e_values = np.correlate(np.concatenate([chi, chi[:-1]]), counts).tolist()
     w = sum(e * e for e in e_values)
 
@@ -94,14 +94,12 @@ def stable_component_count(model: MonodromyData) -> int:
     Orbits of the diagonal action on pairs play the role of components of
     the collision locus over the algebraic closure; only the orbits sent
     to themselves by the Frobenius element survive over the base field.
+    By the twisted Burnside lemma they number the mean over G*tau of the
+    off-diagonal pairs fixed, f^2 - f for an element fixing f points.
     """
-    gens = list(model.group.generators)
-    n = model.group.degree
-    labels = _orbit_labels([g.images for g in fiber_tensor(gens, gens)], n * n)
-    tau_pair = fiber_tensor([model.tau], [model.tau])[0]
-    moved = {labels[x] for x, y in enumerate(tau_pair.images) if labels[y] != labels[x]}
-    off_diagonal = {labels[x] for x in range(n * n) if x // n != x % n}
-    return len(off_diagonal - moved)
+    _, F = list(_coset_fixes(model.group, model.tau, 2))[1]  # the coset G*tau
+    f = F.sum(1, dtype=np.int64)
+    return int((f * f - f).sum()) // model.group.order
 
 
 @dataclass(frozen=True)

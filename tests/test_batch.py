@@ -29,7 +29,7 @@ from excov.acceptance import SCAN_CAP
 from excov.errors import CapExceededError, ValidationError, field_cap_scope
 from excov.excscan import value_table
 from excov.gf import _is_prime, make_extension, make_field
-from excov.projmap import cyclic
+from excov.projmap import _lift, cyclic
 
 
 FIELDS = [
@@ -50,6 +50,11 @@ def zech_sum(bf, a_idx, b_idx):
     z = zech[(lb - la) % m]
     total = np.where(z == m, 0, exp[(la + z) % m])
     return np.where(a_idx == 0, b_idx, np.where(b_idx == 0, a_idx, total))
+
+
+def index_table(bf, terms, den=None):
+    """eval_sparse's table of a sum or quotient, in index order."""
+    return bf.index_order(bf.eval_sparse(terms, den))
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"{c.p}^{c.k}")
@@ -142,7 +147,7 @@ def test_eval_sparse_matches_pointwise():
     bf = BatchField(ctx)
     a = base.from_int(3)
     # 2*x^7 + a*x^2 + 4
-    vals = bf.eval_sparse([(7, 2), (2, a), (0, 4)])
+    vals = index_table(bf, [(7, 2), (2, a), (0, 4)])
     for i in range(0, ctx.order, 7):
         x = ctx.from_index(i)
         want = x**7 * 2 + x**2 * a + ctx.from_int(4)
@@ -154,7 +159,7 @@ def test_eval_sparse_subfield_coefficients():
     ctx = make_extension(base, 2)
     bf = BatchField(ctx)
     a = base.gen()  # not a prime-field constant
-    vals = bf.eval_sparse([(3, a), (1, a * a)])
+    vals = index_table(bf, [(3, a), (1, a * a)])
     for i in range(ctx.order):
         x = ctx.from_index(i)
         assert vals[i] == (a * x**3 + a * a * x).index
@@ -171,7 +176,7 @@ def test_eval_dense_matches_horner():
     # a dense coefficient list, every exponent 0..4 present
     ctx = make_field(2, 4)
     coeffs = [ctx.from_index(i) for i in (5, 0, 9, 1, 14)]
-    vals = BatchField(ctx).eval_sparse(list(enumerate(coeffs)))
+    vals = index_table(BatchField(ctx), list(enumerate(coeffs)))
     for i in range(ctx.order):
         assert vals[i] == horner(ctx, coeffs, ctx.from_index(i)).index
 
@@ -182,7 +187,7 @@ def test_budget_forces_reduction_passes_on_long_sums():
     ctx = make_field(101, 1)
     rng = random.Random(11)
     coeffs = [ctx.from_int(rng.randrange(101)) for _ in range(200)] + [ctx.one()]
-    vals = BatchField(ctx).eval_sparse(list(enumerate(coeffs)))
+    vals = index_table(BatchField(ctx), list(enumerate(coeffs)))
     for i in range(ctx.order):
         assert vals[i] == horner(ctx, coeffs, ctx.from_index(i)).index
 
@@ -381,7 +386,9 @@ def test_int32_tables_agree_with_scalar_engine_past_int32_products(ctx):
         assert got[n] == (elems[n] * ctx.from_index(int(other[n]))).index
     coeffs = [ctx.from_index(rng.randrange(1, ctx.order)) for _ in range(4)]
     terms = list(zip((m - 1, m - 3, m + 1, 2), coeffs))
-    vals = bf.eval_sparse(terms)
+    lab = bf.eval_sparse(terms)
+    assert lab.dtype == np.int64
+    vals = bf.index_order(lab)
     assert vals.dtype == np.int64
     for i, x in zip(idx, elems):
         want = ctx.zero()
@@ -437,7 +444,7 @@ def test_eval_sparse_block_edges_match_scalar_engine():
     j0 = 2 * _BLOCK + _BLOCK // 4
     x0, one = ctx.from_index(int(exp[j0])), ctx.one()
     for terms in ([(2, one), (1, -x0)], [(2, one), (1, -x0), (3, one), (0, ctx.from_int(5))]):
-        vals = bf.eval_sparse(terms)
+        vals = index_table(bf, terms)
         for j in edges + [j0]:
             x = ctx.from_index(int(exp[j]))
             want = ctx.zero()
@@ -633,11 +640,13 @@ def test_power_map_scan_leaves_zech_unbuilt(empty_cache):
 def test_labels_of_zero_and_infinity_and_monic_terms_read_no_table():
     bf = BatchField(make_field(101, 1))
     assert (bf.label(0), bf.label(101)) == (100, 101)
-    lab = bf.eval_sparse([(3, 1)], [(5, 1)], _labels=True)  # x^3 / x^5, a pole at 0
+    lab = bf.eval_sparse([(3, 1)], [(5, 1)])  # x^3 / x^5, a pole at 0
     assert np.array_equal(lab, np.append(-2 * np.arange(100) % 100, 101))
     assert bf._tables is None
-    bf.eval_sparse([(3, 1)])  # index order reads exp
+    vals = bf.index_order(lab)  # index order reads exp
     assert bf._tables is not None
+    ctx = bf.ctx
+    assert vals.tolist() == [101] + [(ctx.from_index(i) ** -2).index for i in range(1, 101)]
 
 
 def test_binomial_scan_builds_zech(empty_cache):
@@ -671,7 +680,7 @@ def test_wide_characteristic_agrees_with_scalar_engine():
         bf = BatchField(K)
         coeffs = [ctx.from_index(rng.randrange(p)) for _ in range(9)]
         terms = [(e, c) for e, c in enumerate(coeffs) if not c.is_zero()]
-        got = bf.eval_sparse(terms)
+        got = index_table(bf, terms)
         for i in rng.sample(range(K.order), min(80, K.order)):
             x = K.from_index(i)
             want = K.zero()
@@ -794,28 +803,54 @@ def from_labels(bf, lab):
     return np.where(lab == bf.order, bf.order, out)
 
 
+def scalar_value(K, terms, den, x):
+    """Index of the sum, or the quotient of the two sums, at x; Q at a pole."""
+
+    def total(ts):
+        acc = K.zero()
+        for e, c in ts:
+            acc = acc + _lift(K, c) * x**e
+        return acc
+
+    if den is None:
+        return total(terms).index
+    bottom = total(den)
+    return K.order if bottom.is_zero() else (total(terms) / bottom).index
+
+
 @pytest.mark.parametrize(
     "p, k, t", ORBIT_FIELDS + [(2, 1, 1), (2, 1, 5), (2, 2, 1), (2, 2, 4)], ids=lambda v: str(v)
 )
 def test_log_coordinate_table_relabels_the_index_table(p, k, t):
-    # slot j of the labelled table is the point g**j and slot m the point 0
+    # slot j of the labelled table is the point g**j and slot m the point 0;
+    # index_order moves both slots and values, as from_labels reads them
     rng = random.Random(p * 100 + k * 10 + t + 1)
     base = make_field(p, k)
     K = make_extension(base, t)
     bf = BatchField(K)
     m = K.order - 1
     exp = bf._exp_log()[0]
+    sample = [0, m - 1] + rng.sample(range(m), min(m, 60))
     for trial in range(6):
         terms, den = random_sums(rng, base, trial)
-        want = bf.eval_sparse(terms, den)
         out = np.full(K.order, -1, dtype=np.int64)
-        assert bf.eval_sparse(terms, den, out=out, _labels=True) is out
+        assert bf.eval_sparse(terms, den, out=out) is out
+        want = bf.index_order(out)
         assert np.array_equal(from_labels(bf, out[:m]), want[exp]), (terms, den)
         assert from_labels(bf, out[m]) == want[0], (terms, den)
+        for j in sample:
+            x = K.from_index(int(exp[j]))
+            assert want[x.index] == scalar_value(K, terms, den, x), (terms, den, j)
+        assert want[0] == scalar_value(K, terms, den, K.zero()), (terms, den)
     # a constant and a zero map: every slot takes the one value
     for terms in ([(0, base.one())], []):
-        lab = bf.eval_sparse(terms, _labels=True)
-        assert np.array_equal(from_labels(bf, lab), bf.eval_sparse(terms))
+        lab = bf.eval_sparse(terms)
+        value = scalar_value(K, terms, None, K.zero())
+        assert np.array_equal(from_labels(bf, lab), np.full(K.order, value))
+        assert np.array_equal(bf.index_order(lab), np.full(K.order, value))
+    # a scan's table of Q + 1 slots keeps slot Q, infinity, in place
+    lab = np.append(bf.eval_sparse([(1, 1)], [(2, 1)]), K.order)  # 1/x
+    assert bf.index_order(lab)[[0, K.order]].tolist() == [K.order, K.order]
 
 
 def test_orbit_path_writes_in_place_and_marks_poles():
@@ -828,5 +863,5 @@ def test_orbit_path_writes_in_place_and_marks_poles():
         out = np.full(K.order, -1, dtype=np.int64)
         assert bf.eval_sparse(num, den, out=out) is out
         assert np.array_equal(out, full_field_table(bf, num, den))
-    assert out[K.embed(a).index] == K.order  # x^3 - a^3 vanishes at a
+    assert bf.index_order(out)[K.embed(a).index] == K.order  # x^3 - a^3 vanishes at a
     assert set(bf._reps) == {2}

@@ -530,6 +530,10 @@ def test_fried_criterion_matches_coset_pass_on_random_models():
         assert (_suborbit_cycles(G, M.tau) is None) == (not transitive)
         got = coset_exceptionality(M)
         assert got == coset_pass(M), ([g.images for g in G.generators], M.tau.images)
+        # on a transitive group pr-exceptional takes Fried's criterion too
+        pr = coset_exceptionality(M, "pr-exceptional")
+        assert pr == coset_oracle(M, "pr-exceptional"), ([g.images for g in G.generators], M.tau.images)
+        assert pr == got or not transitive
         images = {g.images for g in G}
         assert M.d == min(d for d in range(1, M.tau.order() + 1) if (M.tau ** d).images in images)
         outcomes.add((transitive, got.is_empty(), got.modulus > 1))

@@ -33,6 +33,24 @@ def curve(ell, a, b):
 Point = Optional[tuple[FieldElem, FieldElem]]
 
 
+def rhs(e: EllipticCurveF, x: FieldElem) -> FieldElem:
+    return x ** 3 + e.a * x + e.b
+
+
+def points(e: EllipticCurveF) -> list[Point]:
+    """All rational points, by trying every y at every x; None stands for
+    the point at infinity."""
+    pts: list[Point] = [None]
+    for i in range(e.ctx.order):
+        x = e.ctx.from_index(i)
+        v = rhs(e, x)
+        for j in range(e.ctx.order):
+            y = e.ctx.from_index(j)
+            if y * y == v:
+                pts.append((x, y))
+    return pts
+
+
 def ec_add(e: EllipticCurveF, p: Point, q: Point) -> Point:
     if p is None:
         return q
@@ -90,14 +108,14 @@ def test_reduction_count_against_naive_enumeration():
         for x in range(ell):
             for y in range(ell):
                 xe, ye = red.ctx.from_int(x), red.ctx.from_int(y)
-                if ye * ye == red.rhs(xe):
+                if ye * ye == rhs(red, xe):
                     naive += 1
         assert red.n_points == naive
         assert red.trace == ell + 1 - naive
-    for ell in (5, 7, 11):  # F_{ell^2}, counted by points() over x and y
+    for ell in (5, 7, 11):  # F_{ell^2}, counted by points over x and y
         red = reduce_curve(e, ell)
         big = base_change(red, make_extension(red.ctx, 2))
-        assert big.n_points == len(big.points())
+        assert big.n_points == len(points(big))
         assert big.trace == ell * ell + 1 - big.n_points
 
 
@@ -133,7 +151,7 @@ def test_small_characteristic_rejected():
 
 def test_point_arithmetic_basics():
     e = curve(7, 1, 3)
-    pts = e.points()
+    pts = points(e)
     assert len(pts) == e.n_points
     p = pts[1]
     assert ec_add(e, p, None) == p
@@ -146,7 +164,7 @@ def test_point_arithmetic_basics():
 
 def test_point_addition_associative_sample():
     e = curve(11, 2, 5)
-    pts = [q for q in e.points() if q is not None][:5]
+    pts = [q for q in points(e) if q is not None][:5]
     for p in pts:
         for q in pts:
             for r in pts:
@@ -183,7 +201,7 @@ def test_multiplication_map_degree_and_oracle():
         for m in (2, 3, 4, 5):
             fm = lattes_map(e, m)
             assert fm.degree == m * m
-            for p in e.points():
+            for p in points(e):
                 if p is None:
                     continue
                 q = ec_mul(e, m, p)

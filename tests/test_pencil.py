@@ -5,7 +5,17 @@ import pytest
 
 from excov.errors import CapExceededError, ValidationError
 from excov.gf import make_field
-from excov.grouptheory import cyclic_cover_model, dickson_cover_model
+from excov.grouptheory import (
+    MonodromyData,
+    Perm,
+    _block_sum,
+    _orbit_labels,
+    block_swap,
+    cyclic_cover_model,
+    dickson_cover_model,
+    fiber_tensor,
+    group_from_gens,
+)
 from excov.pencil import (
     kf_cross_check,
     pencil_scan,
@@ -124,6 +134,63 @@ def test_stable_components_follow_tau_not_geometry():
     # same geometric group, different tau: the count must move
     assert stable_component_count(cyclic_cover_model(5, 11)) == 4
     assert stable_component_count(cyclic_cover_model(5, 12)) == 0
+
+
+def component_oracle(model):
+    """stable_component_count from the diagonal action on all n^2 pairs:
+    the off-diagonal orbits that tau's pair action does not move."""
+    gens = list(model.group.generators)
+    n = model.group.degree
+    labels = _orbit_labels([g.images for g in fiber_tensor(gens, gens)], n * n)
+    tau_pair = fiber_tensor([model.tau], [model.tau])[0]
+    moved = {labels[x] for x, y in enumerate(tau_pair.images) if labels[y] != labels[x]}
+    off_diagonal = {labels[x] for x in range(n * n) if x // n != x % n}
+    return len(off_diagonal - moved)
+
+
+def random_model(rng):
+    """A seeded cyclic or Dickson cover model, or two on disjoint blocks:
+    their direct product, or one action twice with tau kept or swapping
+    the blocks.  The last two are intransitive."""
+
+    def one():
+        n = rng.randrange(1, 12)
+        q = rng.choice([q for q in range(2, 30) if math.gcd(n, q) == 1])
+        if n >= 3 and n % 2 and rng.random() < 0.5:
+            return dickson_cover_model(n, q)
+        return cyclic_cover_model(n, q)
+
+    A = one()
+    shape = rng.choice(("one", "product", "twice"))
+    if shape == "one":
+        return A
+    n = A.group.degree
+    if shape == "twice":
+        gens = [_block_sum(g, g) for g in A.group.generators]
+        tau = _block_sum(A.tau, A.tau)
+        if rng.random() < 0.5:
+            tau = tau * block_swap(n)
+    else:
+        B = one()
+        one_a, one_b = Perm.identity(n), Perm.identity(B.group.degree)
+        gens = [_block_sum(g, one_b) for g in A.group.generators]
+        gens += [_block_sum(one_a, g) for g in B.group.generators]
+        tau = _block_sum(A.tau, B.tau)
+    return MonodromyData(group_from_gens(gens), tau)
+
+
+def test_stable_components_match_pair_action_on_random_models():
+    rng = random.Random(20)
+    counts = set()
+    for _ in range(400):
+        model = random_model(rng)
+        got = stable_component_count(model)
+        assert got == component_oracle(model), (
+            [g.images for g in model.group.generators],
+            model.tau.images,
+        )
+        counts.add(got)
+    assert len(counts) > 5  # not all zero or all one value
 
 
 def test_cross_check_split_case():
