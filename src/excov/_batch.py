@@ -44,6 +44,17 @@ them, and each value log v at j is written out at j * p**(d*k) as
 v * p**(d*k), k < D/d.  The representatives are cached per field and d,
 at about 4d/D bytes per point.
 
+A scan record of such a sum is not written out at all: ``eval_sparse``
+with ``orbits`` returns, per representative, the orbit of its value and
+the rotation that takes that orbit's representative there, and
+``excscan`` reads fibers, bijectivity and the period off this orbit map.
+The per-label (orbit, rotation) lookup (``orbit_lookup``) is cached next
+to the representatives at 4 bytes per point, plus d/D more for the orbit
+lengths, and counted in ``table_bytes``; the period of the orbit map
+with its rotations is ``permutation_period(succ, rot, r)``.  Monomials
+and fields where r = D/d is 1 keep the full table, as do value tables,
+the pencil, the curve point counts and the pair flags.
+
 Tables are stored at the width ``_index_dtype(Q)``: int32 while
 Q < 2**31, 8 bytes per point for exp and log and 4 more for zech, else
 int64.  A sum or product of two logs can pass int32, so it is always
@@ -104,8 +115,9 @@ class BatchField:
         self.table_bytes = np.dtype(self.dtype).itemsize * (2 * self.order - 1)
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._zech: np.ndarray | None = None
-        # orbit_reps per Frobenius step d
+        # orbit_reps and orbit_lookup per Frobenius step d
         self._reps: dict[int, np.ndarray] = {}
+        self._lookups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def pack(self, digits: np.ndarray) -> np.ndarray:
         """Digit rows (entries in [0, p), low first) to element indices."""
@@ -238,35 +250,45 @@ class BatchField:
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None = None,
         out: np.ndarray | None = None,
+        orbits: bool = False,
     ) -> np.ndarray:
         """Label table of sum(c * x**e): slot j < m holds the label of
         f(g**j), slot m that of f(0), so a zero is m.  With ``den``, the
         quotient by that sum, whose poles are Q.  Coefficients may come
         from any field below this one.  Written into ``out`` (int64, Q
-        slots), or a new array when it is None.
+        slots), or a new array when it is None or ``orbits`` is set.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
         by ``_logs_at``.  When a sum has two or more terms, only the least
         log of each Frobenius orbit is evaluated (``orbit_reps``): with
-        s = p**d, where F_{p**d} is the least subfield holding every
-        coefficient, f(x**s) = f(x)**s, so the value log v at j gives v*s
-        at j*s.  Each block of representatives is written out r = D/d
-        times, one rotation (j, v) -> (j*s, v*s) mod m at a time, and a
-        zero or a pole stays one along its orbit.  Otherwise r = 1 and the
-        blocks run over every log.  x = 0 takes the constant terms.
+        s = p**d, d = ``orbit_step(terms, den)``, f(x**s) = f(x)**s, so the
+        value log v at j gives v*s at j*s.  Each block of representatives
+        is written out r = D/d times, one rotation (j, v) -> (j*s, v*s) mod
+        m at a time, and a zero or a pole stays one along its orbit.
+        Otherwise r = 1 and the blocks run over every log.  x = 0 takes
+        the constant terms.
+
+        With ``orbits`` and r > 1 the values are not written out but read
+        on the orbit quotient: slot i holds the ``orbit_lookup(d)`` code
+        (orbit * r + rotation) of the value at representative i, and slot
+        n = ``orbit_reps(d).size`` that of f(0).  When r = 1 it is the full
+        table.  Either way a new table is made, with one more slot at the
+        end, which is left for the caller to fill: the scan writes the
+        value at infinity there.
         """
         Q, m = self.order, self.order - 1
-        sums = [self._term_logs(terms)]
-        if den is not None:
-            sums.append(self._term_logs(den))
-        d = self.D
-        if any(len(logs) > 1 for _, logs in sums):
-            d = self._frobenius_step([lc for _, logs in sums for _, lc in logs])
+        sums, d = self._plan(terms, den)
         s, r = self.p**d % m, self.D // d
         reps = self.orbit_reps(d) if r > 1 else None
-        if out is None:
-            out = np.empty(Q, dtype=np.int64)
+        code = self.orbit_lookup(d)[0] if orbits and reps is not None else None
         n = m if reps is None else reps.size
+        if code is not None:
+            out = np.empty(n + 2, dtype=code.dtype)
+        elif orbits:
+            out = np.empty(Q + 1, dtype=np.int64)
+        elif out is None:
+            out = np.empty(Q, dtype=np.int64)
+        rounds = 1 if code is not None else r
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             if reps is None:
@@ -280,8 +302,8 @@ class BatchField:
                 v -= dv
                 v %= m
                 marks.append((poles, Q))  # after the zeros: a pole wins
-            dest = slice(lo, hi) if reps is None else j  # j rotates in place
-            for k in range(r):
+            dest = j if rounds > 1 else slice(lo, hi)  # j rotates in place
+            for k in range(rounds):
                 if k:
                     j *= s
                     j %= m
@@ -290,14 +312,17 @@ class BatchField:
                 # v itself, marks and all: they are set again after each rotation
                 for at, mark in marks:
                     v[at] = mark
-                out[dest] = v
+                out[dest] = v if code is None else code[v]
         top = sums[0][0]
         if den is None:
             at_zero = top.index
         else:
             bottom = sums[1][0]
             at_zero = Q if bottom.is_zero() else (top / bottom).index
-        out[m] = self.label(at_zero)
+        if code is None:
+            out[m] = self.label(at_zero)
+        else:
+            out[n] = code[self.label(at_zero)]
         return out
 
     def index_order(self, table: np.ndarray) -> np.ndarray:
@@ -329,6 +354,32 @@ class BatchField:
             # log 1 = 0 under any generator: a monic term reads no table
             logs.append((e % m, 0 if c.index == 1 else int(self._exp_log()[1][c.index])))
         return const, logs
+
+    def orbit_step(
+        self,
+        terms: Sequence[tuple[int, FieldElem | int]],
+        den: Sequence[tuple[int, FieldElem | int]] | None = None,
+    ) -> int:
+        """The Frobenius step d of ``eval_sparse``: D unless f has a sum of
+        two or more terms, and then the least d dividing D with every
+        coefficient in F_{p**d}.  The evaluation runs on ``orbit_reps(d)``
+        exactly when d < D."""
+        return self._plan(terms, den)[1]
+
+    def _plan(
+        self,
+        terms: Sequence[tuple[int, FieldElem | int]],
+        den: Sequence[tuple[int, FieldElem | int]] | None,
+    ) -> tuple[list[tuple[FieldElem, list[tuple[int, int]]]], int]:
+        """``_term_logs`` of the numerator, and of ``den`` if given, and the
+        Frobenius step d."""
+        sums = [self._term_logs(terms)]
+        if den is not None:
+            sums.append(self._term_logs(den))
+        d = self.D
+        if any(len(logs) > 1 for _, logs in sums):
+            d = self._frobenius_step([lc for _, logs in sums for _, lc in logs])
+        return sums, d
 
     def _frobenius_step(self, lcs: list[int]) -> int:
         """The least d dividing D with c**(p**d) = c for every coefficient,
@@ -387,17 +438,65 @@ class BatchField:
             self.table_bytes += reps.nbytes
         return reps
 
+    def orbit_lookup(self, d: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every label's Frobenius orbit and rotation, and the orbit sizes.
+
+        With s = p**d, r = D/d and n = ``orbit_reps(d).size``, orbit i < n
+        is that of reps[i], and orbits n and n + 1 are the fixed points 0
+        (label m) and infinity (label Q).  ``code`` has Q + 1 slots, one
+        per label x: ``code[x] = i*r + k`` when x = reps[i] * s**k mod m,
+        with k the least such rotation, so k < ``size[i]``, the orbit's
+        length, which divides r.  Every representative is rotated r times
+        in place; an orbit is shorter than r when s**(r/l) fixes it for a
+        prime l dividing r, and only those few are rotated again, from
+        k = r - 1 down, so that their least k is written last.  Cached per
+        d at the narrowest width that holds (n + 2) * r, about 4 bytes per
+        point plus 1/r for the lengths, and counted in ``table_bytes``.
+        """
+        got = self._lookups.get(d)
+        if got is None:
+            reps = self.orbit_reps(d)
+            Q, m, n = self.order, self.order - 1, reps.size
+            s, r = self.p**d % m, self.D // d
+            code = np.empty(Q + 1, dtype=_index_dtype((n + 2) * r))
+            code[m], code[Q] = n * r, (n + 1) * r
+            size = np.full(n + 2, r, dtype=np.uint8)
+            size[n:] = 1
+            for lo in range(0, n, _BLOCK):
+                j = reps[lo : lo + _BLOCK].astype(np.int64)
+                at = np.arange(lo * r, (lo + j.size) * r, r, dtype=code.dtype)
+                x = j.copy()
+                for k in range(r):
+                    if k:
+                        x *= s
+                        x %= m
+                    code[x] = at + k
+                short = np.zeros(j.size, dtype=bool)
+                for ell in _prime_factors(r):
+                    short |= j * pow(s, r // ell, m) % m == j
+                j, at = j[short], at[short]
+                length = np.full(j.size, r, dtype=np.uint8)
+                for e in range(r - 1, 0, -1):
+                    if r % e == 0:  # the least e with j * s**e = j is written last
+                        length[j * pow(s, e, m) % m == j] = e
+                    code[j * pow(s, e, m) % m] = at + e
+                code[j] = at
+                size[lo : lo + short.size][short] = length
+            got = self._lookups[d] = (code, size)
+            self.table_bytes += code.nbytes + size.nbytes
+        return got
+
     def _logs_at(
         self, j: np.ndarray, logs: list[tuple[int, int]]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Log of sum(c * g**(e*j)) at each log j (int64), and the positions
-        in j where the sum is 0, whose logs are left unset.
+        """Log of sum(c * g**(e*j)) at each log j (int64), and a mask of the
+        positions in j where the sum is 0, whose logs are left unset.
 
         The term c * x**e has log (e*j + log c) mod m, which needs no
         gather; each further term is added by one Zech gather.
         """
         if not logs:
-            return np.zeros_like(j), np.arange(j.size)
+            return np.zeros_like(j), np.ones(j.size, dtype=bool)
         m = self.order - 1
         (s0, lc0), rest = logs[0], logs[1:]
         zech = self._zech_table() if rest else None  # one term needs no Zech gather
@@ -405,7 +504,7 @@ class BatchField:
         acc += lc0
         acc %= m
         d = np.empty_like(acc)
-        zeros = np.empty(0, dtype=np.int64)  # positions where the sum is 0
+        zero = np.zeros(j.size, dtype=bool)  # where the sum is 0
         for s, lc in rest:
             # log(a + b) = log a + Z(log b - log a), where Z = m for
             # a + b = 0; j*s + lc + m - acc stays below m**2
@@ -416,11 +515,13 @@ class BatchField:
             z = zech[d]
             acc += z
             acc %= m
-            sums_zero = np.flatnonzero(z == m)
-            # where the sum was 0, the new sum is the term itself
-            acc[zeros] = (s * j[zeros] + lc) % m
-            zeros = np.setdiff1d(sums_zero, zeros, assume_unique=True)
-        return acc, zeros
+            now_zero = z == m
+            if zero.any():
+                # where the sum was 0, the new sum is the term itself
+                acc[zero] = (s * j[zero] + lc) % m
+                now_zero &= ~zero
+            zero = now_zero
+        return acc, zero
 
     def power_table(self, n: int) -> np.ndarray:
         """Index table of x**n for every x, with 0**0 = 1.  n >= 0."""
@@ -437,8 +538,20 @@ _SPLIT_BITS = 4
 _GOLDEN64 = 0x9E3779B97F4A7C15
 
 
-def permutation_period(perm: np.ndarray) -> int:
+def permutation_period(perm: np.ndarray, rot: np.ndarray | None = None, r: int = 1) -> int:
     """Multiplicative order of a permutation: the lcm of its cycle lengths.
+
+    With ``rot``, perm is a length-keeping bijection of Frobenius orbits,
+    each of a length S dividing r, and the result is the order of the
+    permutation of points it induces.  f maps the representative of orbit
+    i to that of orbit perm[i] times s**(rot[i] * S/r): ``rot`` holds each
+    rotation scaled from Z/S to Z/r, so that orbits of every length share
+    one modulus.  A cycle of k orbits with summed rotation R brings each
+    of its points back to its own orbit rotated by R, whose order in Z/r
+    is r / gcd(R, r), so its points have period k * r / gcd(R, r).  The
+    cycle lengths and summed rotations come from one ``_cycle_weights``
+    pass with the two-column weights (1, rot).  Without ``rot`` every R is
+    0 and r = 1, so the period is the lcm of the cycle lengths.
 
     Indices are narrowed to ``_index_dtype(n)``.  Each level of
     ``_cycle_weights`` marks about one node in 16 as a splitter, by a
@@ -464,14 +577,24 @@ def permutation_period(perm: np.ndarray) -> int:
     n = perm.shape[0]
     if n == 0:
         return 1
-    lens = np.sort(np.concatenate(_cycle_weights(perm.astype(_index_dtype(n)), None)))
-    # distinct lengths by sort and diff: np.unique would import numpy.ma
-    lens = lens[np.flatnonzero(np.diff(lens, prepend=0))]
-    return math.lcm(*lens.tolist())
+    succ = perm.astype(_index_dtype(n))
+    if rot is None:
+        return _lcm(np.concatenate(_cycle_weights(succ, None)))
+    w = np.stack([np.ones(n, dtype=np.int64), rot.astype(np.int64)], axis=1)
+    kR = np.concatenate(_cycle_weights(succ, w))
+    return _lcm(kR[:, 0] * (r // np.gcd(kR[:, 1], r)))
+
+
+def _lcm(values: np.ndarray) -> int:
+    """lcm of positive int64 values, over the distinct ones, found by sort
+    and diff: np.unique would import numpy.ma."""
+    values = np.sort(values)
+    return math.lcm(*values[np.flatnonzero(np.diff(values, prepend=0))].tolist())
 
 
 def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
-    """Weight sums of the cycles of succ, node weights w (None: all 1)."""
+    """Weight sums of the cycles of succ, node weights w (None: all 1).
+    A weight array of shape (n, c) is summed per column."""
     n = succ.shape[0]
     if n < _RULING_MIN:
         return [_doubling(succ, w)]
@@ -486,7 +609,8 @@ def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
     tag = np.full(n, -1, dtype=dt)
     tag[spl] = np.arange(k, dtype=dt)
     nxt = np.empty(k, dtype=dt)  # each splitter's next splitter
-    gap = np.empty(k, dtype=np.int64)  # weight from a splitter up to its next
+    # weight from a splitter up to its next
+    gap = np.empty(k if w is None else (k, *w.shape[1:]), dtype=np.int64)
     walker = np.arange(k, dtype=dt)
     pos = succ[spl]
     acc = None if w is None else w[spl]  # weight walked, if not the step count
@@ -551,18 +675,21 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
         if np.array_equal(nxt, labels):
             break
         labels, hop = nxt, hop[hop]
-    sums = np.bincount(labels, weights=w, minlength=n)
+    if w is None or w.ndim == 1:
+        sums = np.bincount(labels, weights=w, minlength=n)
+    else:  # one float64 bincount per column, exact while each sum is below 2**53
+        sums = np.stack([np.bincount(labels, weights=c, minlength=n) for c in w.T], axis=1)
     return sums[labels == ident].astype(np.int64)
 
 
 # -- instance cache -----------------------------------------------------------
 
 # Bytes of tables the cached fields may hold together: exp and log, built
-# or only reserved, and the zech tables and orbit_reps built so far.  Every
-# field of F_3 up to t = 12 (9.6 MB of tables with zech, under 0.3 MB of
-# representatives), the largest tower under a 600000-point scan cap, fits,
-# so repeated scans up one tower build each field once; a larger budget
-# only raises peak RSS.
+# or only reserved, and the zech tables, orbit_reps and orbit_lookup
+# arrays built so far.  Every field of F_3 up to t = 12 (9.6 MB of tables
+# with zech, 3.1 MB of orbit lookups, under 0.3 MB of representatives),
+# the largest tower under a 600000-point scan cap, fits, so repeated scans
+# up one tower build each field once; a larger budget only raises peak RSS.
 _CACHE_BYTES = 24 << 20
 _CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field
@@ -576,8 +703,8 @@ def get_batch(ctx: FieldCtx) -> BatchField:
     Then the least recently used others are dropped until the cache's
     ``table_bytes`` fit the budget; the field asked for stays even when it
     alone does not, so a second scan over the same large field reuses it.
-    A zech table or orbit_reps built between two calls counts from the
-    second.
+    A zech table, orbit_reps or orbit_lookup built between two calls
+    counts from the second.
     """
     key = ctx.key
     bf = _CACHE.pop(key, None)

@@ -18,6 +18,15 @@ without a generator or a table; a coefficient other than 1 builds exp
 and log, and a sum of two or more terms zech too.  ``value_table`` is
 the one reader that wants element indices: it converts the table with
 ``BatchField.index_order``.
+
+A scan of a sum whose coefficients lie in F_{p^d} for a d below the
+field's degree D is read off the Frobenius-orbit quotient instead: f
+commutes with x -> x^(p^d), so its record is fixed by the values at the
+orbit representatives, about a share d/D of the points, which
+``_orbit_record`` reads through the field's cached ``orbit_lookup`` (4
+bytes per point).  No Q + 1 table, ``bincount`` or whole-field period
+pass is made for it.  Monomials, r = 1 fields and the pair flags keep
+the full table.
 """
 
 from __future__ import annotations
@@ -54,22 +63,35 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     Slot i < q^t holds the image of the i-th field element; the last slot
     holds the image of infinity.  Infinity itself is encoded as q^t.
     """
-    bf, tab = _table(f, t)
+    bf, tab, _ = _table(f, t)
     return bf.index_order(tab)
 
 
-def _table(f: Union[RationalMap, Poly], t: int) -> tuple[BatchField, np.ndarray]:
-    """The field's ``BatchField`` and the table of f in log coordinates."""
+def _table(
+    f: Union[RationalMap, Poly], t: int, orbits: bool = False
+) -> tuple[BatchField, np.ndarray, int]:
+    """The field's ``BatchField``, the table of f in log coordinates, and
+    the Frobenius step d of its evaluation (``BatchField.orbit_step``).
+    With ``orbits`` and d < D, the table is read on the orbit quotient
+    instead: the ``orbit_lookup(d)`` code of f at each representative,
+    then at 0 and at infinity.  d is asked for after the evaluation, which
+    builds the tables that reading the coefficients' logs needs."""
     if isinstance(f, Poly):
         f = RationalMap(f)
     K = _scan_field(f, t)
     bf = get_batch(K)
-    Q = K.order
-    out = np.empty(Q + 1, dtype=np.int64)
+    num = _poly_terms(f.num)
     den = None if f.is_polynomial else _poly_terms(f.den)
-    bf.eval_sparse(_poly_terms(f.num), den, out=out[:Q])
-    out[Q] = bf.label(eval_p1(f, P1Point.infinity(K)).index())
-    return bf, out
+    if orbits:
+        out = bf.eval_sparse(num, den, orbits=True)
+        d = bf.orbit_step(num, den)
+    else:
+        out = np.empty(K.order + 1, dtype=np.int64)
+        bf.eval_sparse(num, den, out=out[:-1])
+        d = bf.D
+    at_inf = bf.label(eval_p1(f, P1Point.infinity(K)).index())
+    out[-1] = at_inf if d == bf.D else bf.orbit_lookup(d)[0][at_inf]
+    return bf, out, d
 
 
 @dataclass(frozen=True)
@@ -156,16 +178,46 @@ def exceptionality_scan(
 
 
 def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
-    """One t of a scan, read off the table in log coordinates.  Its fiber
-    counts are freed before the period kernel runs, and its table on
-    return, before the next t builds tables up to q times their size."""
-    tab = _table(f, t)[1]
+    """One t of a scan, read off the table in log coordinates, or off its
+    Frobenius-orbit quotient when the table is evaluated on orbit
+    representatives (``_orbit_record``).  The full table's fiber counts
+    are freed before the period kernel runs, and the table on return,
+    before the next t builds tables up to q times their size."""
+    bf, tab, d = _table(f, t, orbits=True)
+    if d < bf.D:
+        return _orbit_record(bf, d, tab, t, with_periods)
     counts = np.bincount(tab, minlength=tab.shape[0])
     bij = bool(counts.max(initial=0) == 1)
     surj = bool(counts.min(initial=1) >= 1)
     hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
     del counts
     period = permutation_period(tab) if bij and with_periods else None
+    return TRecord(t, bij, surj, hist, period)
+
+
+def _orbit_record(
+    bf: BatchField, d: int, tab: np.ndarray, t: int, with_periods: bool
+) -> TRecord:
+    """The record of a map that commutes with s: x -> x**(p**d), from the
+    ``orbit_lookup`` codes of its values at the orbit representatives,
+    then at 0 and infinity.
+
+    Each node (an orbit O, or 0, or infinity) goes to the node P of its
+    value, and f maps O onto P, |O|/|P| points to one.  So every point of
+    P has the sum over O -> P of |O|/|P| preimages, f is bijective exactly
+    when no point has another count than 1, and then the node map is a
+    bijection that keeps lengths, whose period ``permutation_period``
+    reads with the rotations.
+    """
+    size = bf.orbit_lookup(d)[1]
+    r = bf.D // d
+    tgt, rot = np.divmod(tab, r)
+    counts = np.bincount(tgt, weights=size // size[tgt], minlength=size.size)
+    bij = bool(counts.max() == 1)
+    surj = bool(counts.min() >= 1)
+    hist = np.bincount(counts.astype(np.int64), weights=size)
+    hist = {int(k): int(v) for k, v in enumerate(hist) if v}
+    period = permutation_period(tgt, rot * (r // size), r) if bij and with_periods else None
     return TRecord(t, bij, surj, hist, period)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError, check_field_cap, field_cap
 from .frobset import FrobeniusSet, _from_closed, _unit_closure
-from .gf import _power
+from .gf import _is_prime, _power
 
 GROUP_CAP = 10 ** 6
 ELEMENT_ARRAY = "group element array"
@@ -307,12 +307,15 @@ def analyze_rep(G: PermGroup) -> dict[str, bool]:
 
     Column x of E lists the images of x, so G is transitive when column 0
     takes n values and doubly transitive when columns 0 and 1 take n(n-1)
-    pairs.  The least block holding 0 and b is the orbit of 0 under <H, g>,
-    with H the stabilizer of 0 and g any element taking 0 to b.  A
-    nontrivial permutation centralizes G exactly when two points have one
-    stabilizer, that is when two columns of E == arange agree.  Distinct
-    values are counted by sort and diff and distinct columns by a set of
-    their packed bytes: np.unique would import numpy.ma.
+    pairs.  A transitive G is primitive when the stabilizer H of 0 is
+    maximal; a regular G (|G| = n, H trivial) is so iff n is prime.
+    Otherwise the least block holding 0 and b is the orbit of 0 under
+    <H, g>, with g any element taking 0 to b, and G is primitive when every
+    such block is everything.  A nontrivial permutation centralizes G
+    exactly when two points have one stabilizer, that is when two columns
+    of E == arange agree.  Distinct values are counted by sort and diff and
+    distinct columns by a set of their packed bytes: np.unique would import
+    numpy.ma.
     """
     E, n = G.element_array, G.degree
     fixes = E == np.arange(n)
@@ -321,7 +324,11 @@ def analyze_rep(G: PermGroup) -> dict[str, bool]:
     first = order[np.flatnonzero(np.diff(at0[order], prepend=-1))]  # one row per image
     transitive = n > 0 and len(first) == n
     primitive = transitive
-    if transitive:
+    if transitive and len(E) == n:
+        # a regular group: H is trivial, and maximal exactly when |G| = n
+        # has no proper nontrivial subgroup, that is when n is prime
+        primitive = n == 1 or _is_prime(n)
+    elif transitive:
         # h in H maps the block of {0, b} onto that of {0, h(b)}, so one b
         # per suborbit of H is tested, its least point
         H = E[fixes[:, 0]]

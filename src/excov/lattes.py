@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ._batch import get_batch
+import numpy as np
+
 from .errors import (
     CapExceededError,
     InternalInvariantError,
@@ -22,7 +23,7 @@ from .errors import (
     check_field_cap,
     check_power_cap,
 )
-from .excscan import _record, value_table
+from .excscan import _record, _table
 from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import Poly, RationalMap
 
@@ -141,9 +142,13 @@ class EllipticCurveF:
         if (four * self.a ** 3 + twenty7 * self.b ** 2).is_zero():
             raise ValidationError("singular reduction: 4a^3 + 27b^2 = 0")
         check_field_cap(self.ctx.order, "curve point count")
-        # infinity, then 1 + chi(x^3 + ax + b) points per x
-        rhs = value_table(Poly(self.ctx, [self.b, self.a, 0, 1]), 1)[:-1]
-        count = self.ctx.order + 1 + int(get_batch(self.ctx).quadratic_character(rhs).sum())
+        # infinity, then 1 + chi(x^3 + ax + b) points per x.  On the label
+        # table chi is 0 at label m (a zero) and (-1)**label otherwise, and
+        # m is even, so the sum of chi is q - zeros - 2 * odd labels
+        q = self.ctx.order
+        labels = _table(Poly(self.ctx, [self.b, self.a, 0, 1]), 1)[1][:q]
+        zeros = int(np.count_nonzero(labels == q - 1))
+        count = 2 * q + 1 - zeros - 2 * int(np.count_nonzero(labels & 1))
         object.__setattr__(self, "n_points", count)
         object.__setattr__(self, "trace", self.ctx.order + 1 - count)
         if self.trace ** 2 > 4 * self.ctx.order:

@@ -284,6 +284,33 @@ def test_permutation_period_random_matches_cycle_walk(n):
         assert permutation_period(perm) == cycle_walk_period(perm)
 
 
+def lifted_orbit_map(succ, rot, size):
+    """The permutation of points a bijection of orbits induces: point a of
+    orbit i (its representative rotated a times) goes to point
+    a + rot[i] mod size[i] of orbit succ[i]."""
+    start = np.concatenate([[0], np.cumsum(size)[:-1]])
+    node = np.repeat(np.arange(size.size), size)
+    a = np.arange(size.sum()) - start[node]
+    return start[succ[node]] + (a + rot[node]) % size[node]
+
+
+@pytest.mark.parametrize("n", [50, *RULING_SIZES[1:3]])
+def test_period_of_an_orbit_map_matches_lifted_permutation(n):
+    # orbits of every length dividing r = 12, a length-keeping bijection on
+    # them with random rotations, and long cycles past _RULING_MIN
+    rng = np.random.default_rng(n)
+    r = 12
+    size = rng.choice([1, 2, 3, 4, 6, 12], n)
+    for shuffle in (True, False):
+        succ = np.empty(n, dtype=np.int64)
+        for length in np.unique(size):
+            at = np.flatnonzero(size == length)
+            succ[at] = rng.permutation(at) if shuffle else np.roll(at, 1)
+        rot = rng.integers(0, size)
+        got = permutation_period(succ, rot * (r // size), r)
+        assert got == permutation_period(lifted_orbit_map(succ, rot, size))
+
+
 @pytest.mark.parametrize("n", RULING_SIZES)
 def test_permutation_period_structured_shapes(n):
     n -= n % 2  # even, for the all-2-cycles shape
@@ -620,8 +647,10 @@ def test_accounted_bytes_match_built_tables(empty_cache):
 
 
 def held_bytes(bf):
-    """Bytes of the exp, log and zech tables and orbit_reps bf holds now."""
+    """Bytes of the exp, log and zech tables, orbit_reps and orbit_lookup
+    arrays bf holds now."""
     held = [*(bf._tables or ()), *bf._reps.values()]
+    held += [a for lookup in bf._lookups.values() for a in lookup]
     if bf._zech is not None:
         held.append(bf._zech)
     return sum(a.nbytes for a in held)
@@ -731,6 +760,33 @@ def test_orbit_reps_are_the_least_log_of_each_orbit(p, D):
         assert bf.orbit_reps(d) is reps
     assert bf._zech is None
     assert bf.table_bytes == np.dtype(bf.dtype).itemsize * (2 * bf.order - 1) + built
+
+
+@pytest.mark.parametrize("p, D", [(2, 6), (2, 12), (3, 4), (5, 3), (67, 2)])
+def test_orbit_lookup_names_each_label_by_orbit_and_least_rotation(p, D):
+    bf = BatchField(make_field(p, D))
+    Q, m = bf.order, bf.order - 1
+    before = bf.table_bytes
+    for d in (d for d in range(1, D) if D % d == 0):
+        s, r = p**d, D // d
+        reps = bf.orbit_reps(d)
+        n = reps.size
+        code, size = bf.orbit_lookup(d)
+        assert bf.orbit_lookup(d)[0] is code
+        i, k = np.divmod(code[:m].astype(np.int64), r)
+        # x is reps[i] rotated k times, k below the orbit's length
+        x = reps[i].astype(np.int64)
+        for step in range(r):
+            x = np.where(k > step, x * s % m, x)
+        assert np.array_equal(x, np.arange(m)), d
+        assert (k < size[i]).all()
+        # the length is the least e >= 1 with reps * s**e = reps
+        least = [next(e for e in range(1, r + 1) if j * s**e % m == j) for j in reps.tolist()]
+        assert size[:n].tolist() == least
+        assert code[m] == n * r and code[Q] == (n + 1) * r and size[n:].tolist() == [1, 1]
+        assert code.size == Q + 1 and code.dtype == _index_dtype((n + 2) * r)
+        before += reps.nbytes + code.nbytes + size.nbytes
+    assert bf.table_bytes == before
 
 
 def subfield_element(x, e):

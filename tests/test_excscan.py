@@ -14,6 +14,7 @@ from excov.excscan import (
     TRecord,
     _dp_flags,
     _record,
+    _table,
     dp_range_test,
     exceptionality_scan,
     idp_multiset_test,
@@ -306,6 +307,56 @@ def test_records_match_index_order_oracle(f, t_max):
 )
 def test_records_match_index_order_oracle_past_two_blocks(f, t):
     assert f.ctx.order**t - 1 > 2 * _BLOCK
+    assert _record(f, t, True) == record_oracle(f, t)
+
+
+def quotient_features(f, t):
+    """The features of the quotient rule that f shows at t, read off its
+    full table and its orbit quotient; the quotient's codes must be the
+    ``orbit_lookup`` codes of the full table's values."""
+    bf, code, d = _table(f, t, orbits=True)
+    assert d < bf.D  # evaluated on representatives, so read off the quotient
+    full = _table(f, t)[1]
+    tab = np.append(full[bf.orbit_reps(d)], full[-2:])  # then f(0), f(infinity)
+    lookup, size = bf.orbit_lookup(d)
+    assert np.array_equal(code, lookup[tab])
+    r = bf.D // d
+    tgt = code // r
+    rec = _record(f, t, True)
+    units = bf.order - 1  # labels below it are units
+    found = {
+        "short orbit": bool(((size[:-2] > 1) & (size[:-2] < r)).any()),
+        "subfield": d > 1,
+        "pole": bool((tab[:-2] == bf.order).any()),
+        "vanishes": bool((tab[:-2] == units).any()),
+        "f(0) a unit": tab[-2] < units,
+        "f(inf) a unit": tab[-1] < units,
+        # the summed rotations change the period: the orbit map alone has another
+        "rotation": rec.bijective and rec.period != permutation_period(tgt),
+        "not bijective": not rec.bijective,
+    }
+    return {name for name, hit in found.items() if hit}
+
+
+QUOTIENT_CASES = [  # (map, t, features of the quotient at that t)
+    (RationalMap(Poly(F3, [1, 0, 0, 1])), 6, {"short orbit", "rotation", "f(0) a unit"}),  # x^3 + 1
+    (RationalMap(Poly(F2, [1, 0, 1])), 12, {"short orbit", "rotation", "f(0) a unit"}),  # x^2 + 1
+    (RationalMap(Poly(F2, [1, 1, 0, 1])), 12, {"short orbit", "not bijective", "f(0) a unit"}),
+    # (x^2+x)/(x-1)^3
+    (rat(F3, [0, 1, 1], [2, 0, 0, 1]), 6, {"vanishes", "pole", "not bijective"}),
+    (rat(F5, [3, 0, 2], [1, 1, 1]), 4, {"short orbit", "pole", "f(0) a unit", "f(inf) a unit"}),
+    (FROBENIUS_CASES[3][0], 4, {"subfield", "short orbit", "pole"}),
+    (rat(F4, [F4.gen(), 0, 1], [1, 1]), 6, {"subfield", "short orbit", "pole", "f(0) a unit"}),
+    (RationalMap(Poly(F4, [F4.gen(), 0, 0, 0, 1])), 6, {"subfield", "short orbit", "rotation"}),
+    (dickson(F3, 7, 1), 10, {"short orbit"}),
+    # x^2 + x + 1
+    (RationalMap(Poly(F4, [1, 1, 1])), 6, {"short orbit", "vanishes", "not bijective"}),
+]
+
+
+@pytest.mark.parametrize("f, t, features", QUOTIENT_CASES, ids=lambda v: str(v)[:40])
+def test_quotient_records_match_index_order_oracle(f, t, features):
+    assert features <= quotient_features(f, t)
     assert _record(f, t, True) == record_oracle(f, t)
 
 

@@ -1,5 +1,6 @@
 """Coset fixed-point criteria against hand-checked small groups."""
 
+import itertools
 import math
 import random
 
@@ -298,6 +299,32 @@ def test_analysis_matches_generator_oracle_on_random_groups():
         for key, value in info.items():
             seen[key].add(value)
     assert all(values == {True, False} for values in seen.values())
+
+
+def regular_groups():
+    """Regular groups: cyclic of every degree 1-16 and some primes past it,
+    and the Klein four, (Z/3)^2 and S_3 acting on themselves."""
+    out = [PermGroup(n, [Perm(tuple((x + 1) % n for x in range(n)))]) for n in range(1, 17)]
+    out += [cyclic_cover_model(n, 2).group for n in (17, 31, 61)]
+    out.append(PermGroup(4, [Perm((1, 0, 3, 2)), Perm((2, 3, 0, 1))]))
+    out.append(PermGroup(9, [Perm(tuple(x // 3 * 3 + (x + 1) % 3 for x in range(9))),
+                             Perm(tuple((x + 3) % 9 for x in range(9)))]))
+    s3 = sorted(itertools.permutations(range(3)))
+
+    def left(g):
+        return Perm(tuple(s3.index(tuple(g[h[i]] for i in range(3))) for h in s3))
+
+    out.append(PermGroup(6, [left((1, 0, 2)), left((1, 2, 0))]))
+    return out
+
+
+def test_regular_groups_are_primitive_exactly_at_prime_degree():
+    for G in regular_groups():
+        n = G.degree
+        assert len(G.element_array) == n
+        info = analyze_rep(G)
+        assert info == analyze_oracle(G), n
+        assert info["primitive"] == (n == 1 or all(n % d for d in range(2, n))), n
 
 
 @pytest.mark.parametrize("n", [5, 9, 15, 499])
