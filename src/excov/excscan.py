@@ -19,14 +19,18 @@ and log, and a sum of two or more terms zech too.  ``value_table`` is
 the one reader that wants element indices: it converts the table with
 ``BatchField.index_order``.
 
-A scan of a sum whose coefficients lie in F_{p^d} for a d below the
+A scan of a map whose coefficients lie in F_{p^d} for a d below the
 field's degree D is read off the Frobenius-orbit quotient instead: f
 commutes with x -> x^(p^d), so its record is fixed by the values at the
 orbit representatives, about a share d/D of the points, which
 ``_orbit_record`` reads through the field's cached ``orbit_lookup`` (4
 bytes per point).  No Q + 1 table, ``bincount`` or whole-field period
-pass is made for it.  Monomials, r = 1 fields and the pair flags keep
-the full table.
+pass is made for it.  This holds for every sum of two or more terms, and
+for a single-term map (x^n, c*x^n, x^a/x^b) once r = D/d reaches
+``_batch._QUOTIENT_MIN_R``.  The pair flags read both maps on one
+quotient, at the lcm of their steps, and compare the preimage counts per
+orbit (``_orbit_fibers``).  r = 1 fields, and single-term maps or pairs
+below the threshold, keep the full table.
 """
 
 from __future__ import annotations
@@ -68,23 +72,23 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
 
 
 def _table(
-    f: Union[RationalMap, Poly], t: int, orbits: bool = False
+    f: Union[RationalMap, Poly], t: int, orbits: bool = False, step: Optional[int] = None
 ) -> tuple[BatchField, np.ndarray, int]:
     """The field's ``BatchField``, the table of f in log coordinates, and
-    the Frobenius step d of its evaluation (``BatchField.orbit_step``).
-    With ``orbits`` and d < D, the table is read on the orbit quotient
-    instead: the ``orbit_lookup(d)`` code of f at each representative,
-    then at 0 and at infinity.  d is asked for after the evaluation, which
-    builds the tables that reading the coefficients' logs needs."""
+    the Frobenius step d of its evaluation (``BatchField.orbit_step``, or
+    ``step`` when given).  With ``orbits`` and d < D, the table is read on
+    the orbit quotient instead: the ``orbit_lookup(d)`` code of f at each
+    representative, then at 0 and at infinity.  d is asked for after the
+    evaluation, which builds the tables that reading the coefficients'
+    logs needs."""
     if isinstance(f, Poly):
         f = RationalMap(f)
     K = _scan_field(f, t)
     bf = get_batch(K)
-    num = _poly_terms(f.num)
-    den = None if f.is_polynomial else _poly_terms(f.den)
+    num, den = _terms(f)
     if orbits:
-        out = bf.eval_sparse(num, den, orbits=True)
-        d = bf.orbit_step(num, den)
+        out = bf.eval_sparse(num, den, orbits=True, step=step)
+        d = step or bf.orbit_step(num, den, orbits=True)
     else:
         out = np.empty(K.order + 1, dtype=np.int64)
         bf.eval_sparse(num, den, out=out[:-1])
@@ -92,6 +96,12 @@ def _table(
     at_inf = bf.label(eval_p1(f, P1Point.infinity(K)).index())
     out[-1] = at_inf if d == bf.D else bf.orbit_lookup(d)[0][at_inf]
     return bf, out, d
+
+
+def _terms(f: RationalMap) -> tuple[list, Optional[list]]:
+    """The nonzero (exponent, coefficient) terms of f's numerator, and of
+    its denominator unless f is a polynomial."""
+    return _poly_terms(f.num), None if f.is_polynomial else _poly_terms(f.den)
 
 
 @dataclass(frozen=True)
@@ -202,23 +212,34 @@ def _orbit_record(
     ``orbit_lookup`` codes of its values at the orbit representatives,
     then at 0 and infinity.
 
-    Each node (an orbit O, or 0, or infinity) goes to the node P of its
-    value, and f maps O onto P, |O|/|P| points to one.  So every point of
-    P has the sum over O -> P of |O|/|P| preimages, f is bijective exactly
-    when no point has another count than 1, and then the node map is a
-    bijection that keeps lengths, whose period ``permutation_period``
-    reads with the rotations.
+    f is bijective exactly when every point has one preimage
+    (``_orbit_fibers``), and then the node map is a bijection that keeps
+    lengths, whose period ``permutation_period`` reads with the rotations.
     """
     size = bf.orbit_lookup(d)[1]
     r = bf.D // d
-    tgt, rot = np.divmod(tab, r)
-    counts = np.bincount(tgt, weights=size // size[tgt], minlength=size.size)
+    tgt, counts = _orbit_fibers(size, r, tab)
     bij = bool(counts.max() == 1)
     surj = bool(counts.min() >= 1)
     hist = np.bincount(counts.astype(np.int64), weights=size)
     hist = {int(k): int(v) for k, v in enumerate(hist) if v}
-    period = permutation_period(tgt, rot * (r // size), r) if bij and with_periods else None
-    return TRecord(t, bij, surj, hist, period)
+    if not (bij and with_periods):
+        return TRecord(t, bij, surj, hist, None)
+    rot = tab - tgt * r
+    return TRecord(t, bij, surj, hist, permutation_period(tgt, rot * (r // size), r))
+
+
+def _orbit_fibers(size: np.ndarray, r: int, tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The node of each value in a quotient table of ``orbit_lookup``
+    codes (orbit * r + rotation), and the preimages of each point per node.
+
+    Each node (an orbit O, or 0, or infinity) goes to the node P of its
+    value, and f maps O onto P, |O|/|P| points to one.  So every point of
+    P has the sum over O -> P of |O|/|P| preimages: a float64 count, exact
+    as it stays below Q + 1.
+    """
+    tgt = tab // r
+    return tgt, np.bincount(tgt, weights=size // size[tgt], minlength=size.size)
 
 
 def period_series(f: Union[RationalMap, Poly], t_max: int) -> list[tuple[int, int]]:
@@ -244,13 +265,28 @@ def idp_multiset_test(
 def _dp_flags(
     f: Union[RationalMap, Poly], g: Union[RationalMap, Poly], t: int
 ) -> tuple[bool, bool]:
-    """(range equal, multiset equal) from one pair of tables in log
-    coordinates, one ``bincount`` each."""
+    """(range equal, multiset equal) from one table per map in log
+    coordinates.
+
+    Both maps commute with x -> x**(p**d) at d the lcm of their Frobenius
+    steps, so when d < D each is evaluated on that one quotient, and the
+    values are compared per node: a node's points all have the same
+    number of preimages (``_orbit_fibers``).  Two single-term maps stay
+    on the full tables while r = D/d is below the threshold their scans
+    use (``BatchField.pair_step``); there each map's values are counted
+    with one ``bincount``."""
     if f.ctx != g.ctx:
         raise ValidationError("maps over different fields")
-    tf = _table(f, t)[1]
-    n = tf.shape[0]
-    cf = np.bincount(tf, minlength=n)
-    del tf
-    cg = np.bincount(_table(g, t)[1], minlength=n)
+    maps = [RationalMap(h) if isinstance(h, Poly) else h for h in (f, g)]
+    bf = get_batch(_scan_field(maps[0], t))
+    d = bf.pair_step(*(_terms(h) for h in maps))
+    if d == bf.D:
+        tf = _table(f, t)[1]
+        n = tf.shape[0]
+        cf = np.bincount(tf, minlength=n)
+        del tf
+        cg = np.bincount(_table(g, t)[1], minlength=n)
+    else:
+        size = bf.orbit_lookup(d)[1]
+        cf, cg = (_orbit_fibers(size, bf.D // d, _table(h, t, True, d)[1])[1] for h in maps)
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

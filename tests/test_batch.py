@@ -424,6 +424,31 @@ def test_int32_tables_agree_with_scalar_engine_past_int32_products(ctx):
         assert vals[i] == want.index, int(i)
 
 
+# D = 2 on both sides of p = 2**15, where D * (p-1)**2 leaves int32, and of
+# Q = 2**31, where the index tables widen to int64
+@pytest.mark.parametrize("p", [32749, 32771, 46337, 46349])
+def test_exp_rows_match_scalar_powers_at_degree_two(p):
+    # the whole tables would take 8-17 GB: the first two blocks, the doubled
+    # one and one product with M(g)**_CHUNK, against the scalar engine
+    with field_cap_scope(2**32):
+        ctx = make_field(p, 2)
+        bf = BatchField(ctx)
+    assert bf.dtype is (np.int32 if p * p < 2**31 else np.int64)
+    g, x = bf.generator(), ctx.one()
+    for n, (lo, block) in zip(range(2), bf._exp_rows()):
+        assert lo == n * _batch._CHUNK and block.shape == (_batch._CHUNK, 2)
+        assert ((block >= 0) & (block < p) & (block == np.floor(block))).all()
+        idx = np.empty(block.shape[0], dtype=bf.dtype)
+        idx[:] = block @ bf._pack_weights  # as _exp_log packs into exp
+        for j in range(block.shape[0]):
+            assert idx[j] == x.index, lo + j
+            x = x * g
+    # the float reduction at the top of its range: sums of two digit products
+    top = 2 * (p - 1) ** 2
+    y = np.arange(top - 3 * p, top + 1, dtype=np.int64)
+    assert np.array_equal(bf._mod_p(y.astype(np.float64)), y % p)
+
+
 class IdentityTable:
     """Stands in for an exp table too large to build: exp[k] = k."""
 

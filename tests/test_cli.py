@@ -87,22 +87,31 @@ def test_dp_subcommand(capsys):
     assert [r["range_equal"] for r in doc["results"]] == [False, True]
 
 
-def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "field, tmax, steps",
+    [
+        ("5", 3, [None] * 3),
+        # F_{3^t} for t >= 5: both maps on the orbit quotient of step 1
+        ("3", 7, [None] * 4 + [1] * 3),
+    ],
+)
+def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch, field, tmax, steps):
     # both flags come from one table per map and t
     calls = []
     eval_sparse = excov._batch.BatchField.eval_sparse
 
     def counting(self, *args, **kwargs):
-        calls.append(self.order)
+        calls.append((self.order, kwargs.get("step")))
         return eval_sparse(self, *args, **kwargs)
 
     monkeypatch.setattr(excov._batch.BatchField, "eval_sparse", counting)
     doc = run_json(
         capsys,
-        ["dp", "--field", "5", "--f", "poly:0,0,1", "--g", "poly:0,0,2", "--tmax", "3"],
+        ["dp", "--field", field, "--f", "poly:0,0,1", "--g", "poly:0,0,2", "--tmax", str(tmax)],
     )
-    assert len(doc["results"]) == 3
-    assert calls == [5, 5, 25, 25, 125, 125]
+    assert len(doc["results"]) == tmax
+    q = int(field)
+    assert calls == [(q**t, step) for t, step in enumerate(steps, 1) for _ in range(2)]
 
 
 def test_group_subcommand(capsys):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from excov import _batch
-from excov._batch import _BLOCK, get_batch, permutation_period
+from excov._batch import _BLOCK, _QUOTIENT_MIN_R, get_batch, permutation_period
 from excov.errors import CapExceededError, ValidationError
 from excov.excscan import (
     TRecord,
@@ -405,8 +405,13 @@ def fresh_tables(monkeypatch):
 
 
 def assert_no_table_built():
+    """No generator, exp, log or Zech table; the orbit representatives
+    and lookups of step 1 exactly where a monic map's r = D reaches the
+    quotient threshold, and none elsewhere."""
     for bf in _batch._CACHE.values():
-        assert bf._tables is None and bf._zech is None and not bf._reps
+        assert bf._tables is None and bf._zech is None
+        steps = {1} if bf.D >= _QUOTIENT_MIN_R else set()
+        assert set(bf._reps) == set(bf._lookups) == steps, bf.order
     assert not _batch._GENERATORS  # no generator was searched
 
 
@@ -463,3 +468,112 @@ def test_dp_flags_match_index_order_oracle_on_seeded_pairs():
                 assert (dp_range_test(f, g, t), idp_multiset_test(f, g, t)) == want
                 seen.add(want)
     assert seen == {(False, False), (True, False), (True, True)}
+
+
+# -- single-term maps and pair flags on the orbit quotient ---------------------
+
+G4 = F4.gen()  # in F_4 but not in F_2
+SINGLE_TERM_CASES = [  # (map, the step d of its coefficients, the t to read)
+    # monomials on the prime-field towers: d = 1, so r = D = t
+    (cyclic(F2, 3), 1, (4, 5, 6, 9)),
+    (cyclic(F3, 5), 1, (4, 5, 6, 8)),
+    (cyclic(F5, 3), 1, (4, 5, 6)),
+    (cyclic(F7, 5), 1, (4, 5)),
+    (cyclic(F7, 2), 1, (4, 5)),
+    # c * x^n with c generating F_{p^2}: d = 2 and r = t
+    (RationalMap(Poly(F4, [0] * 5 + [G4])), 2, (4, 5, 6)),
+    (RationalMap(Poly(F9, [0] * 5 + [A9])), 2, (4, 5)),
+    (RationalMap(Poly(F9, [0] * 5 + [2])), 1, (2, 3)),  # c in F_3: r = 2t
+    # x^a / x^b, which reduce to c / x^(b-a)
+    (rat(F2, [0, 1], [0, 0, 0, 1]), 1, (4, 5, 7)),
+    (rat(F3, [0, 0, 1], [0] * 5 + [1]), 1, (4, 5, 6)),
+    (rat(F4, [0, 0, G4], [0] * 7 + [1]), 2, (4, 5)),
+]
+
+
+def test_single_term_records_match_index_order_oracle():
+    # each t on the quotient exactly when r = D/d reaches the threshold
+    paths, seen = set(), set()
+    for f, d, ts in SINGLE_TERM_CASES:
+        for t in ts:
+            bf, _, step = _table(f, t, orbits=True)
+            r = bf.D // d
+            assert step == (d if r >= _QUOTIENT_MIN_R else bf.D), (f, t)
+            paths.add((min(r, _QUOTIENT_MIN_R), step < bf.D))
+            if step < bf.D:
+                seen |= quotient_features(f, t)
+            assert _record(f, t, True) == record_oracle(f, t), (f, t)
+    assert paths == {(4, False), (_QUOTIENT_MIN_R, True)}
+    assert {"short orbit", "subfield", "rotation", "not bijective"} <= seen
+
+
+G64 = make_field(2, 6).gen()
+C4, C8 = G64**21, G64**9  # in F_4 and in F_8, not in F_2
+
+
+def dp_with_steps(f, g, t, monkeypatch):
+    """_dp_flags(f, g, t), and the step each evaluation was given: None for
+    a full table."""
+    steps = []
+    eval_sparse = _batch.BatchField.eval_sparse
+
+    def spy(self, *args, **kwargs):
+        steps.append(kwargs.get("step"))
+        return eval_sparse(self, *args, **kwargs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_batch.BatchField, "eval_sparse", spy)
+        flags = _dp_flags(f, g, t)
+    return flags, steps
+
+
+def poly(ctx, coeffs):
+    return RationalMap(Poly(ctx, coeffs))
+
+
+DP_CASES = [  # (f, g, t, the common step of the quotient, None for full tables)
+    # equal steps: two monomials stay whole below r = 5
+    (poly(F3, [0] * 8 + [1]), poly(F3, [0] * 8 + [2]), 4, None),
+    (poly(F3, [0] * 8 + [1]), poly(F3, [0] * 8 + [2]), 5, 1),
+    (poly(F3, [0] * 8 + [1]), poly(F3, [0] * 8 + [2]), 7, 1),
+    (poly(F3, [0, 1, 0, 1]), poly(F3, [0, 2, 0, 1]), 1, None),  # x^3 + x, x^3 - x
+    (poly(F3, [0, 1, 0, 1]), poly(F3, [0, 2, 0, 1]), 4, 1),
+    (poly(F4, [0, 1, 0, G4]), poly(F4, [0, G4, 0, G4]), 1, None),
+    (poly(F4, [0, 1, 0, G4]), poly(F4, [0, G4, 0, G4]), 3, 2),
+    # mixed steps: the lcm, which over F_64 exceeds both
+    (poly(F4, [0, 1, 0, 1]), poly(F4, [0, 1, 0, G4]), 3, 2),
+    (poly(make_field(2, 6), [0, 1, 0, C4]), poly(make_field(2, 6), [0, 1, 0, C8]), 1, None),
+    (poly(make_field(2, 6), [0, 1, 0, C4]), poly(make_field(2, 6), [0, 1, 0, C8]), 2, 6),
+    (poly(F4, [0] * 5 + [1]), poly(F4, [0] * 5 + [G4]), 4, None),
+    (poly(F4, [0] * 5 + [1]), poly(F4, [0] * 5 + [G4]), 5, 2),
+    # a sum against a monomial: on the quotient whatever r
+    (dickson(F3, 5, 1), cyclic(F3, 5), 1, None),
+    (dickson(F3, 5, 1), cyclic(F3, 5), 2, 1),
+    (dickson(F3, 5, 1), cyclic(F3, 5), 4, 1),
+    (poly(F4, [1, 0, 0, 1]), rat(F4, [1], [0, 0, 0, G4]), 2, 2),  # x^3 + 1, 1/(c x^3)
+]
+
+
+@pytest.mark.parametrize("f, g, t, step", DP_CASES, ids=lambda v: str(v)[:40])
+def test_dp_flags_on_the_quotient_match_index_order_oracle(f, g, t, step, monkeypatch):
+    flags, steps = dp_with_steps(f, g, t, monkeypatch)
+    assert steps == [step, step]  # each map evaluated once, on one quotient
+    assert flags == dp_oracle(f, g, t)
+
+
+@pytest.mark.parametrize("p", [p for p in range(3, 32) if _is_prime(p)])
+def test_octic_pair_flags_match_index_order_oracle(p, monkeypatch):
+    # x^8 against c x^8, c = 2 and 16: single terms with d = 1, so r = t
+    ctx = make_field(p, 1)
+    seen = set()
+    for c in (2, 16 % p):
+        f, g = poly(ctx, [0] * 8 + [1]), poly(ctx, [0] * 8 + [c])
+        for t in range(1, monic_t_max(ctx) + 1):
+            flags, steps = dp_with_steps(f, g, t, monkeypatch)
+            assert steps == [1 if t >= _QUOTIENT_MIN_R else None] * 2
+            assert flags == dp_oracle(f, g, t), (c, t)
+            seen.add(flags)
+    if p in (3, 5, 7):
+        assert monic_t_max(ctx) >= _QUOTIENT_MIN_R
+    if p == 5:  # 2 is no fourth power mod 5: the pair differs at t = 1
+        assert seen == {(True, True), (False, False)}
