@@ -428,7 +428,7 @@ def test_int32_tables_agree_with_scalar_engine_past_int32_products(ctx):
 # Q = 2**31, where the index tables widen to int64
 @pytest.mark.parametrize("p", [32749, 32771, 46337, 46349])
 def test_exp_rows_match_scalar_powers_at_degree_two(p):
-    # the whole tables would take 8-17 GB: the first two blocks, the doubled
+    # the whole tables would take 8-34 GB: the first two blocks, the doubled
     # one and one product with M(g)**_CHUNK, against the scalar engine
     with field_cap_scope(2**32):
         ctx = make_field(p, 2)
