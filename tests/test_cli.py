@@ -87,16 +87,8 @@ def test_dp_subcommand(capsys):
     assert [r["range_equal"] for r in doc["results"]] == [False, True]
 
 
-@pytest.mark.parametrize(
-    "field, tmax, steps",
-    [
-        ("5", 3, [None] * 3),
-        # F_{3^t} for t >= 5: both maps on the orbit quotient of step 1
-        ("3", 7, [None] * 4 + [1] * 3),
-    ],
-)
-def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch, field, tmax, steps):
-    # both flags come from one table per map and t
+def _dp_eval_calls(capsys, monkeypatch, field, tmax):
+    # (order, step) of each table the dp subcommand evaluates
     calls = []
     eval_sparse = excov._batch.BatchField.eval_sparse
 
@@ -110,8 +102,20 @@ def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch, field,
         ["dp", "--field", field, "--f", "poly:0,0,1", "--g", "poly:0,0,2", "--tmax", str(tmax)],
     )
     assert len(doc["results"]) == tmax
-    q = int(field)
-    assert calls == [(q**t, step) for t, step in enumerate(steps, 1) for _ in range(2)]
+    return calls
+
+
+def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch):
+    # both flags come from one table per map and t
+    calls = _dp_eval_calls(capsys, monkeypatch, "5", 3)
+    assert calls == [(q, None) for q in (5, 5, 25, 25, 125, 125)]
+
+
+def test_dp_subcommand_evaluates_each_map_once_per_t_on_the_quotient(capsys, monkeypatch):
+    # F_{3^t} for t >= 5: both maps on the orbit quotient of step 1
+    calls = _dp_eval_calls(capsys, monkeypatch, "3", 7)
+    steps = [None] * 4 + [1] * 3
+    assert calls == [(3**t, step) for t, step in enumerate(steps, 1) for _ in range(2)]
 
 
 def test_group_subcommand(capsys):
