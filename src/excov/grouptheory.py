@@ -23,18 +23,22 @@ entries count against the field cap.  Everything is read off E:
   gather.
 - `analyze_rep` reads transitivity, primitivity and the centralizer off
   the columns of E.
-`Perm` is the scalar type.  The oracles live in the tests: the coset pass
-against Fried's criterion, the Perm-by-Perm closure against the array
-closure, `MonodromyData.coset` with `Perm.fixed_count` against the coset
-pass, and the generator-based orbit, block and centralizer searches
-against `analyze_rep`.
+Internally a permutation is an int32 image row, and the models, fiber
+products and paired blocks are built as such rows by index arithmetic.
+`Perm` is the scalar type of the public boundary (`MonodromyData.tau`,
+`PermGroup.generators`, what `fiber_tensor` and `fano_actions` return,
+cycle notation) and of the oracles, which live in the tests: the coset
+pass against Fried's criterion, the Perm-by-Perm closure against the array
+closure, a Perm-by-Perm coset with `Perm.fixed_count` against the coset
+pass, the letter-by-letter constructions against the array ones, and the
+generator-based orbit, block and centralizer searches against
+`analyze_rep`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -183,6 +187,19 @@ class Perm:
         return f"Perm{self.cycle_string()}"
 
 
+def _image_rows(perms: Sequence[Perm], degree: int) -> np.ndarray:
+    """The images of perms as a (len(perms), degree) int32 array."""
+    for g in perms:
+        if g.degree != degree:
+            raise ValidationError(f"degree {g.degree} does not match {degree}")
+    return np.array([g.images for g in perms], dtype=np.int32).reshape(len(perms), degree)
+
+
+def _perms(rows) -> list[Perm]:
+    """One `Perm` per image row."""
+    return [Perm(tuple(row)) for row in np.asarray(rows).tolist()]
+
+
 # -- materialized groups ----------------------------------------------------------
 
 
@@ -192,20 +209,13 @@ class PermGroup:
     The closure grows the frontier as one gather per step: the products
     h*g of the frontier rows h with the generators g are g[h], taken
     h-major and g-minor, and a row is new when its bytes are not yet in
-    the set of seen rows.  `elements` lists the same rows as `Perm`s, built
-    on first use.
+    the set of seen rows.  generator_array holds the generators' image rows.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm], cap: int = GROUP_CAP):
-        for g in generators:
-            if g.degree != degree:
-                raise ValidationError(
-                    f"generator degree {g.degree} does not match {degree}"
-                )
         self.degree = degree
         self.generators = tuple(generators)
-        gens = np.array([g.images for g in generators], dtype=np.int32)
-        gens = gens.reshape(len(generators), degree)
+        self.generator_array = gens = _image_rows(generators, degree)
         # the element array's order * degree entries count against the field
         # cap: len(seen) reaches field_cap() // degree exactly when one more
         # element passes it
@@ -230,23 +240,12 @@ class PermGroup:
         self.element_array.flags.writeable = False
         self._keys = seen
 
-    @cached_property
-    def elements(self) -> tuple[Perm, ...]:
-        """The rows of element_array as `Perm`s, in the same order."""
-        return tuple(Perm(tuple(row)) for row in self.element_array.tolist())
-
     @property
     def order(self) -> int:
         return len(self.element_array)
 
     def __len__(self) -> int:
         return len(self.element_array)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.elements)
-
-    def __contains__(self, g: Perm) -> bool:
-        return isinstance(g, Perm) and np.array(g.images, dtype=np.int32).tobytes() in self._keys
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -296,10 +295,6 @@ def _orbit_labels(images: Sequence[Sequence[int]], n: int) -> list[int]:
                     queue.append(y)
         count += 1
     return label
-
-
-def _is_transitive(gens: Sequence[Perm], n: int) -> bool:
-    return set(_orbit_labels([g.images for g in gens], n)) == {0}
 
 
 def analyze_rep(G: PermGroup) -> dict[str, bool]:
@@ -357,39 +352,29 @@ class MonodromyData:
 
     d is the least positive power of tau landing inside the group, so the
     cosets group*tau^t repeat with period d and t is read modulo d.
+    tau_row holds the images of tau.
     """
 
     group: PermGroup
     tau: Perm
-    d: int = field(default=0)
+    d: int = field(init=False)
+    tau_row: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tau.degree != self.group.degree:
-            raise ValidationError("tau degree does not match the group")
-        d = _coset_period(self.group, self.tau, "the group")
-        if self.d and self.d != d:
-            raise ValidationError(
-                f"declared coset period {self.d} but tau enters the group at {d}"
-            )
-        object.__setattr__(self, "d", d)
-
-    def coset(self, t: int) -> Iterator[Perm]:
-        tt = self.tau ** (t % self.d)
-        for g in self.group:
-            yield g * tt
+        step = _image_rows([self.tau], self.group.degree)[0]
+        object.__setattr__(self, "tau_row", step)
+        object.__setattr__(self, "d", _coset_period(self.group, step, "the group"))
 
 
-def _coset_period(group: PermGroup, tau: Perm, what: str) -> int:
+def _coset_period(group: PermGroup, step: np.ndarray, what: str) -> int:
     """Check that tau normalizes group; return the least d >= 1 with tau^d in it.
 
-    With T the images of tau, the conjugates tau^-1*g*tau of the generators
-    are T[g[T^-1]], and tau^(d+1) is the gather T[tau^d].
+    step is the image row T of tau.  The conjugates tau^-1*g*tau of the
+    generators are T[g[T^-1]], and tau^(d+1) is the gather T[tau^d].
     """
-    step = np.array(tau.images, dtype=np.int32)
     inverse = np.empty_like(step)
     inverse[step] = np.arange(len(step), dtype=np.int32)
-    gens = np.array([g.images for g in group.generators], dtype=np.int32)
-    for conjugate in step[gens.reshape(len(group.generators), group.degree)[:, inverse]]:
+    for conjugate in step[group.generator_array[:, inverse]]:
         if conjugate.tobytes() not in group._keys:
             raise ValidationError(f"tau does not normalize {what}")
     d = 1
@@ -400,22 +385,21 @@ def _coset_period(group: PermGroup, tau: Perm, what: str) -> int:
     return d
 
 
-def _coset_fixes(group: PermGroup, tau: Perm, d: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(t, F) for t = 0..d-1, with F[r, x] true where elements[r]*tau^t fixes x.
+def _coset_fixes(group: PermGroup, step: np.ndarray, d: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(t, F) for t = 0..d-1, with F[r, x] true where element r times tau^t fixes x.
 
     g*tau^t applies g first, so with T the images of tau^t the images of the
     coset are the one gather T[E], and tau^(t+1) is one more gather.
     """
     E = group.element_array
     A = np.arange(group.degree, dtype=np.int32)
-    step = np.array(tau.images, dtype=np.int32)
     T = A
     for t in range(d):
         yield t, T[E] == A
         T = step[T]
 
 
-def _suborbit_cycles(group: PermGroup, tau: Perm) -> Optional[set[int]]:
+def _suborbit_cycles(group: PermGroup, step: np.ndarray) -> Optional[set[int]]:
     """Lengths of the cycles tau makes on the off-diagonal G-orbits of pairs.
 
     None when G is not transitive.  G is transitive when every column of E
@@ -432,7 +416,6 @@ def _suborbit_cycles(group: PermGroup, tau: Perm) -> Optional[set[int]]:
     if (to0 < 0).any():
         return None
     sub = E[E[:, 0] == 0].min(0)
-    step = np.array(tau.images, dtype=np.intp)
     image = sub[E[to0[step[0]], step]].tolist()
     seen = [False] * n
     lengths = set()
@@ -470,12 +453,12 @@ def coset_exceptionality(M: MonodromyData, mode: str = "exceptional") -> Frobeni
     if mode not in ("exceptional", "pr-exceptional"):
         raise ValidationError(f"unknown mode {mode!r}")
     exact = mode == "exceptional"
-    lengths = _suborbit_cycles(M.group, M.tau)
+    lengths = _suborbit_cycles(M.group, M.tau_row)
     if lengths is not None:
         passing = {t for t in range(M.d) if all(t % k for k in lengths)}
         return _closed_residues(passing, M.d, mode)
     passing = set()
-    for t, F in _coset_fixes(M.group, M.tau, M.d):
+    for t, F in _coset_fixes(M.group, M.tau_row, M.d):
         counts = F.sum(1)
         if ((counts == 1) if exact else (counts >= 1)).all():
             passing.add(t)
@@ -512,18 +495,18 @@ def dickson_cover_model(n: int, q: int) -> MonodromyData:
 
 
 def fiber_tensor(gens1: Sequence[Perm], gens2: Sequence[Perm]) -> list[Perm]:
-    """Pairwise product action on V1 x V2, index (i, j) -> i*n2 + j."""
+    """Pairwise product action on V1 x V2, index (i, j) -> i*n2 + j.
+
+    Each product's n1 * n2 letters are checked against the field cap before
+    it is built.
+    """
     if len(gens1) != len(gens2):
         raise ValidationError("parallel generator lists differ in length")
     out = []
     for a, b in zip(gens1, gens2):
-        n1, n2 = a.degree, b.degree
-        images = [0] * (n1 * n2)
-        for i in range(n1):
-            ai = a.act(i) * n2
-            for j in range(n2):
-                images[i * n2 + j] = ai + b.act(j)
-        out.append(Perm(tuple(images)))
+        check_field_cap(a.degree * b.degree, "fiber product")
+        row = np.array(a.images, dtype=np.int64)[:, None] * b.degree + b.images
+        out.append(Perm(tuple(row.ravel().tolist())))
     return out
 
 
@@ -531,7 +514,8 @@ def component_count(perms: Sequence[Perm], off_diagonal: bool = False) -> int:
     """Orbit count of the generated group, optionally off the diagonal.
 
     With off_diagonal the permutations must act on V x V (a square degree)
-    and preserve the set of pairs (i, j), i != j.
+    and preserve the diagonal.  The pair (i, i) is the letter i*(n + 1), so
+    the diagonal is every (n + 1)-th letter from 0.
     """
     if not perms:
         raise ValidationError("need at least one permutation")
@@ -539,23 +523,18 @@ def component_count(perms: Sequence[Perm], off_diagonal: bool = False) -> int:
     for g in perms:
         if g.degree != N:
             raise ValidationError("mixed degrees in component_count")
+    labels = _orbit_labels([g.images for g in perms], N)
     if off_diagonal:
         n = math.isqrt(N)
         if n * n != N:
             raise ValidationError(f"degree {N} is not a square, cannot split pairs")
-        diagonal = {i * n + i for i in range(n)}
-        for g in perms:
-            for x in diagonal:
-                if g.act(x) not in diagonal:
-                    raise ValidationError(
-                        "action does not preserve the diagonal; off-diagonal "
-                        "orbits are undefined"
-                    )
-        domain = [x for x in range(N) if x not in diagonal]
-    else:
-        domain = list(range(N))
-    labels = _orbit_labels([g.images for g in perms], N)
-    return len({labels[x] for x in domain})
+        if any(x % (n + 1) for g in perms for x in g.images[:: n + 1]):
+            raise ValidationError(
+                "action does not preserve the diagonal; off-diagonal "
+                "orbits are undefined"
+            )
+        del labels[:: n + 1]
+    return len(set(labels))
 
 
 # -- paired actions (range and fiber-count tests) -----------------------------------
@@ -564,86 +543,50 @@ def component_count(perms: Sequence[Perm], off_diagonal: bool = False) -> int:
 class PairedMonodromy:
     """Two parallel actions of one group, under a common normalizing tau.
 
-    Internally a single group on n1 + n2 letters whose generators act
-    blockwise; tau either preserves the blocks (parallel images) or, when
-    n1 = n2, may swap them wholesale.  A swapping coset exchanges the two
-    fibers, so no range comparison can hold there.
+    Internally a single group on n1 + n2 letters whose i-th generator acts
+    as gens1[i] on the first n1 letters and as gens2[i] on the last n2;
+    tau either preserves the blocks (parallel images) or, when n1 = n2,
+    swaps them wholesale.  A swapping coset exchanges the two fibers, so no
+    range comparison can hold there.  tau_row holds the images of tau.
     """
 
-    def __init__(self, n1: int, n2: int, group: PermGroup, tau: Perm, swaps: bool):
-        self.n1 = n1
-        self.n2 = n2
-        self.group = group
+    def __init__(self, gens1: Sequence[Perm], gens2: Sequence[Perm], tau: Perm):
+        if len(gens1) != len(gens2):
+            raise ValidationError("parallel generator lists differ in length")
+        if not gens1:
+            raise ValidationError("both actions need at least one generator")
+        self.n1, self.n2 = n1, n2 = gens1[0].degree, gens2[0].degree
         self.tau = tau
-        self.swaps = swaps
-        self.d = _coset_period(group, tau, "the paired group")
+        self.tau_row = _image_rows([tau], n1 + n2)[0]
+        first = self.tau_row[:n1]
+        if (first < n1).all():
+            self.swaps = False
+        elif (first >= n1).all():
+            if n1 != n2:
+                raise ValidationError("block swap needs equal degrees")
+            self.swaps = True
+        else:
+            raise ValidationError("tau splits a fiber across both blocks")
+        blocks = np.concatenate([_image_rows(gens1, n1), _image_rows(gens2, n2) + n1], axis=1)
+        self.group = PermGroup(n1 + n2, _perms(blocks))
+        self.d = _coset_period(self.group, self.tau_row, "the paired group")
 
     @classmethod
     def from_parallel(
-        cls,
-        gens1: Sequence[Perm],
-        gens2: Sequence[Perm],
-        tau1: Perm,
-        tau2: Perm,
+        cls, gens1: Sequence[Perm], gens2: Sequence[Perm], tau1: Perm, tau2: Perm
     ) -> "PairedMonodromy":
-        combined = fiber_sum(gens1, gens2)
-        tau = _block_sum(tau1, tau2)
-        return cls._build(tau1.degree, tau2.degree, combined, tau)
-
-    @classmethod
-    def from_combined(
-        cls, gens1: Sequence[Perm], gens2: Sequence[Perm], tau: Perm
-    ) -> "PairedMonodromy":
-        combined = fiber_sum(gens1, gens2)
-        n1 = gens1[0].degree if gens1 else 0
-        n2 = gens2[0].degree if gens2 else 0
-        if not gens1 or not gens2:
-            raise ValidationError("both actions need at least one generator")
-        return cls._build(n1, n2, combined, tau)
-
-    @classmethod
-    def _build(cls, n1, n2, combined, tau):
-        if tau.degree != n1 + n2:
-            raise ValidationError(f"tau must act on {n1 + n2} letters")
-        first_images = {tau.act(i) for i in range(n1)}
-        if first_images <= set(range(n1)):
-            swaps = False
-        elif first_images.isdisjoint(range(n1)):
-            if n1 != n2:
-                raise ValidationError("block swap needs equal degrees")
-            swaps = True
-        else:
-            raise ValidationError("tau splits a fiber across both blocks")
-        return cls(n1, n2, group_from_gens(combined), tau, swaps)
-
-    def fix_pair(self, h: Perm) -> tuple[int, int]:
-        f1 = sum(1 for i in range(self.n1) if h.act(i) == i)
-        f2 = sum(
-            1 for i in range(self.n1, self.n1 + self.n2) if h.act(i) == i
-        )
-        return f1, f2
-
-
-def fiber_sum(gens1: Sequence[Perm], gens2: Sequence[Perm]) -> list[Perm]:
-    """Blockwise sum: each parallel pair acts on the disjoint union."""
-    if len(gens1) != len(gens2):
-        raise ValidationError("parallel generator lists differ in length")
-    return [_block_sum(a, b) for a, b in zip(gens1, gens2)]
-
-
-def _block_sum(a: Perm, b: Perm) -> Perm:
-    n1 = a.degree
-    return Perm(tuple(list(a.images) + [v + n1 for v in b.images]))
+        """The pair under tau1 on the first block and tau2 on the second."""
+        return cls(gens1, gens2, Perm(tau1.images + tuple(v + tau1.degree for v in tau2.images)))
 
 
 def _trace_residues(P: PairedMonodromy, agree, what: str) -> FrobeniusSet:
     """Residues t where agree(f1, f2) holds on every element of group*tau^t.
 
     f1 and f2 are arrays of the fixed-point counts on the two blocks, one
-    entry per coset element, as `PairedMonodromy.fix_pair` counts them.
+    entry per coset element.
     """
     passing = set()
-    for t, F in _coset_fixes(P.group, P.tau, P.d):
+    for t, F in _coset_fixes(P.group, P.tau_row, P.d):
         if P.swaps and t % 2 == 1:
             continue  # this coset exchanges the two fibers outright
         if agree(F[:, : P.n1].sum(1), F[:, P.n1 :].sum(1)).all():
@@ -670,57 +613,30 @@ def sdp_check(P: PairedMonodromy) -> bool:
 # -- the smallest projective plane ----------------------------------------------------
 
 
-def _f2_matvec(m: tuple[tuple[int, ...], ...], v: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(sum(r[j] * v[j] for j in range(3)) % 2 for r in m)
-
-
-def _f2_inverse_transpose(m):
-    # adjugate over F_2 equals the cofactor matrix; det must be 1
-    def minor(r, c):
-        rows = [i for i in range(3) if i != r]
-        cols = [j for j in range(3) if j != c]
-        return (
-            m[rows[0]][cols[0]] * m[rows[1]][cols[1]]
-            + m[rows[0]][cols[1]] * m[rows[1]][cols[0]]
-        ) % 2
-
-    det = sum(m[0][c] * minor(0, c) for c in range(3)) % 2
-    if det != 1:
-        raise InternalInvariantError("singular matrix in plane construction")
-    # inverse = adjugate = transpose of cofactors; transpose again = cofactors
-    return tuple(tuple(minor(r, c) for c in range(3)) for r in range(3))
-
-
-def _vector(label: int) -> tuple[int, int, int]:
-    return ((label >> 2) & 1, (label >> 1) & 1, label & 1)
-
-
-def _label(v: tuple[int, ...]) -> int:
-    return (v[0] << 2) | (v[1] << 1) | v[2]
-
-
 def fano_actions() -> tuple[list[Perm], list[Perm]]:
     """Parallel generators of the plane of order 2 on points and on lines.
 
     Points are the 7 nonzero vectors of a 3-dimensional binary space, lines
-    the 7 nonzero functionals, both labeled 1..7 by binary value.  The two
-    generators are an order-7 cycle (companion of x^3 + x + 1) and a
-    transvection; together they generate the full collineation group.
+    the 7 nonzero functionals, both labeled 1..7 by binary value, and a
+    point lies on a line where the functional vanishes.  The two generators
+    are an order-7 cycle (companion of x^3 + x + 1) and a transvection;
+    together they generate the full collineation group.  A matrix moves the
+    points by its action on vectors, and each line to the line through the
+    images of its three points: the one line that meets them three times,
+    since two lines share one point.
     """
-    cyc = ((0, 0, 1), (1, 0, 1), (0, 1, 0))  # rows of the companion matrix
-    trans = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
-    points, lines = [], []
-    for m in (cyc, trans):
-        mit = _f2_inverse_transpose(m)
-        points.append(
-            Perm(tuple(_label(_f2_matvec(m, _vector(i + 1))) - 1 for i in range(7)))
-        )
-        lines.append(
-            Perm(tuple(_label(_f2_matvec(mit, _vector(i + 1))) - 1 for i in range(7)))
-        )
-    return points, lines
+    matrices = np.array([
+        [[0, 0, 1], [1, 0, 1], [0, 1, 0]],  # rows of the companion matrix
+        [[1, 1, 0], [0, 1, 0], [0, 0, 1]],
+    ])
+    bits = np.array([4, 2, 1])
+    vectors = np.arange(1, 8)[:, None] // bits % 2  # row i: the vector labeled i + 1
+    incidence = 1 - vectors @ vectors.T % 2  # [i, j]: point i lies on line j
+    points = vectors @ matrices.transpose(0, 2, 1) % 2 @ bits - 1
+    lines = (incidence.T @ incidence[points]).argmax(2)
+    return _perms(points), _perms(lines)
 
 
 def block_swap(n: int) -> Perm:
     """The involution exchanging two n-letter blocks index-for-index."""
-    return Perm(tuple(list(range(n, 2 * n)) + list(range(n))))
+    return Perm(tuple(range(n, 2 * n)) + tuple(range(n)))

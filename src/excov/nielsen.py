@@ -11,7 +11,7 @@ catalogue of families the rest of the package scans analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .grouptheory import (
     GROUP_CAP,
     Perm,
     PermGroup,
-    _is_transitive,
+    _image_rows,
     _orbit_labels,
+    _perms,
     _row_keys,
     group_from_gens,
 )
@@ -33,16 +34,10 @@ from .grouptheory import (
 
 @dataclass(frozen=True)
 class NielsenTuple:
-    """Permutation tuple with its declared group and class fingerprints.
-
-    class_reps pins the multiset of conjugacy classes the entries must lie
-    in (cycle type alone does not identify a class outside the symmetric
-    group); entries default to fingerprinting themselves.
-    """
+    """Permutation tuple with its declared group."""
 
     perms: tuple[Perm, ...]
     group: PermGroup
-    class_reps: Optional[tuple[Perm, ...]] = None
 
     def __post_init__(self):
         if not self.perms:
@@ -72,7 +67,7 @@ class NielsenTuple:
 def rh_genus(t: NielsenTuple) -> int:
     """Source genus from the index sum; errors when no cover can exist."""
     n = t.degree
-    if not _is_transitive(t.perms, n):
+    if set(_orbit_labels([g.images for g in t.perms], n)) != {0}:
         raise ValidationError("not a branch cycle description: group not transitive")
     ind_sum = sum(n - len(g.cycles()) - g.fixed_count() for g in t.perms)
     if ind_sum % 2:
@@ -94,7 +89,7 @@ def braid_act(t: NielsenTuple, i: int) -> NielsenTuple:
     new = list(t.perms)
     new[i - 1] = a * b * a.inverse()
     new[i] = a
-    return NielsenTuple(tuple(new), t.group, t.class_reps)
+    return NielsenTuple(tuple(new), t.group)
 
 
 def _conjugators(t: NielsenTuple, equivalence) -> np.ndarray:
@@ -106,10 +101,7 @@ def _conjugators(t: NielsenTuple, equivalence) -> np.ndarray:
     conj = list(equivalence)  # explicit normalizer elements
     if not conj:
         raise ValidationError("need at least one conjugating permutation")
-    for h in conj:
-        if h.degree != t.degree:
-            raise ValidationError(f"degree mismatch: {t.degree} vs {h.degree}")
-    return np.array([h.images for h in conj], dtype=np.int32)
+    return _image_rows(conj, t.degree)
 
 
 def _twist(tup: np.ndarray, i: int) -> np.ndarray:
@@ -140,7 +132,7 @@ def _orbit(start: NielsenTuple, conj: np.ndarray, cap: int) -> list[NielsenTuple
     r, n = start.r, start.degree
     conj_inv = np.empty_like(conj)
     np.put_along_axis(conj_inv, conj, np.arange(n, dtype=np.int32)[None], axis=1)
-    tup = np.array([g.images for g in start.perms], dtype=np.int32)
+    tup = _image_rows(start.perms, n)
     seen = {_canonical(tup, conj, conj_inv)}
     queue = [tup]
     while queue:
@@ -155,11 +147,7 @@ def _orbit(start: NielsenTuple, conj: np.ndarray, cap: int) -> list[NielsenTuple
                 queue.append(nxt)
     # canonical forms are conjugate to visited tuples, hence equally valid
     return [
-        NielsenTuple(
-            tuple(Perm(tuple(g)) for g in np.frombuffer(key, ">i4").reshape(r, n).tolist()),
-            start.group,
-            start.class_reps,
-        )
+        NielsenTuple(tuple(_perms(np.frombuffer(key, ">i4").reshape(r, n))), start.group)
         for key in sorted(seen)
     ]
 
@@ -190,14 +178,10 @@ def cyclic_branch_pair(n: int) -> NielsenTuple:
     return NielsenTuple((s, s.inverse()), group_from_gens([s]))
 
 
-def _involution_pair(n: int) -> tuple[Perm, Perm]:
-    # the two reflections whose product steps the n-cycle forward
-    g1 = [0] * n
-    g2 = [0] * n
-    for i in range(n):
-        g1[i] = (-i - 1) % n
-        g2[i] = (-i) % n
-    return Perm(tuple(g1)), Perm(tuple(g2))
+def _involution_pair(n: int) -> np.ndarray:
+    """The image rows of i -> -i - 1 and i -> -i mod n, the two reflections
+    whose product steps the n-cycle forward."""
+    return (-np.arange(n) - np.array([[1], [0]])) % n
 
 
 def dickson_branch_triple(n: int) -> NielsenTuple:
@@ -210,7 +194,7 @@ def dickson_branch_triple(n: int) -> NielsenTuple:
     if n < 3 or n % 2 == 0:
         raise ValidationError("need odd n >= 3")
     check_field_cap(n * n, ELEMENT_ARRAY)
-    g1, g2 = _involution_pair(n)
+    g1, g2 = _perms(_involution_pair(n))
     ginf = (g1 * g2).inverse()
     return NielsenTuple((g1, g2, ginf), group_from_gens([g1, g2]))
 
@@ -243,24 +227,19 @@ def dickson_tower_cycles(
     N = n ** m
     if N > cap:
         raise CapExceededError(f"degree {n}^{m} exceeds cap {cap}")
-    g1, g2 = _involution_pair(n)
-
-    def lift(g: Perm, level: int) -> Perm:
-        stride = n ** level
-        images = [0] * N
-        for x in range(N):
-            digit = (x // stride) % n
-            images[x] = x + (g.act(digit) - digit) * stride
-        return Perm(tuple(images))
-
-    entries = []
+    pair = _involution_pair(n)
+    # level j's reflections act on the base-n digit x // n^j mod n of letter x
+    x = np.arange(N)
+    rows = []
     for j in range(m):
-        entries.append(lift(g1, j))
-        entries.append(lift(g2, j))
-    prod = Perm.identity(N)
-    for g in entries:
-        prod = prod * g
-    entries.append(prod.inverse())
+        digit = x // n**j % n
+        rows.extend(x + (pair[:, digit] - digit) * n**j)
+    prod = x
+    for row in rows:
+        prod = row[prod]
+    inverse = np.empty_like(prod)
+    inverse[prod] = x
+    entries = _perms(rows + [inverse])
     tup = NielsenTuple(tuple(entries), group_from_gens(entries, cap=cap))
     closing = entries[-1]
     want = N // n
@@ -386,20 +365,14 @@ def modular_nielsen(p: int, k: int = 0) -> ModularClasses:
 
 
 def modular_tuple_perms(p: int, k: int, v2, v3) -> NielsenTuple:
-    """Realize a normalized symbol as actual point reflections on m^2 letters."""
+    """Realize a normalized symbol as actual point reflections on m^2 letters.
+
+    The point (x, y) is the letter x*m + y; the group is generated by the
+    reflection in 0 and the two unit translations.
+    """
     m = p ** (k + 1)
-
-    def reflect(v) -> Perm:
-        images = [0] * (m * m)
-        for x in range(m):
-            for y in range(m):
-                nx, ny = (v[0] - x) % m, (v[1] - y) % m
-                images[x * m + y] = nx * m + ny
-        return Perm(tuple(images))
-
+    x, y = np.divmod(np.arange(m * m), m)
     v4 = ((v3[0] - v2[0]) % m, (v3[1] - v2[1]) % m)
-    perms = tuple(reflect(v) for v in ((0, 0), v2, v3, v4))
-    shift_x = Perm(tuple(((x + 1) % m) * m + y for x in range(m) for y in range(m)))
-    shift_y = Perm(tuple(x * m + (y + 1) % m for x in range(m) for y in range(m)))
-    group = group_from_gens([perms[0], shift_x, shift_y])
-    return NielsenTuple(perms, group)
+    reflections = _perms([(a - x) % m * m + (b - y) % m for a, b in ((0, 0), v2, v3, v4)])
+    shifts = _perms([(x + 1) % m * m + y, x * m + (y + 1) % m])
+    return NielsenTuple(tuple(reflections), group_from_gens(reflections[:1] + shifts))

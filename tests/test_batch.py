@@ -354,6 +354,16 @@ def test_scan_and_structural_ops_leave_numpy_ma_unimported():
         "excov.coset_exceptionality(excov.dickson_cover_model(7, 3))\n"
         "excov.braid_orbit(excov.dickson_branch_triple(5))\n"
         "excov.analyze_rep(excov.dickson_cover_model(7, 3).group)\n"
+        "M = excov.cyclic_cover_model(7, 2)\n"
+        "pairs = excov.fiber_tensor(M.group.generators, M.group.generators)\n"
+        "excov.component_count(pairs, off_diagonal=True)\n"
+        "excov.stable_component_count(M)\n"
+        "from excov.grouptheory import PairedMonodromy, block_swap, fano_actions, idp_trace_test\n"
+        "points, lines = fano_actions()\n"
+        "idp_trace_test(PairedMonodromy(points, lines, block_swap(7)))\n"
+        "excov.dickson_tower_cycles(3, 2)\n"
+        "from excov.nielsen import modular_tuple_perms\n"
+        "modular_tuple_perms(3, 0, (1, 0), (0, 1))\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     assert out == ["5", "False"]

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from excov.grouptheory import (
     PairedMonodromy,
     Perm,
     PermGroup,
-    _block_sum,
     _coset_fixes,
     _orbit_labels,
     _suborbit_cycles,
@@ -26,7 +26,6 @@ from excov.grouptheory import (
     davenport_trace_test,
     dickson_cover_model,
     fano_actions,
-    fiber_sum,
     fiber_tensor,
     group_from_gens,
     idp_trace_test,
@@ -36,6 +35,93 @@ from excov.grouptheory import (
 
 def C(text, degree=None):
     return Perm.from_cycles(text, degree)
+
+
+# -- the scalar oracles: Perm-by-Perm versions of the array code -----------------
+
+
+def elements(G):
+    """The rows of G's element array as `Perm`s, in the same order."""
+    return tuple(Perm(tuple(row)) for row in G.element_array.tolist())
+
+
+def random_element(rng, G):
+    return Perm(tuple(rng.choice(G.element_array).tolist()))
+
+
+def contains(G, g):
+    """Membership through the byte keys the closure collected."""
+    return np.array(g.images, dtype=np.int32).tobytes() in G._keys
+
+
+def coset(M, t):
+    """The elements g*tau^t of the coset at t, one `Perm` each."""
+    tt = M.tau ** (t % M.d)
+    for g in elements(M.group):
+        yield g * tt
+
+
+def block_sum(a, b):
+    n1 = a.degree
+    return Perm(tuple(list(a.images) + [v + n1 for v in b.images]))
+
+
+def fiber_sum(gens1, gens2):
+    """Blockwise sum: each parallel pair acts on the disjoint union."""
+    return [block_sum(a, b) for a, b in zip(gens1, gens2)]
+
+
+def fix_pair(P, h):
+    """The fixed points of h on the two blocks of a paired model."""
+    f1 = sum(1 for i in range(P.n1) if h.act(i) == i)
+    f2 = sum(1 for i in range(P.n1, P.n1 + P.n2) if h.act(i) == i)
+    return f1, f2
+
+
+def fiber_tensor_oracle(gens1, gens2):
+    out = []
+    for a, b in zip(gens1, gens2):
+        n1, n2 = a.degree, b.degree
+        images = [0] * (n1 * n2)
+        for i in range(n1):
+            ai = a.act(i) * n2
+            for j in range(n2):
+                images[i * n2 + j] = ai + b.act(j)
+        out.append(Perm(tuple(images)))
+    return out
+
+
+def fano_oracle():
+    """The plane of order 2 from matrix-vector products: points by m, lines
+    by the inverse transpose of m, which over F_2 (det m = 1) is the matrix
+    of cofactors."""
+
+    def matvec(m, v):
+        return tuple(sum(r[j] * v[j] for j in range(3)) % 2 for r in m)
+
+    def cofactors(m):
+        def minor(r, c):
+            rows = [i for i in range(3) if i != r]
+            cols = [j for j in range(3) if j != c]
+            return (m[rows[0]][cols[0]] * m[rows[1]][cols[1]] + m[rows[0]][cols[1]] * m[rows[1]][cols[0]]) % 2
+
+        assert sum(m[0][c] * minor(0, c) for c in range(3)) % 2 == 1
+        return tuple(tuple(minor(r, c) for c in range(3)) for r in range(3))
+
+    def vector(label):
+        return ((label >> 2) & 1, (label >> 1) & 1, label & 1)
+
+    def label(v):
+        return (v[0] << 2) | (v[1] << 1) | v[2]
+
+    cyc = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+    trans = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
+    points, lines = [], []
+    for m in (cyc, trans):
+        mit = cofactors(m)
+        points.append(Perm(tuple(label(matvec(m, vector(i + 1))) - 1 for i in range(7))))
+        lines.append(Perm(tuple(label(matvec(mit, vector(i + 1))) - 1 for i in range(7))))
+    return points, lines
 
 
 # -- permutations -------------------------------------------------------------
@@ -86,6 +172,13 @@ def test_fano_group_order():
     points, lines = fano_actions()
     assert group_from_gens(points).order == 168
     assert group_from_gens(lines).order == 168
+
+
+def test_fano_actions_match_the_matrix_oracle():
+    points, lines = fano_actions()
+    assert (points, lines) == fano_oracle()
+    assert [g.images for g in points] == [(5, 0, 6, 1, 3, 2, 4), (0, 5, 6, 3, 4, 1, 2)]
+    assert [g.images for g in lines] == [(3, 0, 4, 5, 1, 6, 2), (0, 1, 2, 5, 6, 3, 4)]
 
 
 def test_fano_generators_preserve_incidence():
@@ -273,7 +366,7 @@ def random_group(rng, ambient):
 
     def block(A, k):
         s = random_perm(rng, A.degree)
-        return [conj(rng.choice(A.elements), s) for _ in range(k)]
+        return [conj(random_element(rng, A), s) for _ in range(k)]
 
     k = rng.randrange(1, 4)
     A = rng.choice([G for G in ambient if shape == "one" or G.degree <= 8])
@@ -394,20 +487,13 @@ def test_orbit_labels_number_orbits_by_least_point():
     assert _orbit_labels([], 3) == [0, 1, 2]
 
 
-def test_declared_d_checked():
-    G = group_from_gens([C("(1 2 3 4 5)")])
-    tau = Perm(tuple((i * 2) % 5 for i in range(5)))
-    with pytest.raises(ValidationError):
-        MonodromyData(G, tau, d=3)
-
-
 # -- the element array against the scalar oracle ------------------------------
 
 
 def coset_oracle(M, mode):
-    """coset_exceptionality element by element, from M.coset and fixed_count."""
+    """coset_exceptionality element by element, from coset and fixed_count."""
     ok = (lambda c: c == 1) if mode == "exceptional" else (lambda c: c >= 1)
-    passing = {t for t in range(M.d) if all(ok(h.fixed_count()) for h in M.coset(t))}
+    passing = {t for t in range(M.d) if all(ok(h.fixed_count()) for h in coset(M, t))}
     return from_residues(M.d, passing)
 
 
@@ -477,7 +563,7 @@ def test_element_array_matches_elements_and_is_built_once():
     E = G.element_array
     assert E.dtype == np.int32
     assert E.shape == (G.order, G.degree)
-    assert E.tolist() == [list(g.images) for g in G.elements]
+    assert E.tolist() == [list(g.images) for g in elements(G)]
     assert not E.flags.writeable
     coset_exceptionality(M)
     coset_exceptionality(M, "pr-exceptional")
@@ -491,7 +577,7 @@ def test_element_array_matches_elements_and_is_built_once():
 
 def coset_pass(M):
     """Mode "exceptional" counted out coset by coset, whatever the group."""
-    passing = {t for t, F in _coset_fixes(M.group, M.tau, M.d) if (F.sum(1) == 1).all()}
+    passing = {t for t, F in _coset_fixes(M.group, M.tau_row, M.d) if (F.sum(1) == 1).all()}
     return from_residues(M.d, passing)
 
 
@@ -505,7 +591,7 @@ def test_fried_criterion_matches_coset_pass_on_models():
             if n >= 3 and n % 2:
                 models.append(dickson_cover_model(n, q))
             for M in models:
-                assert _suborbit_cycles(M.group, M.tau) is not None
+                assert _suborbit_cycles(M.group, M.tau_row) is not None
                 assert coset_exceptionality(M) == coset_pass(M), (n, q, M.group.order)
                 count += 1
     assert count == 2266  # 2,228 with n >= 2, and the 38 of degree 1
@@ -522,8 +608,8 @@ def random_normalized(rng, ambient, cap=400):
     """
 
     def one(A):
-        tau = rng.choice(A.elements) if rng.random() < 0.8 else random_perm(rng, A.degree)
-        base = [rng.choice(A.elements) for _ in range(rng.randrange(0, 3))]
+        tau = random_element(rng, A) if rng.random() < 0.8 else random_perm(rng, A.degree)
+        base = [random_element(rng, A) for _ in range(rng.randrange(0, 3))]
         gens = [conj(g, tau ** i) for g in base for i in range(tau.order())]
         s = random_perm(rng, A.degree)
         return [conj(g, s) for g in gens], conj(tau, s)
@@ -537,8 +623,8 @@ def random_normalized(rng, ambient, cap=400):
             B = rng.choice([G for G in ambient if G.degree <= 9 - A.degree])
             (gens1, tau1), (gens2, tau2) = one(A), one(B)
             one1, one2 = Perm.identity(A.degree), Perm.identity(B.degree)
-            gens = [_block_sum(g, one2) for g in gens1] + [_block_sum(one1, g) for g in gens2]
-            n, tau = A.degree + B.degree, _block_sum(tau1, tau2)
+            gens = [block_sum(g, one2) for g in gens1] + [block_sum(one1, g) for g in gens2]
+            n, tau = A.degree + B.degree, block_sum(tau1, tau2)
         try:
             return MonodromyData(PermGroup(n, gens, cap=cap), tau)
         except CapExceededError:
@@ -554,14 +640,14 @@ def test_fried_criterion_matches_coset_pass_on_random_models():
         G, n = M.group, M.group.degree
         transitive = set(_orbit_labels([g.images for g in G.generators], n)) == {0}
         # intransitive groups take the coset pass
-        assert (_suborbit_cycles(G, M.tau) is None) == (not transitive)
+        assert (_suborbit_cycles(G, M.tau_row) is None) == (not transitive)
         got = coset_exceptionality(M)
         assert got == coset_pass(M), ([g.images for g in G.generators], M.tau.images)
         # on a transitive group pr-exceptional takes Fried's criterion too
         pr = coset_exceptionality(M, "pr-exceptional")
         assert pr == coset_oracle(M, "pr-exceptional"), ([g.images for g in G.generators], M.tau.images)
         assert pr == got or not transitive
-        images = {g.images for g in G}
+        images = {g.images for g in elements(G)}
         assert M.d == min(d for d in range(1, M.tau.order() + 1) if (M.tau ** d).images in images)
         outcomes.add((transitive, got.is_empty(), got.modulus > 1))
     # (transitive, empty, modulus > 1): every shape of answer on both paths
@@ -592,12 +678,12 @@ def test_closure_order_matches_perm_closure_on_random_groups():
     for _ in range(2000):
         G = random_group(rng, ambient)
         want = closure_oracle(G.degree, G.generators)
-        assert G.elements == tuple(want), [g.images for g in G.generators]
+        assert elements(G) == tuple(want), [g.images for g in G.generators]
         assert G.element_array.tolist() == [list(g.images) for g in want]
         assert G.order == len(G) == len(want)
         images = {g.images for g in want}
         for h in [random_perm(rng, G.degree) for _ in range(3)] + want[-2:]:
-            assert (h in G) == (h.images in images)
+            assert contains(G, h) == (h.images in images)
 
 
 def test_fried_criterion_on_a_large_cyclic_model():
@@ -615,7 +701,7 @@ def trace_oracle(P, agree):
         if P.swaps and t % 2 == 1:
             continue
         tt = P.tau ** t
-        if all(agree(*P.fix_pair(g * tt)) for g in P.group):
+        if all(agree(*fix_pair(P, g * tt)) for g in elements(P.group)):
             passing.add(t)
     return from_residues(P.d, passing)
 
@@ -697,9 +783,9 @@ def random_pairs(seed, count):
             gens2 = [conj(g, s) for g in gens]
             tau = block_swap(n)
             if rng.random() < 0.5:
-                h = group_from_gens(gens).elements[-1]
-                tau = _block_sum(h, conj(h, s)) * tau
-            out.append(PairedMonodromy.from_combined(gens, gens2, tau))
+                h = elements(group_from_gens(gens))[-1]
+                tau = block_sum(h, conj(h, s)) * tau
+            out.append(PairedMonodromy(gens, gens2, tau))
     return out
 
 
@@ -707,7 +793,7 @@ def test_trace_passes_match_fix_pair_oracle():
     points, lines = fano_actions()
     fano = [
         PairedMonodromy.from_parallel(points, lines, Perm.identity(7), Perm.identity(7)),
-        PairedMonodromy.from_combined(points, lines, block_swap(7)),
+        PairedMonodromy(points, lines, block_swap(7)),
     ]
     models = fano + random_pairs(11, 60)
     assert any(P.swaps for P in models) and any(P.d > 2 for P in models)
@@ -758,6 +844,34 @@ def test_fiber_tensor_length_mismatch():
         fiber_tensor([shift5()], [])
 
 
+def test_fiber_tensor_matches_the_letter_loop():
+    rng = random.Random(22)
+    for _ in range(300):
+        pairs = [(rng.randrange(0, 9), rng.randrange(0, 9)) for _ in range(rng.randrange(1, 4))]
+        gens1 = [random_perm(rng, n1) for n1, _ in pairs]
+        gens2 = [random_perm(rng, n2) for _, n2 in pairs]
+        assert fiber_tensor(gens1, gens2) == fiber_tensor_oracle(gens1, gens2), pairs
+
+
+def test_fiber_tensor_refuses_a_product_past_the_cap_before_building_it():
+    with field_cap_scope(30):
+        assert len(fiber_tensor([shift5()], [Perm.identity(6)])[0].images) == 30
+        with pytest.raises(CapExceededError, match="fiber product of size 35"):
+            fiber_tensor([shift5()], [Perm.identity(7)])
+    # a degree-2003 pair has 4.0e6 letters, 32 MB as int64: none of it is built
+    n = 2003
+    g = Perm(tuple((i + 1) % n for i in range(n)))
+    tracemalloc.start()
+    try:
+        with field_cap_scope(n * n - 1), pytest.raises(CapExceededError) as err:
+            fiber_tensor([g], [g])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.exit_code == 3
+    assert peak < 2**20, peak
+
+
 # -- paired trace tests ---------------------------------------------------------
 
 
@@ -792,7 +906,7 @@ def test_fano_pair_is_isovalent_as_plain_pair():
 
 def test_fano_pair_with_duality_swap_is_not_strong():
     points, lines = fano_actions()
-    P = PairedMonodromy.from_combined(points, lines, block_swap(7))
+    P = PairedMonodromy(points, lines, block_swap(7))
     assert P.swaps
     assert P.d == 2
     got = idp_trace_test(P)
@@ -800,8 +914,22 @@ def test_fano_pair_with_duality_swap_is_not_strong():
     assert not sdp_check(P)
 
 
+def test_paired_blocks_match_the_block_sum_oracle():
+    rng = random.Random(23)
+    points, lines = fano_actions()
+    P = PairedMonodromy(points, lines, block_swap(7))
+    assert P.group.generators == tuple(fiber_sum(points, lines))
+    for _ in range(100):
+        c1, c2 = random_perm(rng, rng.randrange(1, 9)), random_perm(rng, rng.randrange(1, 9))
+        a, b = rng.randrange(5), rng.randrange(5)
+        P = PairedMonodromy.from_parallel([c1], [c2], c1 ** a, c2 ** b)
+        assert P.group.generators == (block_sum(c1, c2),)
+        assert P.tau == block_sum(c1 ** a, c2 ** b)
+        assert P.tau_row.tolist() == list(P.tau.images)
+
+
 def test_partial_swap_rejected():
     points, lines = fano_actions()
     bad = Perm(tuple([7] + list(range(1, 7)) + [0] + list(range(8, 14))))
     with pytest.raises(ValidationError):
-        PairedMonodromy.from_combined(points, lines, bad)
+        PairedMonodromy(points, lines, bad)

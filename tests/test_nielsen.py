@@ -23,16 +23,26 @@ def C(text, n):
     return Perm.from_cycles(text, n)
 
 
+def elements(group: PermGroup) -> list[Perm]:
+    return [Perm(tuple(row)) for row in group.element_array.tolist()]
+
+
 def _class_of(rep: Perm, group: PermGroup) -> frozenset:
-    return frozenset((h.inverse() * rep * h).images for h in group)
+    return frozenset((h.inverse() * rep * h).images for h in elements(group))
 
 
-def validate_tuple(t: NielsenTuple) -> list[str]:
-    """Empty list when the tuple is a branch cycle description for its group."""
+def validate_tuple(t: NielsenTuple, class_reps=None) -> list[str]:
+    """Empty list when the tuple is a branch cycle description for its group.
+
+    class_reps pins the multiset of conjugacy classes the entries must lie
+    in (cycle type alone does not identify a class outside the symmetric
+    group); by default the entries fingerprint themselves.
+    """
     problems = []
     if not t.product().is_identity():
         problems.append("product-one fails: entries do not multiply to the identity")
-    if any(g not in t.group for g in t.perms):
+    members = {g.images for g in elements(t.group)}
+    if any(g.images not in members for g in t.perms):
         problems.append("generation fails: an entry lies outside the declared group")
     else:
         # entries inside the group, so this closure is bounded by its order
@@ -42,7 +52,7 @@ def validate_tuple(t: NielsenTuple) -> list[str]:
                 f"generation fails: entries generate order {generated.order}, "
                 f"declared group has order {t.group.order}"
             )
-    reps = t.class_reps if t.class_reps is not None else t.perms
+    reps = class_reps if class_reps is not None else t.perms
     if len(reps) != t.r:
         problems.append("class-membership fails: fingerprint length mismatch")
     else:
@@ -75,7 +85,9 @@ def test_dickson_triple_entries():
 
 
 def test_branch_tuples_refuse_outsized_degrees_before_building(monkeypatch):
-    monkeypatch.setattr(nielsen, "Perm", None)  # any permutation built is a TypeError
+    # any permutation built is a TypeError
+    monkeypatch.setattr(nielsen, "Perm", None)
+    monkeypatch.setattr(nielsen, "_perms", None)
     with field_cap_scope(48):
         for family in (cyclic_branch_pair, dickson_branch_triple):
             with pytest.raises(CapExceededError, match="of size 49"):
@@ -110,22 +122,19 @@ def test_outside_group_flagged_without_blowup():
 
 def test_class_membership_violation():
     s3 = group_from_gens([C("(1 2 3)", 3), C("(1 2)", 3)])
-    t = NielsenTuple(
-        (C("(1 2 3)", 3), C("(1 3 2)", 3)),
-        s3,
-        class_reps=(C("(1 2)", 3), C("(1 2)", 3)),
-    )
-    assert any("class-membership" in p for p in validate_tuple(t))
+    t = NielsenTuple((C("(1 2 3)", 3), C("(1 3 2)", 3)), s3)
+    problems = validate_tuple(t, class_reps=(C("(1 2)", 3), C("(1 2)", 3)))
+    assert any("class-membership" in p for p in problems)
 
 
 def test_class_membership_needs_conjugacy_not_just_cycle_type():
     # inside an abelian group distinct 3-cycles are not conjugate
     s = C("(1 2 3)", 3)
     z3 = group_from_gens([s])
-    ok = NielsenTuple((s, s, s), z3, class_reps=(s, s, s))
-    assert validate_tuple(ok) == []
-    bad = NielsenTuple((s, s, s), z3, class_reps=(s, s, s.inverse()))
-    assert any("class-membership" in p for p in validate_tuple(bad))
+    t = NielsenTuple((s, s, s), z3)
+    assert validate_tuple(t, class_reps=(s, s, s)) == []
+    bad = validate_tuple(t, class_reps=(s, s, s.inverse()))
+    assert any("class-membership" in p for p in bad)
 
 
 # -- genus ----------------------------------------------------------------------
@@ -254,6 +263,28 @@ def test_tower_level_two_shape():
 def test_tower_accepts_a_list_for_levels():
     tower = dickson_tower_cycles(3, [2, 7])
     assert tower.levels == 2 and tower.degree == 9
+
+
+def tower_oracle(n, m):
+    """The tower's entries letter by letter: each level's reflection pair
+    moves one base-n digit, and the closing entry inverts the product."""
+    N = n**m
+    pair = [Perm(tuple((-i - 1) % n for i in range(n))), Perm(tuple((-i) % n for i in range(n)))]
+
+    def lift(g, stride):
+        return Perm(tuple(x + (g.act(x // stride % n) - x // stride % n) * stride for x in range(N)))
+
+    entries = [lift(g, n**j) for j in range(m) for g in pair]
+    prod = Perm.identity(N)
+    for g in entries:
+        prod = prod * g
+    return tuple(entries) + (prod.inverse(),)
+
+
+@pytest.mark.parametrize("n, levels", [(3, 2), (3, [2, 7]), (3, 3), (5, 1)])
+def test_tower_entries_match_the_letter_loop(n, levels):
+    m = levels if isinstance(levels, int) else len(levels)
+    assert dickson_tower_cycles(n, levels).tuple.perms == tower_oracle(n, m)
 
 
 def test_tower_genus_from_index_sum():
@@ -455,6 +486,27 @@ def test_symbol_braid_maps_match_real_twists():
             assert _symbol_of(braid_act(t, 3).perms, m) == expect_q1()
 
 
+def modular_perms_oracle(p, k, v2, v3):
+    """Point reflections and unit translations of (Z/m)^2, letter by letter."""
+    m = p ** (k + 1)
+
+    def reflect(v):
+        return Perm(tuple((v[0] - x) % m * m + (v[1] - y) % m for x in range(m) for y in range(m)))
+
+    v4 = ((v3[0] - v2[0]) % m, (v3[1] - v2[1]) % m)
+    shift_x = Perm(tuple(((x + 1) % m) * m + y for x in range(m) for y in range(m)))
+    shift_y = Perm(tuple(x * m + (y + 1) % m for x in range(m) for y in range(m)))
+    perms = tuple(reflect(v) for v in ((0, 0), v2, v3, v4))
+    return perms, (perms[0], shift_x, shift_y)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_modular_tuple_perms_match_the_letter_loop(p):
+    for _, v2, v3, _ in modular_nielsen(p, 0).tuples:
+        t = modular_tuple_perms(p, 0, v2, v3)
+        assert (t.perms, t.group.generators) == modular_perms_oracle(p, 0, v2, v3)
+
+
 def test_modular_tuple_perms_validate():
     t = modular_tuple_perms(3, 0, (1, 0), (0, 1))
     assert t.group.order == 2 * 9
@@ -515,7 +567,7 @@ def orbit_keys(orbit):
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11, 13, 15])
 def test_braid_keys_match_perm_products_on_dickson_triples(n):
     t = dickson_branch_triple(n)
-    inner = list(t.group)
+    inner = elements(t.group)
     some = inner[1::3]  # a conjugator list that is not a group
     for member in braid_orbit(t, equivalence="none"):  # the twisted tuples themselves
         for conj in (inner, some):
@@ -529,7 +581,7 @@ def test_braid_keys_match_perm_products_on_modular_tuples(p, stride):
     # a p = 5 orbit holds 60 classes, of 3000 tuples under no equivalence
     for _, v2, v3, _ in modular_nielsen(p).tuples[::stride]:
         t = modular_tuple_perms(p, 0, v2, v3)
-        inner = list(t.group)
+        inner = elements(t.group)
         assert orbit_keys(braid_orbit(t)) == orbit_oracle(t, inner)
         for member in braid_orbit(t, equivalence="none")[:10]:
             assert array_key(member.perms, inner) == canonical_oracle(member.perms, inner)

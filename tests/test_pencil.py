@@ -8,7 +8,6 @@ from excov.gf import make_field
 from excov.grouptheory import (
     MonodromyData,
     Perm,
-    _block_sum,
     _orbit_labels,
     block_swap,
     cyclic_cover_model,
@@ -148,6 +147,10 @@ def component_oracle(model):
     return len(off_diagonal - moved)
 
 
+def block_sum(a, b):
+    return Perm(a.images + tuple(v + a.degree for v in b.images))
+
+
 def random_model(rng):
     """A seeded cyclic or Dickson cover model, or two on disjoint blocks:
     their direct product, or one action twice with tau kept or swapping
@@ -166,16 +169,16 @@ def random_model(rng):
         return A
     n = A.group.degree
     if shape == "twice":
-        gens = [_block_sum(g, g) for g in A.group.generators]
-        tau = _block_sum(A.tau, A.tau)
+        gens = [block_sum(g, g) for g in A.group.generators]
+        tau = block_sum(A.tau, A.tau)
         if rng.random() < 0.5:
             tau = tau * block_swap(n)
     else:
         B = one()
         one_a, one_b = Perm.identity(n), Perm.identity(B.group.degree)
-        gens = [_block_sum(g, one_b) for g in A.group.generators]
-        gens += [_block_sum(one_a, g) for g in B.group.generators]
-        tau = _block_sum(A.tau, B.tau)
+        gens = [block_sum(g, one_b) for g in A.group.generators]
+        gens += [block_sum(one_a, g) for g in B.group.generators]
+        tau = block_sum(A.tau, B.tau)
     return MonodromyData(group_from_gens(gens), tau)
 
 
