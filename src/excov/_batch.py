@@ -39,27 +39,23 @@ label j, 0 is label m and infinity label Q, and slot j holds the label
 of f(g**j), slot m that of f(0).  ``index_order`` alone turns a table
 into element indices.  When the coefficients lie in F_{p**d} for a
 d < D, x -> x**(p**d) commutes with f, and in log space that map is
-j -> j * p**d mod m.  So a sum of two or more terms is evaluated only at
-the least log of each of these orbits (``orbit_reps``), about m*d/D of
-them, and each value log v at j is written out at j * p**(d*k) as
-v * p**(d*k), k < D/d.  The representatives are cached per field and d,
-at about 4d/D bytes per point.
-
-A scan record of such a map is not written out at all: ``eval_sparse``
-with ``orbits`` returns, per representative, the orbit of its value and
-the rotation that takes that orbit's representative there, and
-``excscan`` reads fibers, bijectivity and the period off this orbit map.
-With ``orbits`` a single-term map (x**n, c * x**n, x**a / x**b) is read
-this way too, once r = D/d reaches ``_QUOTIENT_MIN_R``; below that, the
-lookup build costs more than the whole-field table it saves.  A monomial
-on the quotient still builds no generator, exp, log or zech.  The
-per-label (orbit, rotation) lookup (``orbit_lookup``) is cached next to
-the representatives at 4 bytes per point, plus d/D more for the orbit
-lengths, and counted in ``table_bytes``; the period of the orbit map
-with its rotations is ``permutation_period(succ, rot, r)``.  The pair
-flags read both maps on one quotient, at the lcm of their steps
-(``eval_sparse``'s ``step``).  Fields where r = D/d is 1 keep the full
-table, as do value tables, the pencil and the curve point counts.
+j -> j * p**d mod m.  Given that step, ``eval_sparse`` evaluates f only
+at the least log of each of these orbits (``orbit_reps``), about m*d/D
+of them, and returns per representative the orbit of its value and the
+rotation that takes that orbit's representative there, read through the
+per-label (orbit, rotation) lookup ``orbit_lookup``.  ``excscan`` reads
+fibers, bijectivity and the period off this orbit map, the period with
+its rotations by ``permutation_period(succ, rot, r)``.  The
+representatives and the lookup are cached per field and d, at about
+4d/D and 4 bytes per point, plus d/D more for the orbit lengths, and
+counted in ``table_bytes``.  A monomial on the quotient still builds no
+generator, exp, log or zech.  ``orbit_step`` picks the step on which
+a scan reads a map, or the pair flags two maps together: d for a sum of
+two or more terms, and for single-term maps (x**n, c * x**n,
+x**a / x**b) only once r = D/d reaches ``_QUOTIENT_MIN_R``; below that,
+the lookup build costs more than the whole-field table it saves.
+Without a step the table is evaluated at every log, as for r = 1
+fields, value tables, the pencil and the curve point counts.
 
 Tables are stored at the width ``_index_dtype(Q)``: int32 while
 Q < 2**31, 8 bytes per point for exp and log and 4 more for zech, else
@@ -287,50 +283,34 @@ class BatchField:
         self,
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None = None,
-        out: np.ndarray | None = None,
-        orbits: bool = False,
         step: int | None = None,
     ) -> np.ndarray:
         """Label table of sum(c * x**e): slot j < m holds the label of
         f(g**j), slot m that of f(0), so a zero is m.  With ``den``, the
         quotient by that sum, whose poles are Q.  Coefficients may come
-        from any field below this one.  Written into ``out`` (int64, Q
-        slots), or a new array when it is None or ``orbits`` is set.
+        from any field below this one.  A new int64 table of Q + 1 slots;
+        the last is left for the caller, which writes the value at
+        infinity there.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
-        by ``_logs_at``.  With s = p**d, d = ``orbit_step(terms, den,
-        orbits)``, f(x**s) = f(x)**s, so the value log v at j gives v*s at
-        j*s; when d < D only the least log of each Frobenius orbit is
-        evaluated (``orbit_reps``).  Each block of representatives is
-        written out r = D/d times, one rotation (j, v) -> (j*s, v*s) mod m
-        at a time, and a zero or a pole stays one along its orbit.
-        Otherwise r = 1 and the blocks run over every log.  x = 0 takes
-        the constant terms.  ``step``, a d dividing D with every coefficient
-        in F_{p**d}, replaces f's own step: a pair of maps is read on one
-        quotient, at the lcm of their steps.
-
-        With ``orbits`` and r > 1 the values are not written out but read
-        on the orbit quotient: slot i holds the ``orbit_lookup(d)`` code
-        (orbit * r + rotation) of the value at representative i, and slot
-        n = ``orbit_reps(d).size`` that of f(0).  When r = 1 it is the full
-        table.  Either way a new table is made, with one more slot at the
-        end, which is left for the caller to fill: the scan writes the
-        value at infinity there.
+        by ``_logs_at``, and x = 0 takes the constant terms.  With ``step``
+        a d < D dividing D with every coefficient in F_{p**d}, f commutes
+        with x -> x**(p**d), and only the least log of each of its orbits
+        (``orbit_reps(d)``) is evaluated: slot i holds the
+        ``orbit_lookup(d)`` code (orbit * r + rotation) of the value at
+        representative i, slot n = ``orbit_reps(d).size`` that of f(0), and
+        slot n + 1 is the caller's, all at the lookup's width.
         """
         Q, m = self.order, self.order - 1
-        sums, d, single = self._plan(terms, den)
-        d = step or self._quotient_step(d, single, orbits)
-        s, r = self.p**d % m, self.D // d
-        reps = self.orbit_reps(d) if r > 1 else None
-        code = self.orbit_lookup(d)[0] if orbits and reps is not None else None
-        n = m if reps is None else reps.size
-        if code is not None:
-            out = np.empty(n + 2, dtype=code.dtype)
-        elif orbits:
+        sums = self._sums(terms, den)
+        if step is None:
+            reps = code = None
+            n = m
             out = np.empty(Q + 1, dtype=np.int64)
-        elif out is None:
-            out = np.empty(Q, dtype=np.int64)
-        rounds = 1 if code is not None else r
+        else:
+            reps, code = self.orbit_reps(step), self.orbit_lookup(step)[0]
+            n = reps.size
+            out = np.empty(n + 2, dtype=code.dtype)
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             if reps is None:
@@ -338,33 +318,21 @@ class BatchField:
             else:
                 j = reps[lo:hi].astype(np.int64)
             v, zeros = self._logs_at(j, sums[0][1])
-            marks = [(zeros, m)]
             if den is not None:
                 dv, poles = self._logs_at(j, sums[1][1])
                 v -= dv
                 v %= m
-                marks.append((poles, Q))  # after the zeros: a pole wins
-            dest = j if rounds > 1 else slice(lo, hi)  # j rotates in place
-            for k in range(rounds):
-                if k:
-                    j *= s
-                    j %= m
-                    v *= s
-                    v %= m
-                # v itself, marks and all: they are set again after each rotation
-                for at, mark in marks:
-                    v[at] = mark
-                out[dest] = v if code is None else code[v]
+            v[zeros] = m
+            if den is not None:
+                v[poles] = Q  # after the zeros: a pole wins
+            out[lo:hi] = v if code is None else code[v]
         top = sums[0][0]
         if den is None:
             at_zero = top.index
         else:
             bottom = sums[1][0]
             at_zero = Q if bottom.is_zero() else (top / bottom).index
-        if code is None:
-            out[m] = self.label(at_zero)
-        else:
-            out[n] = code[self.label(at_zero)]
+        out[n] = self.label(at_zero) if code is None else code[self.label(at_zero)]
         return out
 
     def index_order(self, table: np.ndarray) -> np.ndarray:
@@ -397,51 +365,27 @@ class BatchField:
             logs.append((e % m, 0 if c.index == 1 else int(self._exp_log()[1][c.index])))
         return const, logs
 
-    def orbit_step(
-        self,
-        terms: Sequence[tuple[int, FieldElem | int]],
-        den: Sequence[tuple[int, FieldElem | int]] | None = None,
-        orbits: bool = False,
-    ) -> int:
-        """The Frobenius step d of ``eval_sparse`` with the same ``orbits``.
+    def orbit_step(self, *maps: tuple[Sequence, Sequence | None]) -> int:
+        """The Frobenius step d on which maps, each given as (terms, den),
+        are read together: D for the full tables.
 
-        The least d dividing D with every coefficient in F_{p**d} when f
-        has a sum of two or more terms.  A single-term map (x**n, c * x**n,
-        x**a / x**b) takes that d only with ``orbits`` and r = D/d >=
-        ``_QUOTIENT_MIN_R``, and D otherwise.  The evaluation runs on
-        ``orbit_reps(d)`` exactly when d < D."""
-        return self._quotient_step(*self._plan(terms, den)[1:], orbits)
+        Every map commutes with x -> x**(p**d) for the least d dividing D
+        with all their coefficients in F_{p**d}, the lcm of their own
+        steps.  That d is taken when some map has a sum of two or more
+        terms; single-term maps (x**n, c * x**n, x**a / x**b) take it only
+        once r = D/d reaches ``_QUOTIENT_MIN_R``, and D otherwise."""
+        sums = [s for h in maps for s in self._sums(*h)]
+        d = self._frobenius_step([lc for _, logs in sums for _, lc in logs])
+        single = all(len(logs) <= 1 for _, logs in sums)
+        return d if not single or self.D // d >= _QUOTIENT_MIN_R else self.D
 
-    def _quotient_step(self, d: int, single: bool, orbits: bool) -> int:
-        """``orbit_step``'s rule, from the least step d."""
-        return d if not single or orbits and self.D // d >= _QUOTIENT_MIN_R else self.D
-
-    def pair_step(
-        self,
-        f: tuple[Sequence, Sequence | None],
-        g: tuple[Sequence, Sequence | None],
-    ) -> int:
-        """The Frobenius step on which the pair of maps f and g, each given
-        as (terms, den), is read together: the lcm d of their least steps,
-        as both commute with x -> x**(p**d).  D, the full tables, when two
-        single-term maps have r = D/d < ``_QUOTIENT_MIN_R``, as in
-        ``orbit_step``."""
-        (df, sf), (dg, sg) = (self._plan(*h)[1:] for h in (f, g))
-        return self._quotient_step(math.lcm(df, dg), sf and sg, True)
-
-    def _plan(
+    def _sums(
         self,
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None,
-    ) -> tuple[list[tuple[FieldElem, list[tuple[int, int]]]], int, bool]:
-        """``_term_logs`` of the numerator, and of ``den`` if given, the
-        least Frobenius step d of their coefficients, and whether each has
-        at most one term."""
-        sums = [self._term_logs(terms)]
-        if den is not None:
-            sums.append(self._term_logs(den))
-        d = self._frobenius_step([lc for _, logs in sums for _, lc in logs])
-        return sums, d, all(len(logs) <= 1 for _, logs in sums)
+    ) -> list[tuple[FieldElem, list[tuple[int, int]]]]:
+        """``_term_logs`` of the numerator, and of ``den`` if given."""
+        return [self._term_logs(ts) for ts in (terms, den) if ts is not None]
 
     def _frobenius_step(self, lcs: list[int]) -> int:
         """The least d dividing D with c**(p**d) = c for every coefficient,
@@ -587,7 +531,7 @@ class BatchField:
 
     def power_table(self, n: int) -> np.ndarray:
         """Index table of x**n for every x, with 0**0 = 1.  n >= 0."""
-        return self.index_order(self.eval_sparse([(n, 1)]))
+        return self.index_order(self.eval_sparse([(n, 1)])[:-1])
 
 
 # -- permutation utilities ----------------------------------------------------

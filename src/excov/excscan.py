@@ -22,15 +22,15 @@ the one reader that wants element indices: it converts the table with
 A scan of a map whose coefficients lie in F_{p^d} for a d below the
 field's degree D is read off the Frobenius-orbit quotient instead: f
 commutes with x -> x^(p^d), so its record is fixed by the values at the
-orbit representatives, about a share d/D of the points, which
-``_orbit_record`` reads through the field's cached ``orbit_lookup`` (4
-bytes per point).  No Q + 1 table, ``bincount`` or whole-field period
-pass is made for it.  This holds for every sum of two or more terms, and
-for a single-term map (x^n, c*x^n, x^a/x^b) once r = D/d reaches
-``_batch._QUOTIENT_MIN_R``.  The pair flags read both maps on one
-quotient, at the lcm of their steps, and compare the preimage counts per
-orbit (``_orbit_fibers``).  r = 1 fields, and single-term maps or pairs
-below the threshold, keep the full table.
+orbit representatives, about a share d/D of the points, given as their
+codes in the field's cached ``orbit_lookup`` (4 bytes per point).  No
+Q + 1 table, ``bincount`` or whole-field period pass is made for it.
+This holds for every sum of two or more terms, and for a single-term map
+(x^n, c*x^n, x^a/x^b) once r = D/d reaches ``_batch._QUOTIENT_MIN_R``
+(``BatchField.orbit_step``).  The pair flags read both maps on one
+quotient, at the lcm of their steps.  A full table is the r = 1 case of
+the quotient, whose nodes are the points: one fiber count (``_fibers``)
+serves the record and the pair flags either way.
 """
 
 from __future__ import annotations
@@ -67,35 +67,23 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     Slot i < q^t holds the image of the i-th field element; the last slot
     holds the image of infinity.  Infinity itself is encoded as q^t.
     """
-    bf, tab, _ = _table(f, t)
-    return bf.index_order(tab)
-
-
-def _table(
-    f: Union[RationalMap, Poly], t: int, orbits: bool = False, step: Optional[int] = None
-) -> tuple[BatchField, np.ndarray, int]:
-    """The field's ``BatchField``, the table of f in log coordinates, and
-    the Frobenius step d of its evaluation (``BatchField.orbit_step``, or
-    ``step`` when given).  With ``orbits`` and d < D, the table is read on
-    the orbit quotient instead: the ``orbit_lookup(d)`` code of f at each
-    representative, then at 0 and at infinity.  d is asked for after the
-    evaluation, which builds the tables that reading the coefficients'
-    logs needs."""
     if isinstance(f, Poly):
         f = RationalMap(f)
-    K = _scan_field(f, t)
-    bf = get_batch(K)
+    bf = get_batch(_scan_field(f, t))
+    return bf.index_order(_table(f, bf, bf.D))
+
+
+def _table(f: RationalMap, bf: BatchField, d: int) -> np.ndarray:
+    """The table of f over bf's field in log coordinates, the value at
+    infinity last.  Over every log when d = D; for a Frobenius step d < D
+    of f, the ``orbit_lookup(d)`` code of f at each orbit representative,
+    then at 0 and at infinity (``BatchField.eval_sparse``)."""
     num, den = _terms(f)
-    if orbits:
-        out = bf.eval_sparse(num, den, orbits=True, step=step)
-        d = step or bf.orbit_step(num, den, orbits=True)
-    else:
-        out = np.empty(K.order + 1, dtype=np.int64)
-        bf.eval_sparse(num, den, out=out[:-1])
-        d = bf.D
-    at_inf = bf.label(eval_p1(f, P1Point.infinity(K)).index())
-    out[-1] = at_inf if d == bf.D else bf.orbit_lookup(d)[0][at_inf]
-    return bf, out, d
+    full = d == bf.D
+    tab = bf.eval_sparse(num, den, step=None if full else d)
+    at_inf = bf.label(eval_p1(f, P1Point.infinity(bf.ctx)).index())
+    tab[-1] = at_inf if full else bf.orbit_lookup(d)[0][at_inf]
+    return tab
 
 
 def _terms(f: RationalMap) -> tuple[list, Optional[list]]:
@@ -188,56 +176,50 @@ def exceptionality_scan(
 
 
 def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
-    """One t of a scan, read off the table in log coordinates, or off its
-    Frobenius-orbit quotient when the table is evaluated on orbit
-    representatives (``_orbit_record``).  The full table's fiber counts
-    are freed before the period kernel runs, and the table on return,
-    before the next t builds tables up to q times their size."""
-    bf, tab, d = _table(f, t, orbits=True)
-    if d < bf.D:
-        return _orbit_record(bf, d, tab, t, with_periods)
-    counts = np.bincount(tab, minlength=tab.shape[0])
-    bij = bool(counts.max(initial=0) == 1)
-    surj = bool(counts.min(initial=1) >= 1)
-    hist = {int(k): int(v) for k, v in enumerate(np.bincount(counts)) if v}
-    del counts
-    period = permutation_period(tab) if bij and with_periods else None
-    return TRecord(t, bij, surj, hist, period)
-
-
-def _orbit_record(
-    bf: BatchField, d: int, tab: np.ndarray, t: int, with_periods: bool
-) -> TRecord:
-    """The record of a map that commutes with s: x -> x**(p**d), from the
-    ``orbit_lookup`` codes of its values at the orbit representatives,
-    then at 0 and infinity.
+    """One t of a scan, read off the table of f on the step
+    ``BatchField.orbit_step`` gives it: every point when that is D, else
+    the Frobenius-orbit quotient, where f maps nodes to nodes.
 
     f is bijective exactly when every point has one preimage
-    (``_orbit_fibers``), and then the node map is a bijection that keeps
-    lengths, whose period ``permutation_period`` reads with the rotations.
-    """
-    size = bf.orbit_lookup(d)[1]
+    (``_fibers``).  Then the node map is a bijection that keeps lengths,
+    whose period ``permutation_period`` reads with the rotations.  The
+    fiber counts are freed before the period kernel runs, and the table on
+    return, before the next t builds tables up to q times their size."""
+    bf = get_batch(_scan_field(f, t))
+    d = bf.orbit_step(_terms(f))
+    tab = _table(f, bf, d)
     r = bf.D // d
-    tgt, counts = _orbit_fibers(size, r, tab)
-    bij = bool(counts.max() == 1)
-    surj = bool(counts.min() >= 1)
-    hist = np.bincount(counts.astype(np.int64), weights=size)
+    size = None if r == 1 else bf.orbit_lookup(d)[1]
+    tgt, counts = _fibers(size, r, tab)
+    bij = bool(counts.max(initial=0) == 1)
+    surj = bool(counts.min(initial=1) >= 1)
+    # counts are int64 over the points: copy=False keeps them uncopied there
+    hist = np.bincount(counts.astype(np.int64, copy=False), weights=size)
     hist = {int(k): int(v) for k, v in enumerate(hist) if v}
+    del counts
     if not (bij and with_periods):
         return TRecord(t, bij, surj, hist, None)
+    if size is None:
+        return TRecord(t, bij, surj, hist, permutation_period(tab))
     rot = tab - tgt * r
     return TRecord(t, bij, surj, hist, permutation_period(tgt, rot * (r // size), r))
 
 
-def _orbit_fibers(size: np.ndarray, r: int, tab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The node of each value in a quotient table of ``orbit_lookup``
-    codes (orbit * r + rotation), and the preimages of each point per node.
+def _fibers(
+    size: Optional[np.ndarray], r: int, tab: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The node of each value, and the preimages of each point per node.
 
-    Each node (an orbit O, or 0, or infinity) goes to the node P of its
-    value, and f maps O onto P, |O|/|P| points to one.  So every point of
-    P has the sum over O -> P of |O|/|P| preimages: a float64 count, exact
-    as it stays below Q + 1.
+    With ``size`` None, tab is a table over every point and the nodes are
+    the points: tab itself, and one ``bincount``.  Else tab holds
+    ``orbit_lookup`` codes (orbit * r + rotation) and size the orbit
+    lengths.  Each node (an orbit O, or 0, or infinity) goes to the node P
+    of its value, and f maps O onto P, |O|/|P| points to one.  So every
+    point of P has the sum over O -> P of |O|/|P| preimages: a float64
+    count, exact as it stays below Q + 1.
     """
+    if size is None:
+        return tab, np.bincount(tab, minlength=tab.shape[0])
     tgt = tab // r
     return tgt, np.bincount(tgt, weights=size // size[tgt], minlength=size.size)
 
@@ -269,24 +251,17 @@ def _dp_flags(
     coordinates.
 
     Both maps commute with x -> x**(p**d) at d the lcm of their Frobenius
-    steps, so when d < D each is evaluated on that one quotient, and the
-    values are compared per node: a node's points all have the same
-    number of preimages (``_orbit_fibers``).  Two single-term maps stay
-    on the full tables while r = D/d is below the threshold their scans
-    use (``BatchField.pair_step``); there each map's values are counted
-    with one ``bincount``."""
+    steps (``BatchField.orbit_step``), so each is read on that one
+    quotient, or on the full table when d = D, and the values are compared
+    per node: a node's points all have the same number of preimages
+    (``_fibers``).  The first map's table is freed before the second's is
+    built."""
     if f.ctx != g.ctx:
         raise ValidationError("maps over different fields")
     maps = [RationalMap(h) if isinstance(h, Poly) else h for h in (f, g)]
     bf = get_batch(_scan_field(maps[0], t))
-    d = bf.pair_step(*(_terms(h) for h in maps))
-    if d == bf.D:
-        tf = _table(f, t)[1]
-        n = tf.shape[0]
-        cf = np.bincount(tf, minlength=n)
-        del tf
-        cg = np.bincount(_table(g, t)[1], minlength=n)
-    else:
-        size = bf.orbit_lookup(d)[1]
-        cf, cg = (_orbit_fibers(size, bf.D // d, _table(h, t, True, d)[1])[1] for h in maps)
+    d = bf.orbit_step(*(_terms(h) for h in maps))
+    r = bf.D // d
+    size = None if r == 1 else bf.orbit_lookup(d)[1]
+    cf, cg = (_fibers(size, r, _table(h, bf, d))[1] for h in maps)
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

@@ -38,6 +38,7 @@ generator-based orbit, block and centralizer searches against
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -54,6 +55,30 @@ ELEMENT_ARRAY = "group element array"
 # -- permutations ---------------------------------------------------------------
 
 
+# images of at most this many letters are checked by a sort, which beats
+# numpy's per-call cost there: 22 against 24 us at 500 letters, 115 against
+# 85 us at 2000
+_PERM_SORT_MAX = 1 << 10
+
+
+def _is_permutation(images: Sequence[int]) -> bool:
+    """Are the images, all integers, those of a permutation of 0..n-1?
+    Past ``_PERM_SORT_MAX`` letters they are checked as one int64 row and
+    a mask of the letters hit, 9 bytes per letter, not by sorting a copy."""
+    n = len(images)
+    try:
+        if n <= _PERM_SORT_MAX:
+            return sorted(map(operator.index, images)) == list(range(n))
+        row = np.fromiter(map(operator.index, images), dtype=np.int64, count=n)
+    except (TypeError, OverflowError):  # a non-integer, or an int past int64
+        return False
+    if row.min() < 0 or row.max() >= n:
+        return False
+    hit = np.zeros(n, dtype=bool)
+    hit[row] = True
+    return bool(hit.all())
+
+
 @dataclass(frozen=True)
 class Perm:
     """A permutation of {0..n-1} as an image tuple, acting on the right.
@@ -64,8 +89,8 @@ class Perm:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        n = len(self.images)
-        if sorted(self.images) != list(range(n)):
+        if not _is_permutation(self.images):
+            n = len(self.images)
             raise ValidationError(f"not a permutation of 0..{n - 1}: {self.images}")
 
     @classmethod

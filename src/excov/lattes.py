@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._batch import get_batch
 from .errors import (
     CapExceededError,
     InternalInvariantError,
@@ -23,7 +24,7 @@ from .errors import (
     check_field_cap,
     check_power_cap,
 )
-from .excscan import _record, _table
+from .excscan import _record
 from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import Poly, RationalMap
 
@@ -146,7 +147,7 @@ class EllipticCurveF:
         # table chi is 0 at label m (a zero) and (-1)**label otherwise, and
         # m is even, so the sum of chi is q - zeros - 2 * odd labels
         q = self.ctx.order
-        labels = _table(Poly(self.ctx, [self.b, self.a, 0, 1]), 1)[1][:q]
+        labels = get_batch(self.ctx).eval_sparse([(0, self.b), (1, self.a), (3, 1)])[:q]
         zeros = int(np.count_nonzero(labels == q - 1))
         count = 2 * q + 1 - zeros - 2 * int(np.count_nonzero(labels & 1))
         object.__setattr__(self, "n_points", count)

@@ -53,8 +53,9 @@ def zech_sum(bf, a_idx, b_idx):
 
 
 def index_table(bf, terms, den=None):
-    """eval_sparse's table of a sum or quotient, in index order."""
-    return bf.index_order(bf.eval_sparse(terms, den))
+    """eval_sparse's table of a sum or quotient, in index order, without
+    the spare last slot."""
+    return bf.index_order(bf.eval_sparse(terms, den)[:-1])
 
 
 @pytest.mark.parametrize("ctx", FIELDS, ids=lambda c: f"{c.p}^{c.k}")
@@ -423,7 +424,7 @@ def test_int32_tables_agree_with_scalar_engine_past_int32_products(ctx):
         assert got[n] == (elems[n] * ctx.from_index(int(other[n]))).index
     coeffs = [ctx.from_index(rng.randrange(1, ctx.order)) for _ in range(4)]
     terms = list(zip((m - 1, m - 3, m + 1, 2), coeffs))
-    lab = bf.eval_sparse(terms)
+    lab = bf.eval_sparse(terms)[:-1]
     assert lab.dtype == np.int64
     vals = bf.index_order(lab)
     assert vals.dtype == np.int64
@@ -704,7 +705,7 @@ def test_power_map_scan_leaves_zech_unbuilt(empty_cache):
 def test_labels_of_zero_and_infinity_and_monic_terms_read_no_table():
     bf = BatchField(make_field(101, 1))
     assert (bf.label(0), bf.label(101)) == (100, 101)
-    lab = bf.eval_sparse([(3, 1)], [(5, 1)])  # x^3 / x^5, a pole at 0
+    lab = bf.eval_sparse([(3, 1)], [(5, 1)])[:-1]  # x^3 / x^5, a pole at 0
     assert np.array_equal(lab, np.append(-2 * np.arange(100) % 100, 101))
     assert bf._tables is None
     vals = bf.index_order(lab)  # index order reads exp
@@ -829,13 +830,6 @@ def subfield_element(x, e):
     return x ** ((x.ctx.order - 1) // (x.ctx.p**e - 1))
 
 
-def full_field_table(bf, terms, den=None):
-    """eval_sparse over every log (r = 1), the orbit path's oracle."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(BatchField, "_frobenius_step", lambda self, lcs: self.D)
-        return bf.eval_sparse(terms, den)
-
-
 ORBIT_FIELDS = [  # (p, k, t): maps over F_{p^k} evaluated on F_{p^(kt)}
     (3, 1, 1),
     (11, 1, 3),
@@ -871,6 +865,18 @@ def random_sums(rng, base, trial):
     return terms, den
 
 
+def assert_quotient_reads_full_table(bf, terms, den, d):
+    """The quotient's codes are the ``orbit_lookup(d)`` codes of the full
+    table's values at ``orbit_reps(d)`` and at 0; each table's last slot is
+    the caller's."""
+    full = bf.eval_sparse(terms, den)
+    got = bf.eval_sparse(terms, den, step=d)
+    at = np.append(bf.orbit_reps(d), bf.order - 1)
+    code = bf.orbit_lookup(d)[0]
+    assert got.size == at.size + 1 and got.dtype == code.dtype
+    assert np.array_equal(got[:-1], code[full[at]]), (terms, den, d)
+
+
 @pytest.mark.parametrize("p, k, t", ORBIT_FIELDS, ids=lambda v: str(v))
 def test_orbit_path_matches_full_field_evaluation(p, k, t):
     rng = random.Random(p * 100 + k * 10 + t)
@@ -879,8 +885,9 @@ def test_orbit_path_matches_full_field_evaluation(p, k, t):
     bf = BatchField(K)
     for trial in range(6):
         terms, den = random_sums(rng, base, trial)
-        got = bf.eval_sparse(terms, den)
-        assert np.array_equal(got, full_field_table(bf, terms, den)), (terms, den)
+        d = bf.orbit_step((terms, den))  # a sum: its coefficients' least step
+        if d < bf.D:
+            assert_quotient_reads_full_table(bf, terms, den, d)
     if K.k > 1:
         assert bf._reps  # some trial took the orbit path
 
@@ -924,8 +931,7 @@ def test_log_coordinate_table_relabels_the_index_table(p, k, t):
     sample = [0, m - 1] + rng.sample(range(m), min(m, 60))
     for trial in range(6):
         terms, den = random_sums(rng, base, trial)
-        out = np.full(K.order, -1, dtype=np.int64)
-        assert bf.eval_sparse(terms, den, out=out) is out
+        out = bf.eval_sparse(terms, den)[:-1]
         want = bf.index_order(out)
         assert np.array_equal(from_labels(bf, out[:m]), want[exp]), (terms, den)
         assert from_labels(bf, out[m]) == want[0], (terms, den)
@@ -935,24 +941,28 @@ def test_log_coordinate_table_relabels_the_index_table(p, k, t):
         assert want[0] == scalar_value(K, terms, den, K.zero()), (terms, den)
     # a constant and a zero map: every slot takes the one value
     for terms in ([(0, base.one())], []):
-        lab = bf.eval_sparse(terms)
+        lab = bf.eval_sparse(terms)[:-1]
         value = scalar_value(K, terms, None, K.zero())
         assert np.array_equal(from_labels(bf, lab), np.full(K.order, value))
         assert np.array_equal(bf.index_order(lab), np.full(K.order, value))
     # a scan's table of Q + 1 slots keeps slot Q, infinity, in place
-    lab = np.append(bf.eval_sparse([(1, 1)], [(2, 1)]), K.order)  # 1/x
+    lab = bf.eval_sparse([(1, 1)], [(2, 1)])  # 1/x
+    lab[-1] = K.order
     assert bf.index_order(lab)[[0, K.order]].tolist() == [K.order, K.order]
 
 
-def test_orbit_path_writes_in_place_and_marks_poles():
+def test_orbit_path_marks_poles():
     base = make_field(3, 2)
     K = make_extension(base, 3)  # F_{9^3}, F_9 coefficients: d = 2, r = 3
     bf = BatchField(K)
     a = base.gen()
     num = [(5, a), (2, 1), (0, a * a)]
     for den in ([(2, 1), (0, -a)], [(3, 1), (0, -(a**3))]):
-        out = np.full(K.order, -1, dtype=np.int64)
-        assert bf.eval_sparse(num, den, out=out) is out
-        assert np.array_equal(out, full_field_table(bf, num, den))
-    assert bf.index_order(out)[K.embed(a).index] == K.order  # x^3 - a^3 vanishes at a
+        assert bf.orbit_step((num, den)) == 2
+        assert_quotient_reads_full_table(bf, num, den, 2)
+    # x^3 - a^3 vanishes at a, whose orbit's node then holds infinity's code
+    assert index_table(bf, num, den)[K.embed(a).index] == K.order
+    code = bf.orbit_lookup(2)[0]
+    node = code[bf.label(K.embed(a).index)] // 3
+    assert bf.eval_sparse(num, den, step=2)[node] == code[K.order]
     assert set(bf._reps) == {2}

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from excov.excscan import (
     _dp_flags,
     _record,
     _table,
+    _terms,
     dp_range_test,
     exceptionality_scan,
     idp_multiset_test,
@@ -314,9 +316,11 @@ def quotient_features(f, t):
     """The features of the quotient rule that f shows at t, read off its
     full table and its orbit quotient; the quotient's codes must be the
     ``orbit_lookup`` codes of the full table's values."""
-    bf, code, d = _table(f, t, orbits=True)
+    bf = get_batch(make_extension(f.ctx, t))
+    d = bf.orbit_step(_terms(f))
     assert d < bf.D  # evaluated on representatives, so read off the quotient
-    full = _table(f, t)[1]
+    code = _table(f, bf, d)
+    full = _table(f, bf, bf.D)
     tab = np.append(full[bf.orbit_reps(d)], full[-2:])  # then f(0), f(infinity)
     lookup, size = bf.orbit_lookup(d)
     assert np.array_equal(code, lookup[tab])
@@ -450,6 +454,23 @@ def test_scaled_power_map_reads_the_log_table(ctx, fresh_tables):
     assert list(rep.records) == [record_oracle(f, t) for t in range(1, t_max + 1)]
 
 
+def test_full_table_record_peaks_at_two_tables(fresh_tables):
+    # r = 1: the table and its int64 fiber counts, which the histogram reads
+    # without a copy; 3 divides p - 1, so x^3 is no bijection and no period
+    # pass runs
+    F = make_field(1048573, 1)
+    f = cyclic(F, 3)
+    tracemalloc.start()
+    try:
+        rec = _record(f, 1, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rec.bijective and rec.value_counts[3] == (F.order - 1) // 3
+    table = 8 * (F.order + 1)
+    assert peak < 2.5 * table, peak / table
+
+
 def test_dp_flags_match_index_order_oracle_on_seeded_pairs():
     rng = random.Random(18)
     seen = set()
@@ -504,7 +525,8 @@ def test_single_term_records_match_index_order_oracle():
     paths, seen = set(), set()
     for f, d, ts in SINGLE_TERM_CASES:
         for t in ts:
-            bf, _, step = _table(f, t, orbits=True)
+            bf = get_batch(make_extension(f.ctx, t))
+            step = bf.orbit_step(_terms(f))
             r = bf.D // d
             assert step == (d if r >= _QUOTIENT_MIN_R else bf.D), (f, t)
             paths.add((min(r, _QUOTIENT_MIN_R), step < bf.D))

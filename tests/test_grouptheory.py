@@ -152,6 +152,26 @@ def test_perm_inverse_power_order():
     assert sorted(len(c) for c in p.cycles()) == [2, 5]
 
 
+def test_perm_rejects_non_permutations_within_9_bytes_per_letter():
+    long = tuple(range(2000))
+    for images in [(0, 0), (1, 2), (-1, 0), (0, 1, 3), (0, 0.5), ("a",), (0, 2**70)]:
+        for pad in ((), long[len(images):]):  # a sort, and the int64 row
+            with pytest.raises(ValidationError, match="not a permutation"):
+                Perm(images + pad)
+    assert Perm(long).images == long
+    assert Perm(()).images == () and Perm((np.int64(1), 0)) == Perm((1, 0))
+    # the check holds an int64 row and a mask, not two sorted n-entry lists
+    n = 10**6
+    images = tuple(range(1, n)) + (0,)
+    tracemalloc.start()
+    try:
+        Perm(images)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n, peak / (8 * n)
+
+
 # -- groups -------------------------------------------------------------------
 
 
