@@ -11,9 +11,12 @@ from a fixed multiplicative generator g, with m = Q - 1:
   (Lidl and Niederreiter, *Finite Fields*, ch. 3).
 
 exp and log are one build, made on first use: log is exp's scatter.  An
-evaluation reads log only for a coefficient other than 1 (log 1 = 0
-under every generator) and never reads exp, so a scan of x**n or
-x**a / x**b builds neither and searches no generator.  zech is built
+evaluation never reads exp, and reads log only for a coefficient other
+than 1 (log 1 = 0 under every generator) outside the prime field: when
+D >= 2, the log of a c in F_p^* is found by integer arithmetic mod p
+(``label``).  So a scan of x**n or x**a / x**b builds neither and
+searches no generator, and one of c * x**n with c in F_p builds neither
+once D >= 2.  zech is built
 only when a sum of two or more terms is evaluated or ``tables()`` is
 asked for.  ``table_bytes`` counts exp and log from construction, built
 or not, as a reservation: ``get_batch`` then evicts before a large build.
@@ -25,7 +28,10 @@ powers g**(m/r), r prime, are not 1, tested on blocks of candidates by
 batched matrix squaring.  exp is built block by block, each block of
 digit rows the one before times M(g)**_CHUNK and packed to indices at
 once, so no table of digit rows is ever held.  When D >= 2 the blocks
-stay in float64 throughout, reduced mod p exactly (``_mod_p``).
+stay in floats throughout, reduced mod p exactly (``_mod_p``): float32
+where Q <= 2**24 and D * (p-1)**2 < 2**22, which covers every field of
+D >= 2 under the default cap but those of D = 2 with p >= 1451, and
+float64 elsewhere.
 
 Products and powers are then sums and multiples of logs mod m, and sums
 follow Zech's rule a + b = a * (1 + b/a).  Adding 1 to an element changes
@@ -45,7 +51,11 @@ of them, and returns per representative the orbit of its value and the
 rotation that takes that orbit's representative there, read through the
 per-label (orbit, rotation) lookup ``orbit_lookup``.  ``excscan`` reads
 fibers, bijectivity and the period off this orbit map, the period with
-its rotations by ``permutation_period(succ, rot, r)``.  The
+its rotations by ``permutation_period(succ, rot, r)``.  That kernel walks
+its own int32 copy of the successors in place, marking splitters and
+passed nodes in it, and takes the rotations as one int8 column (r <= 31
+below 2**32 points): about 9.5 bytes per node of transient memory on
+2**20 nodes, with or without rotations.  The
 representatives and the lookup are cached per field and d, at about
 4d/D and 4 bytes per point, plus d/D more for the orbit lengths, and
 counted in ``table_bytes``.  A monomial on the quotient still builds no
@@ -75,7 +85,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .gf import FieldCtx, FieldElem, _element_matrices, _index_blocks, _prime_factors
+from .gf import FieldCtx, FieldElem, _element_matrices, _index_blocks, _power, _prime_factors
 from .projmap import _lift
 
 # digit rows of g**j per block of the exp build, and prefixes per block of
@@ -103,12 +113,20 @@ class BatchField:
         self.p = ctx.p
         self.D = ctx.k
         self.order = ctx.order
-        # float64 goes through BLAS, 1.5-5x faster here than numpy's integer
-        # matmul loop.  Its sums of D products are exact while
-        # D * (p-1)**2 < 2**53, which every field accepted above meets once
-        # D >= 2 ((p-1)**2 < Q < 2**32, D < 32); a prime field's 1x1
+        # floats go through BLAS, 1.5-5x faster here than numpy's integer
+        # matmul loop.  With t mantissa bits, the generator search, the exp
+        # build and its packing are exact while every index is below 2**t
+        # and D * (p-1)**2 < 2**(t-2) (``_mod_p``).  float32 (t = 24) thus
+        # serves Q <= 2**24 with D * (p-1)**2 < 2**22, at half the memory
+        # traffic of float64 (t = 53), which serves every other field with
+        # D >= 2 ((p-1)**2 < Q < 2**32, D < 32).  A prime field's 1x1
         # products need int64 once p passes 2**26
-        self._work = np.int64 if self.D == 1 else np.float64
+        if self.D == 1:
+            self._work = np.int64
+        elif self.order <= 2**24 and self.D * (self.p - 1) ** 2 < 2**22:
+            self._work = np.float32
+        else:
+            self._work = np.float64
         self._pack_weights = self.p ** np.arange(self.D, dtype=self._work)
         self.dtype = _index_dtype(self.order)
         # exp and log, of Q - 1 and Q entries, are reserved from the start,
@@ -117,6 +135,8 @@ class BatchField:
         self.table_bytes = np.dtype(self.dtype).itemsize * (2 * self.order - 1)
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._zech: np.ndarray | None = None
+        # g**(m/(p-1)), a generator of F_p^*, as an integer; for ``label``
+        self._prime_root: int | None = None
         # orbit_reps and orbit_lookup per Frobenius step d
         self._reps: dict[int, np.ndarray] = {}
         self._lookups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -215,21 +235,28 @@ class BatchField:
         """y mod p, in place, for a product of digit rows and a matrix over
         F_p in the work dtype.
 
-        A prime field's int64 products are reduced by %.  When D >= 2, each
-        entry of y is an exact integer below D * (p-1)**2 < 2**37 (see
-        ``__init__``: p**D < 2**32 gives p < 2**16, and D < 32).  Then
-        y + 1/2 is exact, and (y + 1/2) * (1/p) is within a relative 2**-52
-        of (y + 1/2)/p, an absolute error below 2**37/p * 2**-52 < 1/(2p).
-        The true quotient lies at least 1/(2p) from every integer, so its
-        floor is floor(y/p) and y - p * floor is exactly y mod p.  On a
-        4096 x 13 block over F_3 (2 vCPUs) this takes 0.30 ms, against 0.91
-        ms for ``np.remainder`` and 0.51 ms for a round trip through int32.
+        A prime field's int64 products are reduced by %.  When D >= 2 the
+        work dtype is a float with t mantissa bits and unit roundoff
+        u = 2**-t, and each entry of y is a sum of D products of digits,
+        an integer y <= D * (p-1)**2 < 2**(t-2), so the sum is exact.
+        ``__init__`` picks float32 (t = 24) only where D * (p-1)**2 < 2**22;
+        float64 (t = 53) always holds it, as p**D < 2**32 gives p < 2**16
+        and D < 32, so y < 2**37.  Then y + 1/2 is exact, 1/p is rounded
+        once in the work dtype and the product once more, so
+        (y + 1/2) * (1/p) is within a relative 2u + u**2 of (y + 1/2)/p,
+        an absolute error of at most (2**(t-2) - 1/2)/p * (2u + u**2),
+        which is below 1/(2p).  The true quotient (2y + 1)/(2p) lies at
+        least 1/(2p) from every integer, so its floor is floor(y/p) and
+        y - p * floor is exactly y mod p.  On a 4096 x 13 block over F_3
+        (2 vCPUs, a copy of the block included) this takes 0.04 ms in
+        float32 and 0.07 ms in float64, against 0.92 ms for
+        ``np.remainder`` and 0.14 ms for a round trip through int32.
         """
         if self.D == 1:
             y %= self.p
             return y
-        q = y + 0.5
-        q *= 1.0 / self.p
+        q = y + self._work(0.5)
+        q *= self._work(1) / self._work(self.p)
         np.floor(q, out=q)
         q *= self.p
         y -= q
@@ -250,10 +277,29 @@ class BatchField:
 
     def label(self, index: int) -> int:
         """The log-coordinate label of an element index: log x for a unit,
-        m for 0; Q, standing for infinity, stays Q; only a unit reads log."""
+        m for 0; Q, standing for infinity, stays Q.
+
+        log 1 = 0 under every generator, so 1 reads no table.  When
+        D >= 2, a unit c of the prime field F_p (index below p) reads none
+        either: h = g**(m/(p-1)) generates F_p^*, and log c = (m/(p-1)) * k
+        for the k < p - 1 with h**k = c, found by integer arithmetic mod p.
+        Every other unit reads log."""
+        m, p = self.order - 1, self.p
         if index == self.order:
             return index
-        return self.order - 1 if index == 0 else int(self._exp_log()[1][index])
+        if index <= 1:
+            return m if index == 0 else 0
+        if index >= p or self.D == 1:
+            return int(self._exp_log()[1][index])
+        if self._prime_root is None:  # row 0 of M(g)**(m/(p-1)) is (h, 0, ..., 0)
+            gen = _element_matrices(self.ctx, [self.generator().index])[0].astype(self._work)
+            row = np.eye(1, self.D, dtype=self._work)
+            row = _power(gen, m // (p - 1), lambda a, b: self._mod_p(a @ b), row)
+            self._prime_root = int(row[0, 0])
+        k, x = 0, 1
+        while x != index:
+            k, x = k + 1, x * self._prime_root % p
+        return m // (p - 1) * k
 
     def pow_indices(self, idx: np.ndarray, e: int) -> np.ndarray:
         """Index array of x**e; zero stays zero for every e, even e <= 0."""
@@ -361,8 +407,7 @@ class BatchField:
                 continue
             if e == 0:
                 const = const + c
-            # log 1 = 0 under any generator: a monic term reads no table
-            logs.append((e % m, 0 if c.index == 1 else int(self._exp_log()[1][c.index])))
+            logs.append((e % m, self.label(c.index)))
         return const, logs
 
     def orbit_step(self, *maps: tuple[Sequence, Sequence | None]) -> int:
@@ -541,11 +586,14 @@ _RULING_MIN = 1 << 14
 # least r = D/d at which a single-term map is read on the orbit quotient.  The
 # quotient pays an orbit_lookup build (r scatters of its representatives)
 # that a whole-field monomial table, one multiply per point, does not.  One
-# cold single-term scan record, whole field -> quotient (median of 5, 2 vCPUs):
-#   r = 3: F_{67^3} x^91 6.2 -> 9.6 ms, F_{127^3} x^67 137 -> 155 ms
-#   r = 4: F_{31^4} x^3 11.6 -> 23.7 ms, F_{37^4} x^7 122 -> 110 ms
-#   r = 5: F_{13^5} x^7 19.3 -> 15.4 ms, F_{17^5} x^3 76 -> 71 ms
-#   r = 9: F_{5^9} x^69 144 -> 72 ms
+# cold single-term scan record, whole field -> quotient (median of 5, 2 vCPUs;
+# two runs, the period pass walked in place with int8 rotations):
+#   r = 3: F_{67^3} x^91 6.0 -> 8.6-9.3 ms, F_{127^3} x^67 119-122 -> 99 ms
+#   r = 4: F_{31^4} x^3 11-12 -> 17-18 ms, F_{37^4} x^7 98-107 -> 62-72 ms
+#   r = 5: F_{13^5} x^7 19-24 -> 12-14 ms, F_{17^5} x^3 65-66 -> 39-43 ms
+#   r = 9: F_{5^9} x^69 107-114 -> 41-42 ms
+# The bijective scans at r = 3 and 4 now favour the quotient, the others do
+# not; moving r = 3 or 4 onto it needs its peak-RSS figures first.
 _QUOTIENT_MIN_R = 5
 # a node is a splitter when the top _SPLIT_BITS bits of its hash are 0
 _SPLIT_BITS = 4
@@ -557,31 +605,33 @@ def permutation_period(perm: np.ndarray, rot: np.ndarray | None = None, r: int =
     """Multiplicative order of a permutation: the lcm of its cycle lengths.
 
     With ``rot``, perm is a length-keeping bijection of Frobenius orbits,
-    each of a length S dividing r, and the result is the order of the
-    permutation of points it induces.  f maps the representative of orbit
-    i to that of orbit perm[i] times s**(rot[i] * S/r): ``rot`` holds each
-    rotation scaled from Z/S to Z/r, so that orbits of every length share
-    one modulus.  A cycle of k orbits with summed rotation R brings each
-    of its points back to its own orbit rotated by R, whose order in Z/r
-    is r / gcd(R, r), so its points have period k * r / gcd(R, r).  The
-    cycle lengths and summed rotations come from one ``_cycle_weights``
-    pass with the two-column weights (1, rot).  Without ``rot`` every R is
-    0 and r = 1, so the period is the lcm of the cycle lengths.
+    each of a length S dividing r < 128, and the result is the order of
+    the permutation of points it induces.  f maps the representative of
+    orbit i to that of orbit perm[i] times s**(rot[i] * S/r): ``rot``
+    holds each rotation scaled from Z/S to Z/r, so that orbits of every
+    length share one modulus, and is read as int8.  A cycle of k orbits
+    with summed rotation R brings each of its points back to its own orbit
+    rotated by R, whose order in Z/r is r / gcd(R, r), so its points have
+    period k * r / gcd(R, r).  Without ``rot`` every R is 0 and r = 1, so
+    the period is the lcm of the cycle lengths.
 
-    Indices are narrowed to ``_index_dtype(n)``.  Each level of
-    ``_cycle_weights`` marks about one node in 16 as a splitter, by a
-    multiplicative hash of the index that ignores the permutation, and walks
-    from every splitter at once to the next one, one gather per step over
-    the walks still running.  Every node lies on at most one walk, so a
-    level costs about n.  Splitter to next splitter, weighted by the number
-    of nodes passed, is a permutation of the splitters whose weighted cycle
-    sums are the original cycle lengths; it is contracted again the same
-    way.  Nodes that no walk reaches lie on cycles without a splitter, short
-    ones with high probability, and go to ``_doubling``, as does every level
-    below ``_RULING_MIN`` nodes, the size under which doubling was faster
-    on random permutations.  On scan tables of 1-2 * 10^6 points this is
-    3-10x faster than log2(n) rounds of doubling over int64 indices, and
-    its transient memory is a third of theirs.
+    perm is copied once, at ``_index_dtype(n)``, and ``_cycle_weights``
+    walks that copy in place.  Each level marks about one node in 16 as a
+    splitter, by a multiplicative hash of the index that ignores the
+    permutation, and walks from every splitter at once to the next one,
+    over the walks still running.  Each step reads one array: a node's
+    successor is overwritten by a mark as a walk passes it, so a step is
+    one gather and one scatter.  Every node lies on at most one walk, so
+    a level costs about n.  Splitter to next splitter, with the nodes
+    passed as its length and their rotations summed mod r, is a
+    permutation of the splitters whose cycle sums are the original ones;
+    it is contracted again the same way.  Nodes that no walk reaches lie
+    on cycles without a splitter, short ones with high probability, and go
+    to ``_doubling``, as does every level below ``_RULING_MIN`` nodes, the
+    size under which doubling was faster on random permutations.  On a
+    random permutation of 2**20 nodes the transient memory is about 9.5
+    bytes per node, with or without int8 rotations: the int32 copy, the
+    index hash and the splitters.
 
     A map that is not a permutation raises ``ValidationError``, found
     without a pass over the whole input: a walk that steps onto a node a
@@ -592,12 +642,11 @@ def permutation_period(perm: np.ndarray, rot: np.ndarray | None = None, r: int =
     n = perm.shape[0]
     if n == 0:
         return 1
-    succ = perm.astype(_index_dtype(n))
-    if rot is None:
-        return _lcm(np.concatenate(_cycle_weights(succ, None)))
-    w = np.stack([np.ones(n, dtype=np.int64), rot.astype(np.int64)], axis=1)
-    kR = np.concatenate(_cycle_weights(succ, w))
-    return _lcm(kR[:, 0] * (r // np.gcd(kR[:, 1], r)))
+    if rot is not None:
+        if not 1 <= r < 128:
+            raise ValidationError("permutation_period: r must lie in [1, 127]")
+        rot = rot.astype(np.int8, copy=False)
+    return _lcm(np.concatenate(_cycle_weights(perm.astype(_index_dtype(n)), None, rot, r)))
 
 
 def _lcm(values: np.ndarray) -> int:
@@ -607,12 +656,19 @@ def _lcm(values: np.ndarray) -> int:
     return math.lcm(*values[np.flatnonzero(np.diff(values, prepend=0))].tolist())
 
 
-def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
-    """Weight sums of the cycles of succ, node weights w (None: all 1).
-    A weight array of shape (n, c) is summed per column."""
+def _cycle_weights(
+    succ: np.ndarray, size: np.ndarray | None, rot: np.ndarray | None, r: int
+) -> list[np.ndarray]:
+    """The period of each cycle of succ, whose nodes have int64 lengths
+    ``size`` (None: 1 each) and int8 rotations ``rot`` in Z/r (None: 0
+    each): the summed length times r / gcd(summed rotation, r).
+
+    succ is the caller's own copy, and is overwritten: a splitter holds
+    -(rank + 1), and a node a walk has passed holds -(k + 1), below every
+    rank."""
     n = succ.shape[0]
     if n < _RULING_MIN:
-        return [_doubling(succ, w)]
+        return [_doubling(succ, size, rot, r)]
     dt = succ.dtype
     bits = 8 * dt.itemsize
     h = np.arange(n, dtype=f"u{dt.itemsize}")
@@ -620,49 +676,63 @@ def _cycle_weights(succ: np.ndarray, w: np.ndarray | None) -> list[np.ndarray]:
     spl = np.flatnonzero(h < (1 << (bits - _SPLIT_BITS)))
     del h
     k = spl.size  # >= 1: index 0 hashes to 0
-    # tag: splitter rank, -1 while unreached, -2 once a walk passes
-    tag = np.full(n, -1, dtype=dt)
-    tag[spl] = np.arange(k, dtype=dt)
-    nxt = np.empty(k, dtype=dt)  # each splitter's next splitter
-    # weight from a splitter up to its next
-    gap = np.empty(k if w is None else (k, *w.shape[1:]), dtype=np.int64)
+    passed = -1 - k
     walker = np.arange(k, dtype=dt)
     pos = succ[spl]
-    acc = None if w is None else w[spl]  # weight walked, if not the step count
+    succ[spl] = -1 - walker
+    nxt = np.empty(k, dtype=dt)  # each splitter's next splitter
+    # length and rotation from a splitter up to its next
+    gap = np.empty(k, dtype=np.int64)
+    gap_rot = None if rot is None else np.empty(k, dtype=np.int8)
+    acc = None if size is None else size[spl]  # length walked, if not the step count
+    acc_rot = None if rot is None else rot[spl].astype(np.int64)
+    del spl
     step = 1
     while walker.size:
-        t = tag[pos]
-        stop = t != -1
+        to = succ[pos]
+        stop = to < 0
         ends = np.flatnonzero(stop)
         if ends.size:
-            t = t[ends]
-            if t.min() == -2:  # on a permutation the walks share no node
+            rank = to[ends]
+            if rank.min() == passed:  # on a permutation the walks share no node
                 raise _not_a_permutation()
             done = walker[ends]
-            nxt[done] = t
+            nxt[done] = -1 - rank
             gap[done] = step if acc is None else acc[ends]
+            if rot is not None:
+                gap_rot[done] = acc_rot[ends] % r
             keep = ~stop
-            walker, pos = walker[keep], pos[keep]
+            walker, pos, to = walker[keep], pos[keep], to[keep]
             if acc is not None:
                 acc = acc[keep]
-        tag[pos] = -2
+            if rot is not None:
+                acc_rot = acc_rot[keep]
+        succ[pos] = passed
         if acc is not None:
-            acc += w[pos]
-        pos = succ[pos]
+            acc += size[pos]
+        if rot is not None:
+            acc_rot += rot[pos]
+        pos = to
         step += 1
     hits = np.zeros(k, dtype=bool)
     hits[nxt] = True
     if not hits.all():  # two walks end at one splitter
         raise _not_a_permutation()
-    out = _cycle_weights(nxt, gap)
-    left = np.flatnonzero(tag == -1)
+    out = _cycle_weights(nxt, gap, gap_rot, r)
+    left = np.flatnonzero(succ >= 0)
     if left.size:
         to = succ[left]
-        if (tag[to] != -1).any():  # on a permutation unreached cycles stay unreached
+        if (succ[to] < 0).any():  # on a permutation unreached cycles stay unreached
             raise _not_a_permutation()
-        inv = np.empty(n, dtype=dt)
-        inv[left] = np.arange(left.size, dtype=dt)
-        out.append(_doubling(inv[to], None if w is None else w[left]))
+        succ[left] = np.arange(left.size, dtype=dt)  # renumber the unreached nodes
+        out.append(
+            _doubling(
+                succ[to],
+                None if size is None else size[left],
+                None if rot is None else rot[left],
+                r,
+            )
+        )
     return out
 
 
@@ -670,15 +740,18 @@ def _not_a_permutation() -> ValidationError:
     return ValidationError("permutation_period: input is not a permutation")
 
 
-def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
-    """Cycle weight sums by pointer doubling, stopped once labels are stable.
+def _doubling(
+    succ: np.ndarray, size: np.ndarray | None, rot: np.ndarray | None, r: int
+) -> np.ndarray:
+    """``_cycle_weights`` by pointer doubling, stopped once labels are stable.
 
-    After r rounds a node's label is the least index among it and its next
-    2**r - 1 successors.  On a cycle longer than 2**r the node 2**r steps
-    before the cycle's least index then changes label in round r + 1, so
+    After i rounds a node's label is the least index among it and its next
+    2**i - 1 successors.  On a cycle longer than 2**i the node 2**i steps
+    before the cycle's least index then changes label in round i + 1, so
     one round without change means every cycle is covered and every label
     is its cycle's least index.  A node with two predecessors raises
-    ``ValidationError``, as the labels would not show it.
+    ``ValidationError``, as the labels would not show it.  The sums are
+    float64 ``bincount``s, exact while each is below 2**53.
     """
     n = succ.shape[0]
     if np.bincount(succ, minlength=n).max(initial=0) > 1:
@@ -690,11 +763,12 @@ def _doubling(succ: np.ndarray, w: np.ndarray | None) -> np.ndarray:
         if np.array_equal(nxt, labels):
             break
         labels, hop = nxt, hop[hop]
-    if w is None or w.ndim == 1:
-        sums = np.bincount(labels, weights=w, minlength=n)
-    else:  # one float64 bincount per column, exact while each sum is below 2**53
-        sums = np.stack([np.bincount(labels, weights=c, minlength=n) for c in w.T], axis=1)
-    return sums[labels == ident].astype(np.int64)
+    root = labels == ident
+    length = np.bincount(labels, weights=size, minlength=n)[root].astype(np.int64)
+    if rot is None:
+        return length
+    turn = np.bincount(labels, weights=rot, minlength=n)[root].astype(np.int64)
+    return length * (r // np.gcd(turn, r))
 
 
 # -- instance cache -----------------------------------------------------------

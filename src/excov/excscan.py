@@ -15,7 +15,9 @@ permutes, its cycle lengths are those in index order; and two maps
 relabelled alike keep equal or unequal value sets and multisets.  For
 x^n or x^a/x^b the table is j -> n*j mod m, evaluated at every point
 without a generator or a table; a coefficient other than 1 builds exp
-and log, and a sum of two or more terms zech too.  ``value_table`` is
+and log, unless it lies in the prime field of a field of degree two or
+more, whose log is found mod p; a sum of two or more terms builds zech
+too.  ``value_table`` is
 the one reader that wants element indices: it converts the table with
 ``BatchField.index_order``.
 
@@ -182,9 +184,12 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
 
     f is bijective exactly when every point has one preimage
     (``_fibers``).  Then the node map is a bijection that keeps lengths,
-    whose period ``permutation_period`` reads with the rotations.  The
-    fiber counts are freed before the period kernel runs, and the table on
-    return, before the next t builds tables up to q times their size."""
+    whose period ``permutation_period`` reads with the rotations: each
+    node's rotation, tab mod r, scaled from Z/|O| to Z/r by r // |O|, in
+    one int8 array (1 byte per node, r <= 31), which the kernel reads as
+    it is.  The fiber counts are freed before the period kernel runs, and
+    the table on return, before the next t builds tables up to q times
+    their size."""
     bf = get_batch(_scan_field(f, t))
     d = bf.orbit_step(_terms(f))
     tab = _table(f, bf, d)
@@ -201,8 +206,9 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
         return TRecord(t, bij, surj, hist, None)
     if size is None:
         return TRecord(t, bij, surj, hist, permutation_period(tab))
-    rot = tab - tgt * r
-    return TRecord(t, bij, surj, hist, permutation_period(tgt, rot * (r // size), r))
+    rot = np.remainder(tab, r, out=np.empty(tab.shape, dtype=np.int8), casting="unsafe")
+    rot *= r // size
+    return TRecord(t, bij, surj, hist, permutation_period(tgt, rot, r))
 
 
 def _fibers(

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -266,10 +267,35 @@ def not_a_permutation(shape):
 )
 def test_permutation_period_refuses_each_non_permutation_at_once(shape):
     perm = not_a_permutation(shape)
-    start = time.perf_counter()
-    with pytest.raises(ValidationError, match="not a permutation"):
-        permutation_period(perm)
-    assert time.perf_counter() - start < 0.1
+    for args in ((perm,), (perm, np.arange(perm.size) % 12, 12)):  # plain and rotated
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="not a permutation"):
+            permutation_period(*args)
+        assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["plain", "rotated"])
+def test_permutation_period_transient_memory_per_node(rotated):
+    # the int32 successor copy walked in place, the index hash and the
+    # splitters: 9.5 bytes per node here, against 13.3 with a separate tag
+    # array and 36.0 with (n, 2) int64 weights
+    n = 1 << 20
+    perm = np.random.default_rng(3).permutation(n).astype(np.int32)
+    args = (perm, np.random.default_rng(4).integers(0, 31, n).astype(np.int8), 31)
+    args = args if rotated else (perm,)
+    permutation_period(*args)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        permutation_period(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * n, peak / n
+
+
+def test_permutation_period_refuses_rotations_past_int8():
+    with pytest.raises(ValidationError, match="r must lie"):
+        permutation_period(np.arange(4), np.zeros(4, dtype=np.int64), 128)
 
 
 # sizes on both sides of the doubling/ruling-set crossover, and one past
@@ -295,21 +321,23 @@ def lifted_orbit_map(succ, rot, size):
     return start[succ[node]] + (a + rot[node]) % size[node]
 
 
-@pytest.mark.parametrize("n", [50, *RULING_SIZES[1:3]])
+@pytest.mark.parametrize("n", [50, *RULING_SIZES[1:]])
 def test_period_of_an_orbit_map_matches_lifted_permutation(n):
-    # orbits of every length dividing r = 12, a length-keeping bijection on
-    # them with random rotations, and long cycles past _RULING_MIN
+    # orbits of every length dividing r, a length-keeping bijection on them
+    # with random rotations, and long cycles past _RULING_MIN, contracted
+    # twice at 17 * _RULING_MIN; r = 31, the largest D of a field below
+    # 2**32, has orbit lengths 1 and 31 only
     rng = np.random.default_rng(n)
-    r = 12
-    size = rng.choice([1, 2, 3, 4, 6, 12], n)
-    for shuffle in (True, False):
-        succ = np.empty(n, dtype=np.int64)
-        for length in np.unique(size):
-            at = np.flatnonzero(size == length)
-            succ[at] = rng.permutation(at) if shuffle else np.roll(at, 1)
-        rot = rng.integers(0, size)
-        got = permutation_period(succ, rot * (r // size), r)
-        assert got == permutation_period(lifted_orbit_map(succ, rot, size))
+    for r in (12, 31):
+        size = rng.choice([e for e in range(1, r + 1) if r % e == 0], n)
+        for shuffle in (True, False):
+            succ = np.empty(n, dtype=np.int64)
+            for length in np.unique(size):
+                at = np.flatnonzero(size == length)
+                succ[at] = rng.permutation(at) if shuffle else np.roll(at, 1)
+            rot = rng.integers(0, size)
+            got = permutation_period(succ, rot * (r // size), r)
+            assert got == permutation_period(lifted_orbit_map(succ, rot, size)), (r, shuffle)
 
 
 @pytest.mark.parametrize("n", RULING_SIZES)
@@ -435,29 +463,59 @@ def test_int32_tables_agree_with_scalar_engine_past_int32_products(ctx):
         assert vals[i] == want.index, int(i)
 
 
+def assert_exp_rows_match_scalar_powers(bf):
+    """The first two blocks of the exp build, the doubled one and one
+    product with M(g)**_CHUNK, packed as ``_exp_log`` packs them, against
+    the scalar engine's powers of the generator."""
+    ctx = bf.ctx
+    g, x = bf.generator(), ctx.one()
+    for n, (lo, block) in zip(range(2), bf._exp_rows()):
+        assert lo == n * _batch._CHUNK and block.shape == (_batch._CHUNK, bf.D)
+        assert block.dtype == bf._work
+        assert ((block >= 0) & (block < bf.p) & (block == np.floor(block))).all()
+        idx = np.empty(block.shape[0], dtype=bf.dtype)
+        idx[:] = block @ bf._pack_weights
+        for j in range(block.shape[0]):
+            assert idx[j] == x.index, lo + j
+            x = x * g
+
+
 # D = 2 on both sides of p = 2**15, where D * (p-1)**2 leaves int32, and of
 # Q = 2**31, where the index tables widen to int64
 @pytest.mark.parametrize("p", [32749, 32771, 46337, 46349])
 def test_exp_rows_match_scalar_powers_at_degree_two(p):
-    # the whole tables would take 8-34 GB: the first two blocks, the doubled
-    # one and one product with M(g)**_CHUNK, against the scalar engine
+    # the whole tables would take 8-34 GB: the first two blocks only
     with field_cap_scope(2**32):
-        ctx = make_field(p, 2)
-        bf = BatchField(ctx)
+        bf = BatchField(make_field(p, 2))
     assert bf.dtype is (np.int32 if p * p < 2**31 else np.int64)
-    g, x = bf.generator(), ctx.one()
-    for n, (lo, block) in zip(range(2), bf._exp_rows()):
-        assert lo == n * _batch._CHUNK and block.shape == (_batch._CHUNK, 2)
-        assert ((block >= 0) & (block < p) & (block == np.floor(block))).all()
-        idx = np.empty(block.shape[0], dtype=bf.dtype)
-        idx[:] = block @ bf._pack_weights  # as _exp_log packs into exp
-        for j in range(block.shape[0]):
-            assert idx[j] == x.index, lo + j
-            x = x * g
+    assert_exp_rows_match_scalar_powers(bf)
     # the float reduction at the top of its range: sums of two digit products
     top = 2 * (p - 1) ** 2
     y = np.arange(top - 3 * p, top + 1, dtype=np.int64)
     assert np.array_equal(bf._mod_p(y.astype(np.float64)), y % p)
+
+
+# both sides of each float32 bound: Q = 2**24 (under a raised cap, 2**25),
+# and at D = 2, D * (p-1)**2 < 2**22 (p = 1447, the largest such prime)
+@pytest.mark.parametrize(
+    "p, D, work",
+    [(2, 24, np.float32), (2, 25, np.float64), (1447, 2, np.float32), (1451, 2, np.float64)],
+)
+def test_exp_rows_match_scalar_powers_at_the_float32_bounds(p, D, work):
+    with field_cap_scope(2**25):
+        bf = BatchField(make_field(p, D))
+    assert bf._work is work
+    assert_exp_rows_match_scalar_powers(bf)
+
+
+@pytest.mark.parametrize("p", [2, 3, 1447])
+def test_float32_mod_p_is_exact_below_2_22(p):
+    # _mod_p's error proof holds for every y < 2**(t-2), t = 24; D * (p-1)**2
+    # reaches 4181832 of it at p = 1447
+    bf = BatchField(make_field(p, 2))
+    assert bf._work is np.float32
+    y = np.arange(2**22, dtype=np.int64)
+    assert np.array_equal(bf._mod_p(y.astype(np.float32)), y % p)
 
 
 class IdentityTable:
@@ -712,6 +770,21 @@ def test_labels_of_zero_and_infinity_and_monic_terms_read_no_table():
     assert bf._tables is not None
     ctx = bf.ctx
     assert vals.tolist() == [101] + [(ctx.from_index(i) ** -2).index for i in range(1, 101)]
+
+
+PRIME_LABEL_FIELDS = [
+    *(make_field(p, D) for p, D in [(3, 2), (3, 7), (5, 4), (7, 3), (11, 2), (13, 3), (2, 10)]),
+    make_extension(make_field(3, 2), 3),  # 3^6 over 9
+    make_extension(make_field(5, 2), 2),  # 5^4 over 25
+]
+
+
+@pytest.mark.parametrize("ctx", PRIME_LABEL_FIELDS, ids=lambda c: f"{c.p}^{c.k}/{c.rel_degree}")
+def test_prime_field_labels_read_no_table_and_match_the_log_table(ctx):
+    bf = BatchField(ctx)
+    got = [bf.label(ctx.from_int(c).index) for c in range(ctx.p)]
+    assert bf._tables is None
+    assert got == bf._exp_log()[1][: ctx.p].tolist()
 
 
 def test_binomial_scan_builds_zech(empty_cache):

@@ -118,6 +118,27 @@ def test_dp_subcommand_evaluates_each_map_once_per_t_on_the_quotient(capsys, mon
     assert calls == [(3**t, step) for t, step in enumerate(steps, 1) for _ in range(2)]
 
 
+def test_dp_of_prime_field_multiples_builds_no_log_table_past_the_prime_field(
+    capsys, monkeypatch
+):
+    # x^8 against 2x^8 over F_3: once D >= 2 the log of 2 is found mod 3
+    # (``BatchField.label``), so only F_3 itself builds exp and log
+    built = []
+    exp_log = excov._batch.BatchField._exp_log
+
+    def recording(self):
+        if self._tables is None:
+            built.append(self.order)
+        return exp_log(self)
+
+    monkeypatch.setattr(excov._batch.BatchField, "_exp_log", recording)
+    excov._batch._CACHE.clear()
+    octic = ["--f", "poly:0,0,0,0,0,0,0,0,1", "--g", "poly:0,0,0,0,0,0,0,0,2"]
+    doc = run_json(capsys, ["dp", "--field", "3", *octic, "--tmax", "9"])
+    assert len(doc["results"]) == 9
+    assert built == [3]
+
+
 def test_group_subcommand(capsys):
     doc = run_json(capsys, ["group", "--model", "dickson:5,3"])
     assert doc["set"] == {"modulus": 2, "residues": [1]}
