@@ -47,8 +47,10 @@ class InternalInvariantError(ExcovError):
 def field_cap() -> int:
     """Current enumeration budget: the most entries one table may hold.
 
-    It caps field orders, p^2 for pencils and isogeny map degrees, and the
-    order * degree entries of a permutation group's closure.  The innermost
+    It caps field orders, p^2 for pencils and isogeny map degrees, the
+    order * degree entries of a permutation group's closure, the
+    size * r * n entries of a braid orbit of r-tuples on n letters, and the
+    N^2 entries a tower on N letters needs at least.  The innermost
     ``field_cap_scope`` decides, then EXCOV_CAP, then DEFAULT_FIELD_CAP.
     """
     scoped = _CAP_SCOPE.get()

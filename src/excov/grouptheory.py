@@ -44,11 +44,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, InternalInvariantError, ValidationError, check_field_cap, field_cap
+from .errors import InternalInvariantError, ValidationError, check_field_cap, field_cap
 from .frobset import FrobeniusSet, _from_closed, _unit_closure
 from .gf import _is_prime, _power
 
-GROUP_CAP = 10 ** 6
 ELEMENT_ARRAY = "group element array"
 
 
@@ -231,35 +230,28 @@ def _perms(rows) -> list[Perm]:
 class PermGroup:
     """A finite permutation group as an element array in BFS order.
 
-    The closure grows the frontier as one gather per step: the products
-    h*g of the frontier rows h with the generators g are g[h], taken
-    h-major and g-minor, and a row is new when its bytes are not yet in
-    the set of seen rows.  generator_array holds the generators' image rows.
+    The closure grows the frontier by gathers: the products h*g of the
+    frontier rows h with the generators g are g[h], taken h-major and
+    g-minor, and a row is new when its bytes are not yet in the set of seen
+    rows.  A gather holds at most field_cap() entries, so a refused closure
+    never forms more.  generator_array holds the generators' image rows.
     """
 
-    def __init__(self, degree: int, generators: Sequence[Perm], cap: int = GROUP_CAP):
+    def __init__(self, degree: int, generators: Sequence[Perm]):
         self.degree = degree
         self.generators = tuple(generators)
         self.generator_array = gens = _image_rows(generators, degree)
         # the element array's order * degree entries count against the field
         # cap: len(seen) reaches field_cap() // degree exactly when one more
         # element passes it
-        most = min(cap, field_cap() // max(degree, 1))
+        cap = field_cap()
+        most = cap // max(degree, 1)
+        step = max(cap // max(len(gens) * degree, 1), 1)
         frontier = np.arange(degree, dtype=np.int32)[None]
         blocks = [frontier]
         seen = set(_row_keys(frontier))
         while len(frontier):
-            products = gens[:, frontier].transpose(1, 0, 2).reshape(len(frontier) * len(gens), degree)
-            new = []
-            for i, key in enumerate(_row_keys(products)):
-                if key not in seen:
-                    if len(seen) >= most:
-                        if len(seen) >= cap:
-                            raise CapExceededError(f"group closure exceeds cap {cap}")
-                        check_field_cap((len(seen) + 1) * degree, ELEMENT_ARRAY)
-                    seen.add(key)
-                    new.append(i)
-            frontier = products[new]
+            frontier = _new_products(gens, frontier, seen, most, step)
             blocks.append(frontier)
         self.element_array = np.concatenate(blocks)
         self.element_array.flags.writeable = False
@@ -276,6 +268,25 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
 
+def _new_products(gens: np.ndarray, frontier: np.ndarray, seen: set, most: int, step: int) -> np.ndarray:
+    """The products of the frontier rows with gens whose bytes are not yet in
+    seen, in closure order, formed for at most step frontier rows at a time.
+    Their bytes join seen; a new row past the most-th passes the field cap."""
+    if len(frontier) > step:
+        chunks = [frontier[s : s + step] for s in range(0, len(frontier), step)]
+        return np.concatenate([_new_products(gens, c, seen, most, step) for c in chunks])
+    degree = frontier.shape[1]
+    products = gens[:, frontier].transpose(1, 0, 2).reshape(len(frontier) * len(gens), degree)
+    new = []
+    for i, key in enumerate(_row_keys(products)):
+        if key not in seen:
+            if len(seen) >= most:
+                check_field_cap((len(seen) + 1) * degree, ELEMENT_ARRAY)
+            seen.add(key)
+            new.append(i)
+    return products if len(new) == len(products) else products[new]
+
+
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of a C-contiguous 2-d array."""
     width = rows.shape[1] * rows.itemsize
@@ -285,10 +296,10 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return [data[i : i + width] for i in range(0, len(data), width)]
 
 
-def group_from_gens(gens: Sequence[Perm], cap: int = GROUP_CAP) -> PermGroup:
+def group_from_gens(gens: Sequence[Perm]) -> PermGroup:
     if not gens:
         raise ValidationError("need at least one generator")
-    return PermGroup(gens[0].degree, gens, cap=cap)
+    return PermGroup(gens[0].degree, gens)
 
 
 # -- orbit machinery ---------------------------------------------------------------

@@ -11,15 +11,13 @@ catalogue of families the rest of the package scans analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError, check_field_cap
+from .errors import InternalInvariantError, ValidationError, check_field_cap, check_power_cap, field_cap
 from .gf import _is_prime, _prime_factors
 from .grouptheory import (
     ELEMENT_ARRAY,
-    GROUP_CAP,
     Perm,
     PermGroup,
     _image_rows,
@@ -115,25 +113,45 @@ def _twist(tup: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
+# conjugators per block of `_canonical`, whose keys hold _CONJ_BLOCK * r * n
+# entries and never r times the whole conjugator array
+_CONJ_BLOCK = 256
+
+
 def _canonical(tup: np.ndarray, conj: np.ndarray, conj_inv: np.ndarray) -> bytes:
     """The least conjugate of tup, as big-endian bytes.
 
-    Row r of the keys holds h^-1*g*h = h[g[h^-1]] for every entry g of tup,
-    h = conj[r].  The images are non-negative, so the byte order of the
-    big-endian rows is the order of the image tuples.
+    Row k of the keys holds h^-1*g*h = h[g[h^-1]] for every entry g of tup,
+    h = conj[k].  The images are non-negative, so the byte order of the
+    big-endian rows is the order of the image tuples.  Past _CONJ_BLOCK
+    conjugators the least key is taken block by block.
     """
-    m = len(conj)
-    inner = tup[:, conj_inv].transpose(1, 0, 2).reshape(m, -1)
-    keys = np.take_along_axis(conj, inner, axis=1).astype(">i4")
-    return min(_row_keys(keys))
+    m = _CONJ_BLOCK
+    if len(conj) > m:
+        starts = range(0, len(conj), m)
+        return min(_canonical(tup, conj[s : s + m], conj_inv[s : s + m]) for s in starts)
+    inner = tup[:, conj_inv].transpose(1, 0, 2).reshape(len(conj), -1)
+    return min(_row_keys(np.take_along_axis(conj, inner, axis=1).astype(">i4")))
 
 
-def _orbit(start: NielsenTuple, conj: np.ndarray, cap: int) -> list[NielsenTuple]:
-    r, n = start.r, start.degree
+def braid_orbit(t: NielsenTuple, equivalence="inner") -> list[NielsenTuple]:
+    """Orbit under all twists, one representative per equivalence class.
+
+    equivalence: "none", "inner" (conjugation by the declared group), or an
+    explicit list of conjugating permutations (e.g. a known normalizer).
+    Twists are invertible on the finite orbit, so forward moves suffice.
+    Tuples and conjugators are int32 image arrays: a tuple's key is its
+    least conjugate, taken over blocks of conjugators, one gather each.
+    The orbit's size * r * n entries count against the field cap, as a
+    group closure's order * degree do.
+    """
+    conj = _conjugators(t, equivalence)
+    r, n = t.r, t.degree
     conj_inv = np.empty_like(conj)
     np.put_along_axis(conj_inv, conj, np.arange(n, dtype=np.int32)[None], axis=1)
-    tup = _image_rows(start.perms, n)
+    tup = _image_rows(t.perms, n)
     seen = {_canonical(tup, conj, conj_inv)}
+    most = field_cap() // max(r * n, 1)
     queue = [tup]
     while queue:
         cur = queue.pop()
@@ -141,29 +159,15 @@ def _orbit(start: NielsenTuple, conj: np.ndarray, cap: int) -> list[NielsenTuple
             nxt = _twist(cur, i)
             key = _canonical(nxt, conj, conj_inv)
             if key not in seen:
-                if len(seen) >= cap:
-                    raise CapExceededError(f"braid orbit exceeds cap {cap}")
+                if len(seen) >= most:
+                    check_field_cap((len(seen) + 1) * r * n, "braid orbit")
                 seen.add(key)
                 queue.append(nxt)
     # canonical forms are conjugate to visited tuples, hence equally valid
     return [
-        NielsenTuple(tuple(_perms(np.frombuffer(key, ">i4").reshape(r, n))), start.group)
+        NielsenTuple(tuple(_perms(np.frombuffer(key, ">i4").reshape(r, n))), t.group)
         for key in sorted(seen)
     ]
-
-
-def braid_orbit(
-    t: NielsenTuple, equivalence="inner", cap: int = GROUP_CAP
-) -> list[NielsenTuple]:
-    """Orbit under all twists, one representative per equivalence class.
-
-    equivalence: "none", "inner" (conjugation by the declared group), or an
-    explicit list of conjugating permutations (e.g. a known normalizer).
-    Twists are invertible on the finite orbit, so forward moves suffice.
-    Tuples and conjugators are int32 image arrays: a tuple's key is its
-    least conjugate, taken over all conjugators in one gather.
-    """
-    return _orbit(t, _conjugators(t, equivalence), cap)
 
 
 # -- stock families -------------------------------------------------------------------
@@ -199,39 +203,28 @@ def dickson_branch_triple(n: int) -> NielsenTuple:
     return NielsenTuple((g1, g2, ginf), group_from_gens([g1, g2]))
 
 
-@dataclass(frozen=True)
-class TowerCycles:
-    """Branch cycles for an iterated fiber product of reflection covers."""
-
-    tuple: NielsenTuple
-    levels: int
-    degree: int  # n per level: the construction multiplies degrees
-
-
-def dickson_tower_cycles(
-    n: int, levels: Union[int, Sequence], cap: int = GROUP_CAP
-) -> TowerCycles:
-    """Level-blocked branch cycles on n^m letters, m = number of levels.
+def dickson_tower_cycles(n: int, levels: int) -> NielsenTuple:
+    """Level-blocked branch cycles on N = n^levels letters.
 
     Each level contributes the reflection pair acting on its own coordinate
     (cross-level twisting is a free choice absorbed by equivalence, taken
     trivial here); the closing entry is the inverse of the full product and
-    comes out as n^(m-1) disjoint n-cycles.  The degree reported is the
-    constructed n^m; no formula for an infinite-level limit is assumed.
+    comes out as n^(levels-1) disjoint n-cycles.  The group is transitive,
+    so its element array holds at least N^2 entries; N^2 is checked against
+    the field cap before any row is built.  No formula for an
+    infinite-level limit is assumed.
     """
-    m = levels if isinstance(levels, int) else len(levels)
     if n < 3 or n % 2 == 0:
         raise ValidationError("need odd n >= 3")
-    if m < 1:
+    if levels < 1:
         raise ValidationError("need at least one level")
-    N = n ** m
-    if N > cap:
-        raise CapExceededError(f"degree {n}^{m} exceeds cap {cap}")
+    check_power_cap(n, 2 * levels, ELEMENT_ARRAY)
+    N = n**levels
     pair = _involution_pair(n)
     # level j's reflections act on the base-n digit x // n^j mod n of letter x
     x = np.arange(N)
     rows = []
-    for j in range(m):
+    for j in range(levels):
         digit = x // n**j % n
         rows.extend(x + (pair[:, digit] - digit) * n**j)
     prod = x
@@ -240,17 +233,9 @@ def dickson_tower_cycles(
     inverse = np.empty_like(prod)
     inverse[prod] = x
     entries = _perms(rows + [inverse])
-    tup = NielsenTuple(tuple(entries), group_from_gens(entries, cap=cap))
-    closing = entries[-1]
-    want = N // n
-    if sorted(len(c) for c in closing.cycles()) != [n] * want:
-        raise ValidationError(
-            "construction check failed: closing entry is not a union of "
-            f"{want} cycles of length {n}"
-        )
-    if not tup.product().is_identity():
-        raise ValidationError("construction check failed: product is not one")
-    return TowerCycles(tup, m, N)
+    if sorted(len(c) for c in entries[-1].cycles()) != [n] * (N // n):
+        raise InternalInvariantError(f"closing entry is not {N // n} disjoint {n}-cycles")
+    return NielsenTuple(tuple(entries), group_from_gens(entries))
 
 
 # -- sign-vector tuples over (Z/p^(k+1))^2 ---------------------------------------------

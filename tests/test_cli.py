@@ -504,6 +504,7 @@ def test_console_script_error_code():
     [
         "group --model cyclic:20011,3",
         "nielsen --cyclic 30011",
+        "nielsen --dickson 30011",
         "oit --curve ogg --p 1000000000000000003 --lmax 5",
     ],
 )

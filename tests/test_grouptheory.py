@@ -217,8 +217,37 @@ def test_fano_generators_preserve_incidence():
 
 
 def test_group_cap():
-    with pytest.raises(CapExceededError):
-        group_from_gens([C("(1 2 3 4 5 6 7 8)"), C("(1 2)", 8)], cap=100)
+    # S_8 has 40320 elements: 100 of degree 8 fit, the 101st does not
+    with field_cap_scope(100 * 8), pytest.raises(CapExceededError, match="of size 808 exceeds cap 800"):
+        group_from_gens([C("(1 2 3 4 5 6 7 8)"), C("(1 2)", 8)])
+
+
+def test_refused_closure_forms_products_within_the_cap():
+    # 20 generators of degree 100: the fourth step's 8000 frontier rows have
+    # 160000 products, 64 MB formed at once (206 MB peak); under a 2^20-entry
+    # cap they are formed 524 rows, 4 MB, at a time
+    rng = random.Random(26)
+    gens = [random_perm(rng, 100) for _ in range(20)]
+    tracemalloc.start()
+    try:
+        with field_cap_scope(2**20), pytest.raises(CapExceededError, match="of size 1048600 exceeds"):
+            PermGroup(100, gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+
+
+def test_chunked_closure_keeps_the_element_order():
+    # S_5 from its 10 transpositions under the tightest cap: 12 frontier rows
+    # at a time, where the frontier after two steps holds 35
+    gens = [C(f"({i} {j})", 5) for i, j in itertools.combinations(range(1, 6), 2)]
+    whole = PermGroup(5, gens)
+    with field_cap_scope(120 * 5):
+        chunked = PermGroup(5, gens)
+    assert whole.order == 120
+    assert np.array_equal(chunked.element_array, whole.element_array)
+    assert chunked.element_array.tolist() == [list(g.images) for g in closure_oracle(5, gens)]
 
 
 def test_closure_counts_order_times_degree_against_the_field_cap():
@@ -617,14 +646,23 @@ def test_fried_criterion_matches_coset_pass_on_models():
     assert count == 2266  # 2,228 with n >= 2, and the 38 of degree 1
 
 
-def random_normalized(rng, ambient, cap=400):
+def closure_within(n, gens, most=400):
+    """PermGroup(n, gens), or None when it has more than `most` elements."""
+    try:
+        with field_cap_scope(most * n):
+            return PermGroup(n, gens)
+    except CapExceededError:
+        return None
+
+
+def random_normalized(rng, ambient, most=400):
     """A seeded random group of degree 1-9 with a tau that normalizes it.
 
     One block: conjugates of random elements of an ambient group under
     the powers of tau, which is mostly an element of the same ambient group
     and sometimes any permutation, all relabeled.  Two blocks: the direct
     product of two such groups, an intransitive group normalized by the
-    block sum of the two taus.  Groups over cap elements are drawn again.
+    block sum of the two taus.  Groups over most elements are drawn again.
     """
 
     def one(A):
@@ -645,10 +683,9 @@ def random_normalized(rng, ambient, cap=400):
             one1, one2 = Perm.identity(A.degree), Perm.identity(B.degree)
             gens = [block_sum(g, one2) for g in gens1] + [block_sum(one1, g) for g in gens2]
             n, tau = A.degree + B.degree, block_sum(tau1, tau2)
-        try:
-            return MonodromyData(PermGroup(n, gens, cap=cap), tau)
-        except CapExceededError:
-            continue
+        G = closure_within(n, gens, most)
+        if G is not None:
+            return MonodromyData(G, tau)
 
 
 def test_fried_criterion_matches_coset_pass_on_random_models():
@@ -744,15 +781,12 @@ def conj(g, s):
     return s.inverse() * g * s
 
 
-def small_gens(rng, n, cap=400):
-    """One or two random permutations of degree n generating at most cap elements."""
+def small_gens(rng, n):
+    """One or two random permutations of degree n generating at most 400 elements."""
     while True:
         gens = [random_perm(rng, n) for _ in range(rng.choice((1, 2)))]
-        try:
-            PermGroup(n, gens, cap=cap)
-        except CapExceededError:
-            continue
-        return gens
+        if closure_within(n, gens) is not None:
+            return gens
 
 
 def random_pairs(seed, count):
@@ -774,9 +808,7 @@ def random_pairs(seed, count):
             tau1 = random_perm(rng, n)
             base = small_gens(rng, n)
             gens = [conj(g, tau1 ** i) for g in base for i in range(tau1.order())]
-            try:
-                PermGroup(n, gens, cap=400)
-            except CapExceededError:
+            if closure_within(n, gens) is None:
                 continue
             s = random_perm(rng, n)
             out.append(
@@ -796,9 +828,7 @@ def random_pairs(seed, count):
             s = Perm(tuple(images))
             base = small_gens(rng, n)
             gens = base + [conj(g, s) for g in base]  # s normalizes <gens>
-            try:
-                PermGroup(n, gens, cap=400)
-            except CapExceededError:
+            if closure_within(n, gens) is None:
                 continue
             gens2 = [conj(g, s) for g in gens]
             tau = block_swap(n)

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from excov import nielsen
-from excov.errors import CapExceededError, ValidationError, field_cap_scope
+from excov.errors import CapExceededError, InternalInvariantError, ValidationError, field_cap_scope
 from excov.grouptheory import Perm, PermGroup, _orbit_labels, group_from_gens
 from excov.nielsen import (
     ModularClasses,
@@ -205,7 +207,7 @@ def test_braid_index_range():
 def test_two_twist_composite_on_tower_tuple():
     # apply the middle twist then the first: the third slot inherits the
     # original second entry and the head picks up a double conjugate
-    tower = dickson_tower_cycles(3, 2).tuple
+    tower = dickson_tower_cycles(3, 2)
     g11, g12, g21, g22, ginf = tower.perms
     out = braid_act(braid_act(tower, 2), 1)
     g2p = g12 * g21 * g12.inverse()
@@ -244,25 +246,18 @@ def test_plain_orbit_at_least_as_fine():
 def test_tower_level_one_matches_base_triple():
     tower = dickson_tower_cycles(5, 1)
     assert tower.degree == 5
-    assert tower.tuple.perms == dickson_branch_triple(5).perms
+    assert tower.perms == dickson_branch_triple(5).perms
 
 
 def test_tower_level_two_shape():
-    tower = dickson_tower_cycles(3, 2)
-    assert tower.degree == 9 and tower.levels == 2
-    t = tower.tuple
-    assert t.r == 5
+    t = dickson_tower_cycles(3, 2)
+    assert t.degree == 9 and t.r == 5
     assert validate_tuple(t) == []
     closing = t.perms[-1]
     assert sorted(len(c) for c in closing.cycles()) == [3, 3, 3]
     # diagonal staircase: the full product advances both digits together
     forward = closing.inverse()
     assert forward.act(0) == 4 and forward.act(4) == 8 and forward.act(8) == 0
-
-
-def test_tower_accepts_a_list_for_levels():
-    tower = dickson_tower_cycles(3, [2, 7])
-    assert tower.levels == 2 and tower.degree == 9
 
 
 def tower_oracle(n, m):
@@ -281,17 +276,16 @@ def tower_oracle(n, m):
     return tuple(entries) + (prod.inverse(),)
 
 
-@pytest.mark.parametrize("n, levels", [(3, 2), (3, [2, 7]), (3, 3), (5, 1)])
+@pytest.mark.parametrize("n, levels", [(3, 2), (3, 3), (5, 1)])
 def test_tower_entries_match_the_letter_loop(n, levels):
-    m = levels if isinstance(levels, int) else len(levels)
-    assert dickson_tower_cycles(n, levels).tuple.perms == tower_oracle(n, m)
+    assert dickson_tower_cycles(n, levels).perms == tower_oracle(n, levels)
 
 
 def test_tower_genus_from_index_sum():
     # derived expectation: m levels of (n-1)/2-transposition pairs plus the
     # n-cycle closing entry
     for n, m in ((3, 2), (5, 2), (3, 3)):
-        got = rh_genus(dickson_tower_cycles(n, m).tuple)
+        got = rh_genus(dickson_tower_cycles(n, m))
         ind = m * (n - 1) * n ** (m - 1) + n ** m - n ** (m - 1)
         assert got == ind // 2 - n ** m + 1
         assert got >= 0
@@ -302,6 +296,25 @@ def test_tower_rejects_even_or_tiny():
         dickson_tower_cycles(4, 2)
     with pytest.raises(ValidationError):
         dickson_tower_cycles(5, 0)
+
+
+def test_tower_is_refused_before_any_perm_is_built(monkeypatch):
+    # the group is transitive on N = n^levels letters, so its element array
+    # holds at least N^2 entries: 3^16 > 2^24 is refused before any row
+    monkeypatch.setattr(nielsen, "_perms", None)
+    with field_cap_scope(2**24), pytest.raises(CapExceededError, match=r"of size 3\^16 exceeds"):
+        dickson_tower_cycles(3, 8)
+    with field_cap_scope(3**4 - 1), pytest.raises(CapExceededError, match=r"of size 3\^4 exceeds"):
+        dickson_tower_cycles(3, 2)
+
+
+def test_tower_closing_check_is_an_internal_invariant(monkeypatch):
+    # two equal reflections multiply to one, so the closing entry fixes
+    # every letter instead of forming n-cycles
+    monkeypatch.setattr(nielsen, "_involution_pair", lambda n: (-np.arange(n) - np.array([[1], [1]])) % n)
+    with pytest.raises(InternalInvariantError, match="closing entry") as err:
+        dickson_tower_cycles(5, 2)
+    assert err.value.exit_code == 4
 
 
 # -- point-reflection classification ---------------------------------------------
@@ -585,6 +598,40 @@ def test_braid_keys_match_perm_products_on_modular_tuples(p, stride):
         assert orbit_keys(braid_orbit(t)) == orbit_oracle(t, inner)
         for member in braid_orbit(t, equivalence="none")[:10]:
             assert array_key(member.perms, inner) == canonical_oracle(member.perms, inner)
+
+
+@pytest.mark.parametrize("block", [1, 4, 7])
+def test_braid_keys_over_blocks_of_conjugators_match_perm_products(monkeypatch, block):
+    monkeypatch.setattr(nielsen, "_CONJ_BLOCK", block)
+    t = dickson_branch_triple(9)
+    inner = elements(t.group)
+    for member in braid_orbit(t, equivalence="none"):
+        assert array_key(member.perms, inner) == canonical_oracle(member.perms, inner)
+    assert orbit_keys(braid_orbit(t)) == orbit_oracle(t, inner)
+
+
+def test_braid_keys_are_formed_in_blocks_of_conjugators():
+    # all 1202 conjugates of a 601-letter triple at once held about 13 times
+    # the element array at their peak; blocks of 256 conjugators about 3.6
+    t = dickson_branch_triple(601)
+    size = t.group.element_array.nbytes
+    tracemalloc.start()
+    try:
+        orbit = braid_orbit(t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(orbit) == 3
+    assert peak < 6 * size, peak / size
+
+
+def test_braid_orbit_counts_its_entries_against_the_field_cap():
+    # three classes of three 5-letter entries: 45 entries
+    t = dickson_branch_triple(5)
+    with field_cap_scope(45):
+        assert len(braid_orbit(t)) == 3
+    with field_cap_scope(44), pytest.raises(CapExceededError, match="braid orbit of size 45 exceeds cap 44"):
+        braid_orbit(t)
 
 
 def test_explicit_conjugators_are_checked():
