@@ -69,12 +69,21 @@ fields, value tables, the pencil and the curve point counts.
 
 Tables are stored at the width ``_index_dtype(Q)``: int32 while
 Q < 2**31, 8 bytes per point for exp and log and 4 more for zech, else
-int64.  A sum or product of two logs can pass int32, so it is always
-formed in int64 after a cast; such a product is below m**2, so fields
-with m**2 >= 2**63 are refused with ``CapExceededError`` before any table
-is built rather than allowed to wrap.  Whole-field tables are int64:
-``np.bincount`` and fancy indexing widen an int32 index array to a full
-int64 copy, so a narrower table would raise a scan's peak, not lower it.
+int64.  A sum or product of two logs can pass int32, so log arithmetic
+is int64, after a cast, and divides as little as it can.  On a full
+table the logs j of a block are consecutive, so the logs
+(e*j + log c) mod m of a term are an arithmetic progression: its base
+over one block is formed once per call, with one ``%``, and each block
+adds a Python-int offset to it.  Every later sum, a Zech step, the
+running sum or numerator minus denominator, lies in [0, 2m) and is
+reduced by ``_wrap`` with no division at all.  On the quotient the
+representatives are not consecutive, so a term costs one ``%`` there.
+Its products e*j, and those of ``pow_indices``, are below m**2, so
+fields with m**2 >= 2**63 are refused with ``CapExceededError`` before
+any table is built rather than allowed to wrap.  Whole-field tables are
+int64: ``np.bincount`` and fancy indexing widen an int32 index array to
+a full int64 copy, so a narrower table would raise a scan's peak, not
+lower it.
 """
 
 from __future__ import annotations
@@ -99,6 +108,22 @@ _BLOCK = 1 << 16
 def _index_dtype(n: int) -> type:
     """Index width for values below n: int32 while every one fits."""
     return np.int32 if n < 2**31 else np.int64
+
+
+def _wrap(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
+    """x mod m in place, for int64 x in [0, 2m), with no division.
+
+    Viewed as uint64, x - m wraps to a value past 2**63 exactly when x < m,
+    so the lesser of x and x - m is x mod m.  spare is a uint64 buffer at
+    least as long as x.  On 65,536 random values in [0, 2m) (2 vCPUs, a
+    16 us copy in each) this took 50 us, ``%`` 250 us and a masked
+    ``np.subtract(..., where=x >= m)`` 587 us.
+    """
+    u = x.view(np.uint64)
+    low = spare[: u.size]
+    np.subtract(u, np.uint64(m), out=low)
+    np.minimum(u, low, out=u)
+    return x
 
 
 class BatchField:
@@ -357,21 +382,43 @@ class BatchField:
             reps, code = self.orbit_reps(step), self.orbit_lookup(step)[0]
             n = reps.size
             out = np.empty(n + 2, dtype=code.dtype)
+        # block buffers, reused: the value logs on the quotient, where out
+        # holds codes; the denominator's logs; a term's logs within a sum
+        width = min(_BLOCK, n)
+        v_buf = None if code is None else np.empty(width, dtype=np.int64)
+        dv_buf = None if den is None else np.empty(width, dtype=np.int64)
+        sum_buf = None
+        if any(len(logs) > 1 for _, logs in sums):
+            sum_buf = np.empty(width, dtype=np.int64)
+        ramp = bases = spare = None
+        if reps is None:
+            ramp = np.arange(width, dtype=np.int64)
+            if n > _BLOCK:  # each term's progression base is made once per call
+                bases, spare = {}, np.empty(width, dtype=np.uint64)
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
-            if reps is None:
-                j = np.arange(lo, hi, dtype=np.int64)
+            if reps is not None:
+                term = self._at_logs(reps[lo:hi].astype(np.int64))
+            elif bases is None:  # a full table of one block is its own base
+                term = self._at_logs(ramp)
             else:
-                j = reps[lo:hi].astype(np.int64)
-            v, zeros = self._logs_at(j, sums[0][1])
+                term = self._progression(lo, ramp, bases, spare)
+            v = out[lo:hi] if code is None else v_buf[: hi - lo]
+            t = None if sum_buf is None else sum_buf[: hi - lo]
+            zeros = self._logs_at(term, sums[0][1], v, t)
+            poles = None
             if den is not None:
-                dv, poles = self._logs_at(j, sums[1][1])
-                v -= dv
-                v %= m
-            v[zeros] = m
-            if den is not None:
+                dv = dv_buf[: hi - lo]
+                poles = self._logs_at(term, sums[1][1], dv, t)
+                v += m
+                v -= dv  # in (0, 2m)
+                _wrap(v, m, dv.view(np.uint64))
+            if zeros is not None:
+                v[zeros] = m
+            if poles is not None:
                 v[poles] = Q  # after the zeros: a pole wins
-            out[lo:hi] = v if code is None else code[v]
+            if code is not None:
+                out[lo:hi] = code[v]
         top = sums[0][0]
         if den is None:
             at_zero = top.index
@@ -537,42 +584,82 @@ class BatchField:
             self.table_bytes += code.nbytes + size.nbytes
         return got
 
-    def _logs_at(
-        self, j: np.ndarray, logs: list[tuple[int, int]]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Log of sum(c * g**(e*j)) at each log j (int64), and a mask of the
-        positions in j where the sum is 0, whose logs are left unset.
+    def _progression(
+        self, lo: int, ramp: np.ndarray, bases: dict[tuple[int, int], np.ndarray], spare: np.ndarray
+    ):
+        """The term-log writer of the full-table block of logs j = lo + i,
+        i < ramp.size, ramp[i] = i: term (s, lc) has log (s*j + lc) mod m,
+        its progression base[i] = (s*i + lc) mod m shifted by s*lo mod m.
+        Each base is made once per term and call, in ``bases``; every block
+        after the first adds its offset and wraps, with no division."""
+        m = self.order - 1
 
-        The term c * x**e has log (e*j + log c) mod m, which needs no
-        gather; each further term is added by one Zech gather.
+        def term(s: int, lc: int, into: np.ndarray) -> None:
+            base = bases.get((s, lc))
+            if base is None:
+                base = bases[s, lc] = ramp * s
+                base += lc
+                base %= m
+            base = base[: into.size]
+            off = s * lo % m
+            if off:
+                np.add(base, off, out=into)
+                _wrap(into, m, spare)
+            else:
+                into[:] = base
+
+        return term
+
+    def _at_logs(self, j: np.ndarray):
+        """The term-log writer at the logs j (int64): (s*j + lc) mod m, one
+        % per term."""
+        m = self.order - 1
+
+        def term(s: int, lc: int, into: np.ndarray) -> None:
+            np.multiply(j, s, out=into)
+            into += lc
+            into %= m
+
+        return term
+
+    def _logs_at(
+        self, term, logs: list[tuple[int, int]], acc: np.ndarray, t: np.ndarray | None
+    ) -> np.ndarray | None:
+        """Log of sum(c * x**e) over one block of logs j, written to acc
+        (int64), and a mask of the positions where the sum is 0, whose logs
+        are left unset; None when it is 0 nowhere.
+
+        ``term(e mod m, log c, into)`` writes the log of c * x**e at each j.
+        Each further term is written to t, an int64 buffer of acc's size,
+        and added by one Zech gather.  The running sum stays in [0, 2m) and
+        is reduced by ``_wrap``, with t as its scratch.
         """
         if not logs:
-            return np.zeros_like(j), np.ones(j.size, dtype=bool)
+            acc[:] = 0
+            return np.ones(acc.size, dtype=bool)
         m = self.order - 1
         (s0, lc0), rest = logs[0], logs[1:]
-        zech = self._zech_table() if rest else None  # one term needs no Zech gather
-        acc = j * s0  # the running sum's log at each j
-        acc += lc0
-        acc %= m
-        d = np.empty_like(acc)
-        zero = np.zeros(j.size, dtype=bool)  # where the sum is 0
+        term(s0, lc0, acc)
+        if not rest:  # one term is never 0 at a unit, and needs no Zech gather
+            return None
+        zech = self._zech_table()
+        zero = None  # where the sum is 0
         for s, lc in rest:
-            # log(a + b) = log a + Z(log b - log a), where Z = m for
-            # a + b = 0; j*s + lc + m - acc stays below m**2
-            np.multiply(j, s, out=d)
-            d += lc + m
-            d -= acc
-            d %= m
-            z = zech[d]
+            term(s, lc, t)
+            # where the sum was 0, the new sum is the term itself
+            was = t[zero] if zero is not None and zero.any() else None
+            # log(a + b) = log a + Z(log b - log a), where Z = m for a + b = 0.
+            # zech has m slots, so a difference in (-m, 0) reads it mod m
+            t -= acc
+            z = zech[t]
             acc += z
-            acc %= m
+            _wrap(acc, m, t.view(np.uint64))
             now_zero = z == m
-            if zero.any():
-                # where the sum was 0, the new sum is the term itself
-                acc[zero] = (s * j[zero] + lc) % m
+            if was is not None:
+                acc[zero] = was
                 now_zero &= ~zero
             zero = now_zero
-        return acc, zero
+        return zero
 
     def power_table(self, n: int) -> np.ndarray:
         """Index table of x**n for every x, with 0**0 = 1.  n >= 0."""
@@ -585,15 +672,15 @@ class BatchField:
 _RULING_MIN = 1 << 14
 # least r = D/d at which a single-term map is read on the orbit quotient.  The
 # quotient pays an orbit_lookup build (r scatters of its representatives)
-# that a whole-field monomial table, one multiply per point, does not.  One
-# cold single-term scan record, whole field -> quotient (median of 5, 2 vCPUs;
-# two runs, the period pass walked in place with int8 rotations):
-#   r = 3: F_{67^3} x^91 6.0 -> 8.6-9.3 ms, F_{127^3} x^67 119-122 -> 99 ms
-#   r = 4: F_{31^4} x^3 11-12 -> 17-18 ms, F_{37^4} x^7 98-107 -> 62-72 ms
-#   r = 5: F_{13^5} x^7 19-24 -> 12-14 ms, F_{17^5} x^3 65-66 -> 39-43 ms
-#   r = 9: F_{5^9} x^69 107-114 -> 41-42 ms
-# The bijective scans at r = 3 and 4 now favour the quotient, the others do
-# not; moving r = 3 or 4 onto it needs its peak-RSS figures first.
+# that a whole-field monomial table, one add and one wrap per point, does
+# not.  One cold single-term scan record, whole field -> quotient (median of
+# 5, 2 vCPUs; two runs, progression bases and the intp period walk):
+#   r = 3: F_{67^3} x^91 4.5 -> 8.8-9.1 ms, F_{127^3} x^67 86-87 -> 84-94 ms
+#   r = 4: F_{31^4} x^3 6.8-7.0 -> 18-21 ms, F_{37^4} x^7 69-82 -> 62-64 ms
+#   r = 5: F_{13^5} x^7 14 -> 11 ms, F_{17^5} x^3 52-53 -> 38 ms
+#   r = 9: F_{5^9} x^69 81-82 -> 39-42 ms
+# The whole-field tables got cheaper: the bijective r = 3 scan is now a tie,
+# the bijective r = 4 scan still favours the quotient, and the others do not
 _QUOTIENT_MIN_R = 5
 # a node is a splitter when the top _SPLIT_BITS bits of its hash are 0
 _SPLIT_BITS = 4
@@ -616,13 +703,13 @@ def permutation_period(perm: np.ndarray, rot: np.ndarray | None = None, r: int =
     the period is the lcm of the cycle lengths.
 
     perm is copied once, at ``_index_dtype(n)``, and ``_cycle_weights``
-    walks that copy in place.  Each level marks about one node in 16 as a
-    splitter, by a multiplicative hash of the index that ignores the
-    permutation, and walks from every splitter at once to the next one,
-    over the walks still running.  Each step reads one array: a node's
-    successor is overwritten by a mark as a walk passes it, so a step is
-    one gather and one scatter.  Every node lies on at most one walk, so
-    a level costs about n.  Splitter to next splitter, with the nodes
+    walks that copy in place, from positions kept as ``np.intp``.  Each
+    level marks about one node in 16 as a splitter, by a multiplicative
+    hash of the index that ignores the permutation, and walks from every
+    splitter at once to the next one, over the walks still running.  Each
+    step reads one array: a node's successor is overwritten by a mark as a
+    walk passes it, so a step is one gather and one scatter.  Every node
+    lies on at most one walk, so a level costs about n.  Splitter to next splitter, with the nodes
     passed as its length and their rotations summed mod r, is a
     permutation of the splitters whose cycle sums are the original ones;
     it is contracted again the same way.  Nodes that no walk reaches lie
@@ -678,8 +765,10 @@ def _cycle_weights(
     k = spl.size  # >= 1: index 0 hashes to 0
     passed = -1 - k
     walker = np.arange(k, dtype=dt)
-    pos = succ[spl]
-    succ[spl] = -1 - walker
+    # positions stay intp: take and put index with them as they are, where
+    # an int32 index is first widened to intp on every gather and scatter
+    pos = succ.take(spl).astype(np.intp)
+    succ.put(spl, -1 - walker)
     nxt = np.empty(k, dtype=dt)  # each splitter's next splitter
     # length and rotation from a splitter up to its next
     gap = np.empty(k, dtype=np.int64)
@@ -689,7 +778,7 @@ def _cycle_weights(
     del spl
     step = 1
     while walker.size:
-        to = succ[pos]
+        to = succ.take(pos)
         stop = to < 0
         ends = np.flatnonzero(stop)
         if ends.size:
@@ -707,12 +796,12 @@ def _cycle_weights(
                 acc = acc[keep]
             if rot is not None:
                 acc_rot = acc_rot[keep]
-        succ[pos] = passed
+        succ.put(pos, passed)
         if acc is not None:
-            acc += size[pos]
+            acc += size.take(pos)
         if rot is not None:
-            acc_rot += rot[pos]
-        pos = to
+            acc_rot += rot.take(pos)
+        pos[...] = to  # in place: the next positions, at intp
         step += 1
     hits = np.zeros(k, dtype=bool)
     hits[nxt] = True

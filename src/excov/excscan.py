@@ -183,11 +183,14 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
     the Frobenius-orbit quotient, where f maps nodes to nodes.
 
     f is bijective exactly when every point has one preimage
-    (``_fibers``).  Then the node map is a bijection that keeps lengths,
-    whose period ``permutation_period`` reads with the rotations: each
-    node's rotation, tab mod r, scaled from Z/|O| to Z/r by r // |O|, in
-    one int8 array (1 byte per node, r <= 31), which the kernel reads as
-    it is.  The fiber counts are freed before the period kernel runs, and
+    (``_fibers``): when the histogram of preimage counts is {1: Q + 1}.
+    It is surjective when the histogram has no count 0.  Both flags are
+    read off the histogram, with no further pass over the counts.  When
+    f is bijective the node map is a bijection that keeps lengths, whose
+    period ``permutation_period`` reads with the rotations: each node's
+    rotation, tab mod r, scaled from Z/|O| to Z/r by r // |O|, in one
+    int8 array (1 byte per node, r <= 31), which the kernel reads as it
+    is.  The fiber counts are freed before the period kernel runs, and
     the table on return, before the next t builds tables up to q times
     their size."""
     bf = get_batch(_scan_field(f, t))
@@ -196,12 +199,12 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
     tgt, counts = _fibers(size, r, tab)
-    bij = bool(counts.max(initial=0) == 1)
-    surj = bool(counts.min(initial=1) >= 1)
     # counts are int64 over the points: copy=False keeps them uncopied there
     hist = np.bincount(counts.astype(np.int64, copy=False), weights=size)
-    hist = {int(k): int(v) for k, v in enumerate(hist) if v}
     del counts
+    hist = {int(k): int(v) for k, v in enumerate(hist) if v}
+    bij = hist == {1: bf.order + 1}
+    surj = 0 not in hist
     if not (bij and with_periods):
         return TRecord(t, bij, surj, hist, None)
     if size is None:

@@ -113,9 +113,10 @@ def _twist(tup: np.ndarray, i: int) -> np.ndarray:
     return out
 
 
-# conjugators per block of `_canonical`, whose keys hold _CONJ_BLOCK * r * n
-# entries and never r times the whole conjugator array
-_CONJ_BLOCK = 256
+# a window of `_canonical` holds at most _CONJ_BLOCK * r * n key entries, the
+# keys of _CONJ_BLOCK conjugators, never r times the whole conjugator array.
+# Every dihedral group of degree n <= 16 fits one window
+_CONJ_BLOCK = 32
 
 
 def _canonical(tup: np.ndarray, conj: np.ndarray, conj_inv: np.ndarray) -> bytes:
@@ -123,15 +124,33 @@ def _canonical(tup: np.ndarray, conj: np.ndarray, conj_inv: np.ndarray) -> bytes
 
     Row k of the keys holds h^-1*g*h = h[g[h^-1]] for every entry g of tup,
     h = conj[k].  The images are non-negative, so the byte order of the
-    big-endian rows is the order of the image tuples.  Past _CONJ_BLOCK
-    conjugators the least key is taken block by block.
+    big-endian rows is the order of the image tuples.  The least key is
+    narrowed down a window of columns at a time: a window holds the next
+    columns of every conjugator still in the running, as many as
+    _CONJ_BLOCK * r * n entries allow, and only the conjugators with the
+    least window stay.  Up to _CONJ_BLOCK conjugators the first window is
+    the whole key; past it, few survive the first window, and their next
+    window is the rest of their keys.
     """
-    m = _CONJ_BLOCK
-    if len(conj) > m:
-        starts = range(0, len(conj), m)
-        return min(_canonical(tup, conj[s : s + m], conj_inv[s : s + m]) for s in starts)
-    inner = tup[:, conj_inv].transpose(1, 0, 2).reshape(len(conj), -1)
-    return min(_row_keys(np.take_along_axis(conj, inner, axis=1).astype(">i4")))
+    r, n = tup.shape
+    width = r * n
+    # flat offsets: tup[i, y] at i*n + y, h[y] at k*n + y
+    flat_tup, flat_conj, flat_inv = tup.ravel(), conj.ravel(), conj_inv.ravel()
+    keep = np.arange(len(conj))[:, None] * n  # the conjugators in the running
+    parts = []
+    lo = 0
+    while lo < width:
+        hi = min(width, lo + max(1, _CONJ_BLOCK * width // keep.size))
+        col = np.arange(lo, hi)
+        x = col % n
+        g = flat_tup.take(flat_inv.take(keep + x) + (col - x))  # g[h^-1[x]]
+        keys = _row_keys(flat_conj.take(g + keep).astype(">i4"))
+        least = min(keys)
+        parts.append(least)
+        if hi < width and keep.size > 1:
+            keep = keep[[key == least for key in keys]]
+        lo = hi
+    return b"".join(parts)
 
 
 def braid_orbit(t: NielsenTuple, equivalence="inner") -> list[NielsenTuple]:
@@ -141,7 +160,7 @@ def braid_orbit(t: NielsenTuple, equivalence="inner") -> list[NielsenTuple]:
     explicit list of conjugating permutations (e.g. a known normalizer).
     Twists are invertible on the finite orbit, so forward moves suffice.
     Tuples and conjugators are int32 image arrays: a tuple's key is its
-    least conjugate, taken over blocks of conjugators, one gather each.
+    least conjugate, narrowed over windows of key columns.
     The orbit's size * r * n entries count against the field cap, as a
     group closure's order * degree do.
     """

@@ -575,6 +575,66 @@ def test_eval_sparse_block_edges_match_scalar_engine():
     assert vals[x0.index] == (x0**3 + ctx.from_int(5)).index
 
 
+# the largest m that BatchField accepts: m**2 < 2**63 <= (m + 1)**2
+M_MAX = math.isqrt(2**63 - 1)
+
+
+@pytest.mark.parametrize("m", [2**31 - 2, 2**31 + 1, M_MAX])
+def test_wrap_matches_remainder_at_its_bounds(m):
+    # every value a log sum takes lies in [0, 2m), past int32 here and up to
+    # the refusal bound of m**2
+    assert M_MAX**2 < 2**63 <= (M_MAX + 1) ** 2
+    x = np.array([0, 1, m - 1, m, m + 1, 2 * m - 1], dtype=np.int64)
+    want = (x % m).tolist()
+    spare = np.full(x.size + 3, 7, dtype=np.uint64)  # longer than x
+    got = _batch._wrap(x, m, spare)
+    assert got is x and x.dtype == np.int64
+    assert x.tolist() == want
+
+
+def test_single_term_labels_at_block_edges_match_scalar_engine():
+    # the full table of c * x**e is a progression base per term, shifted by
+    # a Python int offset per block: at each block's edges and at m - 1 the
+    # label must be the log of the scalar engine's value
+    ctx = make_field(primes_above(2 * _BLOCK + _BLOCK // 2)[0], 1)
+    bf = BatchField(ctx)
+    m = ctx.order - 1
+    assert m > 2 * _BLOCK and m % _BLOCK
+    exp, log = bf.tables()[:2]
+    c = ctx.from_int(5)
+    assert log[c.index] != 0
+    edges = [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK - 1, 2 * _BLOCK, m - 1]
+    for e in (1, 3, m - 2, 2 * m + 7):
+        lab = bf.eval_sparse([(e, c)])
+        assert lab[m] == m  # f(0) = 0
+        for j in edges:
+            x = ctx.from_index(int(exp[j]))
+            assert lab[j] == log[(c * x**e).index], (e, j)
+
+
+@pytest.mark.parametrize("ctx", WIDE_PRODUCT_FIELDS, ids=lambda c: f"{c.p}^{c.k}")
+def test_rational_full_table_agrees_with_scalar_engine_past_int32_products(ctx):
+    # numerator minus denominator logs, both sums with exponents near m, a
+    # zero of the numerator at x1 and a pole at x0
+    bf = BatchField(ctx)
+    m = ctx.order - 1
+    rng = random.Random(ctx.order + 1)
+    idx = sample_indices(bf, rng)
+    x0, x1 = (ctx.from_index(int(i)) for i in idx[-2:])
+    a, c0, c1 = (ctx.from_index(rng.randrange(1, ctx.order)) for _ in range(3))
+    c2 = -(c0 * x1 ** (m - 1) + c1 * x1 ** (m - 3)) / (x1 * x1)
+    num = [(m - 1, c0), (m - 3, c1), (2, c2)]
+    den = [(m - 1, a), (0, -(a / x0))]  # a / x - a / x0
+    vals = index_table(bf, num, den)
+    assert vals[x0.index] == ctx.order and vals[x1.index] == 0
+    for i in idx:
+        x = ctx.from_index(int(i))
+        top = sum((c * x**e for e, c in num), ctx.zero())
+        bottom = sum((c * x**e for e, c in den), ctx.zero())
+        want = ctx.order if bottom.is_zero() else (top / bottom).index
+        assert vals[i] == want, int(i)
+
+
 def test_index_space_multiplication():
     ctx = make_field(3, 3)
     bf = BatchField(ctx)

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -370,6 +371,33 @@ def _case_id(v):
 def test_quotient_records_match_index_order_oracle(f, t, features):
     assert features <= quotient_features(f, t)
     assert _record(f, t, True) == record_oracle(f, t)
+
+
+def brute_flags(f, t):
+    """(bijective, surjective, histogram) from the scalar engine's value at
+    every point, counted point by point."""
+    vals = brute_table(f, t)
+    pre = Counter(vals)
+    counts = [pre[y] for y in range(len(vals))]
+    return all(c == 1 for c in counts), all(counts), dict(Counter(counts))
+
+
+@pytest.mark.parametrize(
+    "f, t, full, bij, surj",
+    [
+        (cyclic(make_field(31, 1), 3), 1, True, False, False),  # 3 divides 30
+        (cyclic(make_field(31, 1), 7), 1, True, True, True),
+        (RationalMap(Poly(F4, [1, 1, 1])), 6, False, False, False),  # x^2 + x + 1
+        (RationalMap(Poly(F3, [1, 0, 0, 1])), 6, False, True, True),  # x^3 + 1
+    ],
+    ids=lambda v: str(v)[:40],
+)
+def test_record_flags_read_off_the_histogram_match_brute_counts(f, t, full, bij, surj):
+    bf = get_batch(make_extension(f.ctx, t))
+    assert (bf.orbit_step(_terms(f)) == bf.D) is full
+    rec = _record(f, t, True)
+    assert (rec.bijective, rec.surjective, rec.value_counts) == brute_flags(f, t)
+    assert (rec.bijective, rec.surjective) == (bij, surj)
 
 
 def test_records_without_periods():

@@ -608,11 +608,17 @@ def test_braid_keys_over_blocks_of_conjugators_match_perm_products(monkeypatch, 
     for member in braid_orbit(t, equivalence="none"):
         assert array_key(member.perms, inner) == canonical_oracle(member.perms, inner)
     assert orbit_keys(braid_orbit(t)) == orbit_oracle(t, inner)
+    # a cyclic group is abelian: every conjugator keeps to the last window
+    pair = cyclic_branch_pair(9)
+    inner = elements(pair.group)
+    assert array_key(pair.perms, inner) == canonical_oracle(pair.perms, inner)
+    assert orbit_keys(braid_orbit(pair)) == orbit_oracle(pair, inner)
 
 
 def test_braid_keys_are_formed_in_blocks_of_conjugators():
     # all 1202 conjugates of a 601-letter triple at once held about 13 times
-    # the element array at their peak; blocks of 256 conjugators about 3.6
+    # the element array at their peak, blocks of 256 conjugators about 3.6,
+    # and windows of key columns of 32 conjugators' worth about 1.5
     t = dickson_branch_triple(601)
     size = t.group.element_array.nbytes
     tracemalloc.start()
