@@ -90,6 +90,8 @@ def cmd_dp(ns) -> dict:
     ctx = parse_field_spec(ns.field)
     f = projmap.parse_map_spec(ctx, ns.f)
     g = projmap.parse_map_spec(ctx, ns.g)
+    if ns.tmax < 1:
+        raise ValidationError("t_max must be >= 1")
     results = []
     for t in range(1, ns.tmax + 1):
         try:

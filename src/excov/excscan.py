@@ -152,6 +152,8 @@ def exceptionality_scan(
         f = RationalMap(f)
     if t_max < 1:
         raise ValidationError("t_max must be >= 1")
+    if d_max < 0:
+        raise ValidationError("d_max must be >= 0")
     records = []
     for t in range(1, t_max + 1):
         try:

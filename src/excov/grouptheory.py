@@ -8,8 +8,10 @@ component counts all become statements about fixed points on those cosets.
 
 Every group is materialized as one (order, degree) int32 array E of the
 element images, grown by a breadth-first closure in which each step is one
-gather and new rows are found by their bytes; a closure's order * degree
-entries count against the field cap.  Everything is read off E:
+gather and new rows are found by their bytes; those keys are local to the
+closure, so a group holds no second copy of its elements, and a closure's
+order * degree entries count against the field cap.  Everything is read
+off E:
 - Exceptionality of a transitive group is Fried's criterion.  Every
   element of G*tau^t fixes exactly one point iff tau^t fixes no G-orbit on
   the off-diagonal pairs X x X minus the diagonal (the absolutely
@@ -17,10 +19,12 @@ entries count against the field cap.  Everything is read off E:
   suborbits of the stabilizer of 0, and one pass over E finds them and the
   permutation tau makes of them, whatever the coset period d.  It serves
   the pr-exceptional mode too (`coset_exceptionality`).
-- The coset pass serves intransitive groups and the paired tests.  With
-  T the images of tau^t, the images of every g*tau^t are the one gather
-  T[E], their fixed points T[E] == arange, and tau^(t+1) is one more
-  gather.
+- Every other coset predicate reads the one coset pass, `_coset_fixes`:
+  the intransitive groups, the DP and iDP trace tests of a paired model
+  (itself a `MonodromyData`) and `pencil.stable_component_count`.  With T
+  the images of tau^t, the images of every g*tau^t are the one gather
+  T[E], their fixed points T[E] == arange, counted per block, and
+  tau^(t+1) is one more gather.
 - `analyze_rep` reads transitivity, primitivity and the centralizer off
   the columns of E.
 Internally a permutation is an int32 image row, and the models, fiber
@@ -233,8 +237,10 @@ class PermGroup:
     The closure grows the frontier by gathers: the products h*g of the
     frontier rows h with the generators g are g[h], taken h-major and
     g-minor, and a row is new when its bytes are not yet in the set of seen
-    rows.  A gather holds at most field_cap() entries, so a refused closure
-    never forms more.  generator_array holds the generators' image rows.
+    rows.  That set is the closure's alone, dropped before the blocks are
+    joined: a group keeps its generators, their image rows generator_array
+    and element_array.  A gather holds at most field_cap() entries, so a
+    refused closure never forms more.
     """
 
     def __init__(self, degree: int, generators: Sequence[Perm]):
@@ -253,9 +259,9 @@ class PermGroup:
         while len(frontier):
             frontier = _new_products(gens, frontier, seen, most, step)
             blocks.append(frontier)
+        del seen
         self.element_array = np.concatenate(blocks)
         self.element_array.flags.writeable = False
-        self._keys = seen
 
     @property
     def order(self) -> int:
@@ -396,10 +402,12 @@ class MonodromyData:
     d: int = field(init=False)
     tau_row: np.ndarray = field(init=False, repr=False, compare=False)
 
+    _what = "the group"  # how a normalization failure names the group
+
     def __post_init__(self):
         step = _image_rows([self.tau], self.group.degree)[0]
         object.__setattr__(self, "tau_row", step)
-        object.__setattr__(self, "d", _coset_period(self.group, step, "the group"))
+        object.__setattr__(self, "d", _coset_period(self.group, step, self._what))
 
 
 def _coset_period(group: PermGroup, step: np.ndarray, what: str) -> int:
@@ -407,32 +415,37 @@ def _coset_period(group: PermGroup, step: np.ndarray, what: str) -> int:
 
     step is the image row T of tau.  The conjugates tau^-1*g*tau of the
     generators are T[g[T^-1]], and tau^(d+1) is the gather T[tau^d].
+    Membership is read off a set of the element rows' bytes, made here and
+    dropped on return.
     """
+    members = {row.tobytes() for row in group.element_array}
     inverse = np.empty_like(step)
     inverse[step] = np.arange(len(step), dtype=np.int32)
     for conjugate in step[group.generator_array[:, inverse]]:
-        if conjugate.tobytes() not in group._keys:
+        if conjugate.tobytes() not in members:
             raise ValidationError(f"tau does not normalize {what}")
     d = 1
     power = step
-    while power.tobytes() not in group._keys:
+    while power.tobytes() not in members:
         power = step[power]
         d += 1
     return d
 
 
-def _coset_fixes(group: PermGroup, step: np.ndarray, d: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(t, F) for t = 0..d-1, with F[r, x] true where element r times tau^t fixes x.
-
+def _coset_fixes(M: MonodromyData, start: int = 0) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """The one coset pass: (t, counts) for t = start..d-1, counts[b][r] the
+    letters of block b that element r times tau^t fixes.  A `PairedMonodromy`
+    has the blocks of its two actions, any other model one of all letters.
     g*tau^t applies g first, so with T the images of tau^t the images of the
-    coset are the one gather T[E], and tau^(t+1) is one more gather.
-    """
-    E = group.element_array
-    A = np.arange(group.degree, dtype=np.int32)
-    T = A
-    for t in range(d):
-        yield t, T[E] == A
-        T = step[T]
+    coset are the one gather T[E], and tau^(t+1) is one more gather."""
+    E, n = M.group.element_array, M.group.degree
+    edges = (0, M.n1, n) if isinstance(M, PairedMonodromy) else (0, n)
+    T = A = np.arange(n, dtype=np.int32)
+    for t in range(M.d):
+        if t >= start:
+            F = T[E] == A
+            yield t, [F[:, a:b].sum(1) for a, b in zip(edges, edges[1:])]
+        T = M.tau_row[T]
 
 
 def _suborbit_cycles(group: PermGroup, step: np.ndarray) -> Optional[set[int]]:
@@ -488,16 +501,12 @@ def coset_exceptionality(M: MonodromyData, mode: str = "exceptional") -> Frobeni
     """
     if mode not in ("exceptional", "pr-exceptional"):
         raise ValidationError(f"unknown mode {mode!r}")
-    exact = mode == "exceptional"
     lengths = _suborbit_cycles(M.group, M.tau_row)
     if lengths is not None:
         passing = {t for t in range(M.d) if all(t % k for k in lengths)}
-        return _closed_residues(passing, M.d, mode)
-    passing = set()
-    for t, F in _coset_fixes(M.group, M.tau_row, M.d):
-        counts = F.sum(1)
-        if ((counts == 1) if exact else (counts >= 1)).all():
-            passing.add(t)
+    else:
+        ok = (lambda f: f == 1) if mode == "exceptional" else (lambda f: f >= 1)
+        passing = {t for t, counts in _coset_fixes(M) if ok(sum(counts)).all()}
     return _closed_residues(passing, M.d, mode)
 
 
@@ -576,36 +585,36 @@ def component_count(perms: Sequence[Perm], off_diagonal: bool = False) -> int:
 # -- paired actions (range and fiber-count tests) -----------------------------------
 
 
-class PairedMonodromy:
+class PairedMonodromy(MonodromyData):
     """Two parallel actions of one group, under a common normalizing tau.
 
-    Internally a single group on n1 + n2 letters whose i-th generator acts
-    as gens1[i] on the first n1 letters and as gens2[i] on the last n2;
-    tau either preserves the blocks (parallel images) or, when n1 = n2,
-    swaps them wholesale.  A swapping coset exchanges the two fibers, so no
-    range comparison can hold there.  tau_row holds the images of tau.
+    A `MonodromyData` whose group acts on n1 + n2 letters, its i-th
+    generator as gens1[i] on the first n1 letters and as gens2[i] on the
+    last n2; tau either preserves the blocks (parallel images) or, when
+    n1 = n2, swaps them wholesale.  A swapping coset exchanges the two
+    fibers, so no range comparison can hold there.
     """
+
+    _what = "the paired group"
 
     def __init__(self, gens1: Sequence[Perm], gens2: Sequence[Perm], tau: Perm):
         if len(gens1) != len(gens2):
             raise ValidationError("parallel generator lists differ in length")
         if not gens1:
             raise ValidationError("both actions need at least one generator")
-        self.n1, self.n2 = n1, n2 = gens1[0].degree, gens2[0].degree
-        self.tau = tau
-        self.tau_row = _image_rows([tau], n1 + n2)[0]
-        first = self.tau_row[:n1]
+        n1, n2 = gens1[0].degree, gens2[0].degree
+        first = _image_rows([tau], n1 + n2)[0, :n1]
         if (first < n1).all():
-            self.swaps = False
+            swaps = False
         elif (first >= n1).all():
             if n1 != n2:
                 raise ValidationError("block swap needs equal degrees")
-            self.swaps = True
+            swaps = True
         else:
             raise ValidationError("tau splits a fiber across both blocks")
+        self.n1, self.n2, self.swaps = n1, n2, swaps  # not fields, so not frozen
         blocks = np.concatenate([_image_rows(gens1, n1), _image_rows(gens2, n2) + n1], axis=1)
-        self.group = PermGroup(n1 + n2, _perms(blocks))
-        self.d = _coset_period(self.group, self.tau_row, "the paired group")
+        super().__init__(PermGroup(n1 + n2, _perms(blocks)), tau)
 
     @classmethod
     def from_parallel(
@@ -616,17 +625,12 @@ class PairedMonodromy:
 
 
 def _trace_residues(P: PairedMonodromy, agree, what: str) -> FrobeniusSet:
-    """Residues t where agree(f1, f2) holds on every element of group*tau^t.
-
-    f1 and f2 are arrays of the fixed-point counts on the two blocks, one
-    entry per coset element.
-    """
-    passing = set()
-    for t, F in _coset_fixes(P.group, P.tau_row, P.d):
-        if P.swaps and t % 2 == 1:
-            continue  # this coset exchanges the two fibers outright
-        if agree(F[:, : P.n1].sum(1), F[:, P.n1 :].sum(1)).all():
-            passing.add(t)
+    """Residues t where agree(f1, f2) holds on every element of group*tau^t,
+    with f1 and f2 the fixed-point counts on the two blocks (`_coset_fixes`).
+    A swapping coset, at odd t, exchanges the two fibers outright."""
+    passing = {
+        t for t, (f1, f2) in _coset_fixes(P) if not (P.swaps and t % 2) and agree(f1, f2).all()
+    }
     return _closed_residues(passing, P.d, what)
 
 

@@ -18,13 +18,12 @@ import numpy as np
 
 from ._batch import get_batch
 from .errors import (
-    CapExceededError,
     InternalInvariantError,
     ValidationError,
     check_field_cap,
     check_power_cap,
 )
-from .excscan import _record
+from .excscan import exceptionality_scan
 from .gf import FieldCtx, FieldElem, _prime_list, make_extension, make_field
 from .projmap import Poly, RationalMap
 
@@ -358,21 +357,13 @@ def oit_scan(e: EllipticCurveQ, p: int, ell_max: int, t_max: int) -> OitReport:
             notices.append(f"skip ell={ell}: equals p")
             continue
         red = reduce_curve(e, ell)
-        disc = red.trace * red.trace - 4 * ell
-        marker = pow(disc % p, (p - 1) // 2, p) == p - 1
-        fmap = lattes_map(red, p)
-        cells = []
-        for t in range(1, t_max + 1):
-            try:
-                check_power_cap(ell, t, "scan extension")
-            except CapExceededError:
-                notices.append(f"ell={ell}: stopped at t={t} by the field cap")
-                break
-            bijective = _record(fmap, t, with_periods=False).bijective
-            cells.append(OitCell(t, oit_predict(red.trace, ell, p, t), bijective))
-        rows.append(
-            OitRow(ell=ell, a_ell=red.trace, disc_nonresidue=marker, cells=tuple(cells))
-        )
+        a = red.trace
+        marker = pow((a * a - 4 * ell) % p, (p - 1) // 2, p) == p - 1
+        scan = exceptionality_scan(lattes_map(red, p), t_max, desc="", with_periods=False)
+        if scan.t_reached < t_max:
+            notices.append(f"ell={ell}: stopped at t={scan.t_reached + 1} by the field cap")
+        cells = tuple(OitCell(r.t, oit_predict(a, ell, p, r.t), r.bijective) for r in scan.records)
+        rows.append(OitRow(ell=ell, a_ell=a, disc_nonresidue=marker, cells=cells))
     return OitReport(p, ell_max, t_max, tuple(rows), tuple(notices))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from ._batch import get_batch
 from .errors import InternalInvariantError, ValidationError, check_power_cap
 from .excscan import value_table
-from .grouptheory import MonodromyData
+from .grouptheory import MonodromyData, _coset_fixes
 from .projmap import Poly
 
 
@@ -97,9 +97,8 @@ def stable_component_count(model: MonodromyData) -> int:
     By the twisted Burnside lemma they number the mean over G*tau of the
     off-diagonal pairs fixed, f^2 - f for an element fixing f points.
     """
-    # the images of g*tau are tau_row[g], for each row g of the element array
-    F = model.tau_row[model.group.element_array] == np.arange(model.group.degree)
-    f = F.sum(1, dtype=np.int64)
+    _, counts = next(_coset_fixes(model, 1 % model.d))
+    f = sum(counts)
     return int((f * f - f).sum()) // model.group.order
 
 

@@ -382,6 +382,26 @@ def test_oit_non_prime_p_exits_2(capsys):
     assert json.loads(err)["error"]["type"] == "ValidationError"
 
 
+def test_negative_fit_depth_exits_2(capsys):
+    argv = ["scan", "--field", "3", "--map", "cyclic:5", "--tmax", "4"]
+    code, out, err = run_cli(capsys, argv + ["--dmax", "-3"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"message": "d_max must be >= 0", "type": "ValidationError"}
+    # a depth of 0 is no fit, not an error
+    doc = run_json(capsys, argv + ["--dmax", "0"])
+    assert doc["fit_depth"] == 0 and doc["fitted"] == "no fit"
+
+
+@pytest.mark.parametrize("tmax", ["0", "-1"])
+def test_dp_without_any_t_exits_2(capsys, tmax):
+    argv = ["dp", "--field", "3", "--f", "cyclic:2", "--g", "cyclic:2", "--tmax", tmax]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == {"message": "t_max must be >= 1", "type": "ValidationError"}
+
+
 def test_nielsen_without_selector_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["nielsen"])
     assert code == 2

@@ -31,6 +31,7 @@ from excov.grouptheory import (
     idp_trace_test,
     sdp_check,
 )
+from excov.pencil import stable_component_count
 
 
 def C(text, degree=None):
@@ -50,8 +51,8 @@ def random_element(rng, G):
 
 
 def contains(G, g):
-    """Membership through the byte keys the closure collected."""
-    return np.array(g.images, dtype=np.int32).tobytes() in G._keys
+    """Membership among the rows of the element array."""
+    return bool((G.element_array == np.array(g.images, dtype=np.int32)).all(1).any())
 
 
 def coset(M, t):
@@ -626,7 +627,7 @@ def test_element_array_matches_elements_and_is_built_once():
 
 def coset_pass(M):
     """Mode "exceptional" counted out coset by coset, whatever the group."""
-    passing = {t for t, F in _coset_fixes(M.group, M.tau_row, M.d) if (F.sum(1) == 1).all()}
+    passing = {t for t, counts in _coset_fixes(M) if (sum(counts) == 1).all()}
     return from_residues(M.d, passing)
 
 
@@ -976,6 +977,26 @@ def test_paired_blocks_match_the_block_sum_oracle():
         assert P.group.generators == (block_sum(c1, c2),)
         assert P.tau == block_sum(c1 ** a, c2 ** b)
         assert P.tau_row.tolist() == list(P.tau.images)
+
+
+def test_models_share_one_type_and_groups_keep_only_their_arrays():
+    points, lines = fano_actions()
+    one = Perm.identity(7)
+    pairs = [PairedMonodromy(points, lines, block_swap(7)),
+             PairedMonodromy.from_parallel(points, lines, one, one)]
+    counts = set()
+    for P in pairs:
+        assert isinstance(P, MonodromyData)
+        # the whole-group readers sum the pass's two blocks
+        plain = MonodromyData(P.group, P.tau)
+        for mode in ("exceptional", "pr-exceptional"):
+            assert coset_exceptionality(P, mode) == coset_exceptionality(plain, mode)
+        assert stable_component_count(P) == stable_component_count(plain)
+        counts.add(stable_component_count(P))
+    assert counts == {0, 6}  # under the swap, and under the identity
+    M = cyclic_cover_model(7, 3)
+    for G in (pairs[0].group, M.group):
+        assert set(vars(G)) == {"degree", "generators", "generator_array", "element_array"}
 
 
 def test_partial_swap_rejected():
