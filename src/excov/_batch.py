@@ -10,16 +10,32 @@ from a fixed multiplicative generator g, with m = Q - 1:
 - ``zech[n] = log(1 + g**n)``, Zech's logarithm, or m where 1 + g**n = 0
   (Lidl and Niederreiter, *Finite Fields*, ch. 3).
 
-exp and log are one build, made on first use: log is exp's scatter.  An
-evaluation never reads exp, and reads log only for a coefficient other
-than 1 (log 1 = 0 under every generator) outside the prime field: when
-D >= 2, the log of a c in F_p^* is found by integer arithmetic mod p
-(``label``).  So a scan of x**n or x**a / x**b builds neither and
-searches no generator, and one of c * x**n with c in F_p builds neither
-once D >= 2.  zech is built
-only when a sum of two or more terms is evaluated or ``tables()`` is
-asked for.  ``table_bytes`` counts exp and log from construction, built
-or not, as a reservation: ``get_batch`` then evicts before a large build.
+Which reader builds which table:
+
+- exp and log are one build, made on first use (log is exp's scatter), by
+  the readers of element indices: ``index_order`` (so ``value_table``),
+  ``pow_indices``, ``mul_indices``, ``quadratic_character`` and
+  ``tables()``; and by the zech of a sum read on every log (r = 1
+  fields, the pencil, the curve point counts).
+- An evaluation never reads exp, and reads log only for a unit outside
+  the tower base K, the field under this one (``label``; log 1 = 0 under
+  every generator).  A scan field's base is the map's own field, so once
+  t >= 2 no coefficient of a scanned map, nor its value at 0 or infinity,
+  needs log; a scan of x**n or x**a / x**b searches no generator either.
+- zech is built when a sum of two or more terms is evaluated, or
+  ``tables()`` asked for.  On the Frobenius-orbit quotient (below) it is
+  filled from its values at the orbit representatives with no log table,
+  in the rotation passes that also build ``orbit_lookup`` when both are
+  missing (``_quotient_tables``), and is the same table.  A field read
+  on the quotient so holds zech and one lookup per step, about 4 bytes
+  per point each, plus 5d/D for the representatives and orbit lengths,
+  where exp and log would add 8 more.
+
+``table_bytes`` counts what a field holds, each array from its build on.
+``get_batch`` keeps the most recent fields within ``_CACHE_BYTES``, the
+largest tower a scan climbs under the 600000-point cap, and counts the
+field asked for as at least one table of its points, so that a large
+field clears the cache before its build rather than after.
 
 The generator and the tables come from the F_p-matrix engine in ``gf``:
 multiplication by an element is a D x D matrix over F_p on its digit
@@ -126,6 +142,39 @@ def _wrap(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
     return x
 
 
+def _mod(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
+    """x mod m in place, for int64 x >= 0, as x - m * (x // m).
+
+    NumPy divides by a scalar with a multiply and a shift (libdivide), but
+    ``%`` with a hardware division per entry: on 122,642 values below 3m
+    (2 vCPUs) this took 0.31 ms, ``%`` 0.53 ms.  Up to about 500 values
+    the three calls cost more than the divisions (25 values: 2.1 us
+    against 0.9 us), so there it is ``%``.  spare is an int64 buffer at
+    least as long as x.
+    """
+    if x.size <= 512:
+        x %= m
+        return x
+    q = spare[: x.size]
+    np.floor_divide(x, m, out=q)
+    q *= m
+    x -= q
+    return x
+
+
+def _sort_order(v: np.ndarray) -> np.ndarray:
+    """``np.argsort`` of distinct values v >= 0.  Below 2**31 it is one
+    sort of v * 2**32 + position, whose low half is the order: on 122,642
+    values (2 vCPUs) 1.4 ms, against 3.0 ms for ``np.argsort``."""
+    if v.size == 0 or v.max() >= 2**31:
+        return np.argsort(v)
+    key = v.astype(np.int64) << 32
+    key |= np.arange(v.size)
+    key.sort()
+    key &= 0xFFFFFFFF
+    return key
+
+
 class BatchField:
     """All-elements arithmetic for one field context."""
 
@@ -138,6 +187,7 @@ class BatchField:
         self.p = ctx.p
         self.D = ctx.k
         self.order = ctx.order
+        self._base_order = ctx.base_order  # |K|, of the tower base K; for ``label``
         # floats go through BLAS, 1.5-5x faster here than numpy's integer
         # matmul loop.  With t mantissa bits, the generator search, the exp
         # build and its packing are exact while every index is below 2**t
@@ -154,14 +204,12 @@ class BatchField:
             self._work = np.float64
         self._pack_weights = self.p ** np.arange(self.D, dtype=self._work)
         self.dtype = _index_dtype(self.order)
-        # exp and log, of Q - 1 and Q entries, are reserved from the start,
-        # built or not, so get_batch evicts before their build.  zech and
-        # the orbit_reps are added as built
-        self.table_bytes = np.dtype(self.dtype).itemsize * (2 * self.order - 1)
+        # bytes of the arrays below, each added as it is built
+        self.table_bytes = 0
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._zech: np.ndarray | None = None
-        # g**(m/(p-1)), a generator of F_p^*, as an integer; for ``label``
-        self._prime_root: int | None = None
+        # the logs of the tower base K's units, scaled by m/(|K| - 1); for ``label``
+        self._base_logs: np.ndarray | None = None
         # orbit_reps and orbit_lookup per Frobenius step d
         self._reps: dict[int, np.ndarray] = {}
         self._lookups: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -173,14 +221,16 @@ class BatchField:
     # -- discrete-log layer ---------------------------------------------------
     #
     # Up to three tables per field: exp and log, then zech once a sum needs
-    # it.  Multiplication by g is linear over the prime field: the first
-    # _CHUNK digit rows of g**j come by doubling, and each later block is
-    # the block before times M(g)**_CHUNK, one matmul.  Each block is packed
-    # into exp and scattered into log as it is made, then dropped.  zech
-    # gathers log at each exp entry plus one, a step on the lowest base-p
-    # digit that wraps at p - 1, in blocks of _BLOCK.  Logs stay below m, so
-    # a product of two fits int64 once m**2 < 2**63, the bound __init__
-    # enforces; the int32 tables are widened first.
+    # it, or zech alone on the quotient.  Multiplication by g is linear over
+    # the prime field: the first _CHUNK digit rows of g**j come by
+    # doubling, and each later block is the block before times
+    # M(g)**_CHUNK, one matmul.  Each block is packed into exp and
+    # scattered into log as it is made, then dropped.  zech gathers log at
+    # each exp entry plus one, a step on the lowest base-p digit that wraps
+    # at p - 1, in blocks of _BLOCK, or is rotated out from the orbit
+    # representatives.  Logs stay below m, so a product of two fits int64
+    # once m**2 < 2**63, the bound __init__ enforces; the int32 tables are
+    # widened first.
 
     def generator(self) -> FieldElem:
         """A fixed multiplicative generator, smallest by element index.
@@ -220,28 +270,40 @@ class BatchField:
 
     def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         if self._tables is None:
-            m = self.order - 1
-            exp = np.empty(m, dtype=self.dtype)
             log = np.empty(self.order, dtype=self.dtype)
-            log[0] = m
-            ramp = np.arange(min(_CHUNK, m), dtype=self.dtype)  # lo + i for the block at lo
-            for lo, block in self._exp_rows():
-                hi = lo + block.shape[0]
-                if lo:
-                    ramp += ramp.size
-                # digit sums below Q are exact in float64, and so is the cast
-                exp[lo:hi] = block @ self._pack_weights
-                log[exp[lo:hi]] = ramp[: hi - lo]
+            log[0] = self.order - 1
+            exp = self._exp(log)
             self._tables = (exp, log)
+            self.table_bytes += exp.nbytes + log.nbytes
         return self._tables
 
-    def _exp_rows(self) -> Iterator[tuple[int, np.ndarray]]:
-        """(lo, the digit rows of g**j for lo <= j < lo + _CHUNK, below m),
-        block by block in the work dtype.  The first block comes by
-        doubling, which leaves step at M(g)**_CHUNK; every later block is
-        the one before times step."""
+    def _exp(self, log: np.ndarray | None = None) -> np.ndarray:
+        """A new exp table; with ``log``, each block is scattered into it
+        as it is made."""
         m = self.order - 1
-        step = _element_matrices(self.ctx, [self.generator().index])[0].astype(self._work)
+        exp = np.empty(m, dtype=self.dtype)
+        ramp = np.arange(min(_CHUNK, m), dtype=self.dtype)  # lo + i for the block at lo
+        for lo, block in self._exp_rows():
+            hi = lo + block.shape[0]
+            # digit sums below Q are exact in float64, and so is the cast
+            exp[lo:hi] = block @ self._pack_weights
+            if log is not None:
+                if lo:
+                    ramp += ramp.size
+                log[exp[lo:hi]] = ramp[: hi - lo]
+        return exp
+
+    def _exp_rows(
+        self, x: int | None = None, count: int | None = None
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """(lo, the digit rows of x**j for lo <= j < lo + _CHUNK, below
+        count), block by block in the work dtype; x is the generator g and
+        count m unless given.  The first block comes by doubling, which
+        leaves step at M(x)**_CHUNK; every later block is the one before
+        times step."""
+        m = self.order - 1 if count is None else count
+        x = self.generator().index if x is None else x
+        step = _element_matrices(self.ctx, [x])[0].astype(self._work)
         rows = min(_CHUNK, m)
         block = np.zeros((rows, self.D), dtype=self._work)
         block[0, 0] = 1
@@ -288,6 +350,9 @@ class BatchField:
         return y
 
     def _zech_table(self) -> np.ndarray:
+        """zech, gathered from exp and log (built first if need be) unless
+        it is built already; a quotient scan builds it from the
+        representatives first (``_quotient_tables``)."""
         if self._zech is None:
             exp, log = self._exp_log()
             m, p = self.order - 1, self.p
@@ -300,31 +365,62 @@ class BatchField:
             self.table_bytes += zech.nbytes
         return self._zech
 
+    def _zech_at(self, reps: np.ndarray) -> np.ndarray:
+        """Z(j) = log(1 + g**j) at the logs reps (int64), with no log table.
+
+        One exp table is made and dropped here.  The y = 1 + g**j are
+        marked in a byte mask over the indices, and the logs of the marked
+        ones, J = flatnonzero(mask[exp]), come in ascending order; sorting
+        the y's and the exp[J] pairs them, with no table from indices to
+        reps.  y = 0 (g**j = -1) has Z = m."""
+        m, p = self.order - 1, self.p
+        exp = self._exp()
+        y = exp[reps].astype(np.int64)
+        y += 1
+        y -= (y % p == 0) * p
+        mask = np.zeros(self.order, dtype=bool)
+        mask[y] = True
+        mask[0] = False
+        J = np.concatenate(
+            [lo + np.flatnonzero(mask[exp[lo : lo + _BLOCK]]) for lo in range(0, m, _BLOCK)]
+        )
+        del mask
+        found = exp[J]
+        del exp
+        z = np.full(reps.size, m, dtype=np.int64)
+        units = np.flatnonzero(y)
+        z[units[_sort_order(y[units])]] = J[_sort_order(found)]
+        return z
+
     def label(self, index: int) -> int:
         """The log-coordinate label of an element index: log x for a unit,
         m for 0; Q, standing for infinity, stays Q.
 
         log 1 = 0 under every generator, so 1 reads no table.  When
-        D >= 2, a unit c of the prime field F_p (index below p) reads none
-        either: h = g**(m/(p-1)) generates F_p^*, and log c = (m/(p-1)) * k
-        for the k < p - 1 with h**k = c, found by integer arithmetic mod p.
-        Every other unit reads log."""
-        m, p = self.order - 1, self.p
+        D >= 2, a unit c of the tower base K (index below |K|) reads none
+        either: h = g**(m/(|K|-1)) generates K^*, and log c = (m/(|K|-1)) * k
+        for the k < |K| - 1 with h**k = c, read off the |K| - 1 powers of h,
+        made once (``_exp_rows`` of h).  Every other unit reads log: on a
+        scan field, whose base is the map's field, that is none of the
+        coefficients and none of the values at 0 and infinity."""
+        m, K = self.order - 1, self._base_order
         if index == self.order:
             return index
         if index <= 1:
             return m if index == 0 else 0
-        if index >= p or self.D == 1:
+        if index >= K:  # always when D = 1: K is then 1
             return int(self._exp_log()[1][index])
-        if self._prime_root is None:  # row 0 of M(g)**(m/(p-1)) is (h, 0, ..., 0)
+        if self._base_logs is None:  # row 0 of M(g)**(m/(|K|-1)) is h's digits
             gen = _element_matrices(self.ctx, [self.generator().index])[0].astype(self._work)
             row = np.eye(1, self.D, dtype=self._work)
-            row = _power(gen, m // (p - 1), lambda a, b: self._mod_p(a @ b), row)
-            self._prime_root = int(row[0, 0])
-        k, x = 0, 1
-        while x != index:
-            k, x = k + 1, x * self._prime_root % p
-        return m // (p - 1) * k
+            row = _power(gen, m // (K - 1), lambda a, b: self._mod_p(a @ b), row)
+            h = int(self.pack(row)[0])
+            logs = np.zeros(K, dtype=self.dtype)
+            for lo, block in self._exp_rows(h, K - 1):
+                logs[self.pack(block)] = np.arange(lo, lo + block.shape[0]) * (m // (K - 1))
+            self._base_logs = logs
+            self.table_bytes += logs.nbytes
+        return int(self._base_logs[index])
 
     def pow_indices(self, idx: np.ndarray, e: int) -> np.ndarray:
         """Index array of x**e; zero stays zero for every e, even e <= 0."""
@@ -374,12 +470,13 @@ class BatchField:
         """
         Q, m = self.order, self.order - 1
         sums = self._sums(terms, den)
+        has_sum = any(len(logs) > 1 for _, logs in sums)
         if step is None:
             reps = code = None
             n = m
             out = np.empty(Q + 1, dtype=np.int64)
-        else:
-            reps, code = self.orbit_reps(step), self.orbit_lookup(step)[0]
+        else:  # a sum's zech is made with the lookup, from the representatives
+            reps, code = self.orbit_reps(step), self._quotient_tables(step, has_sum)[0]
             n = reps.size
             out = np.empty(n + 2, dtype=code.dtype)
         # block buffers, reused: the value logs on the quotient, where out
@@ -387,9 +484,7 @@ class BatchField:
         width = min(_BLOCK, n)
         v_buf = None if code is None else np.empty(width, dtype=np.int64)
         dv_buf = None if den is None else np.empty(width, dtype=np.int64)
-        sum_buf = None
-        if any(len(logs) > 1 for _, logs in sums):
-            sum_buf = np.empty(width, dtype=np.int64)
+        sum_buf = np.empty(width, dtype=np.int64) if has_sum else None
         ramp = bases = spare = None
         if reps is None:
             ramp = np.arange(width, dtype=np.int64)
@@ -551,35 +646,75 @@ class BatchField:
         d at the narrowest width that holds (n + 2) * r, about 4 bytes per
         point plus 1/r for the lengths, and counted in ``table_bytes``.
         """
+        return self._quotient_tables(d, False)
+
+    def _quotient_tables(self, d: int, zech: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``orbit_lookup(d)``, and with ``zech`` the Zech table too, made
+        in one pass over the r rotations of the representatives where both
+        are missing.
+
+        With no log table at hand, zech is filled from its values at the
+        representatives (``_zech_at``): (1 + g**j)**s = 1 + g**(s*j), so
+        Z(j * s**k) = s**k * Z(j) mod m, the rotation of j taken k times
+        (K. Huber, IEEE Trans. Inf. Theory 36, 1990).  Z = m, where
+        1 + g**j = 0, falls on one Frobenius-fixed log, 0 for p = 2 and m/2
+        else, which is set last.  The throwaway exp table and the byte mask
+        of ``_zech_at`` are freed before zech is allocated.  With a log
+        table, zech is gathered from it (``_zech_table``) instead."""
         got = self._lookups.get(d)
+        if zech and self._zech is None and self._tables is not None:
+            self._zech_table()
+        rotate_zech = zech and self._zech is None
+        if got is not None and not rotate_zech:
+            return got
+        reps = self.orbit_reps(d)
+        Q, m, n = self.order, self.order - 1, reps.size
+        s, r = self.p**d % m, self.D // d
+        if rotate_zech:
+            z_reps = self._zech_at(reps)
+            table = np.empty(m, dtype=self.dtype)
         if got is None:
-            reps = self.orbit_reps(d)
-            Q, m, n = self.order, self.order - 1, reps.size
-            s, r = self.p**d % m, self.D // d
             code = np.empty(Q + 1, dtype=_index_dtype((n + 2) * r))
             code[m], code[Q] = n * r, (n + 1) * r
             size = np.full(n + 2, r, dtype=np.uint8)
             size[n:] = 1
-            for lo in range(0, n, _BLOCK):
-                j = reps[lo : lo + _BLOCK].astype(np.int64)
+        spare = np.empty(min(n, _BLOCK), dtype=np.int64)
+        for lo in range(0, n, _BLOCK):
+            j = reps[lo : lo + _BLOCK].astype(np.int64)
+            x = j.copy()
+            z = z_reps[lo : lo + _BLOCK] if rotate_zech else None  # rotated in place
+            at = None
+            if got is None:
                 at = np.arange(lo * r, (lo + j.size) * r, r, dtype=code.dtype)
-                x = j.copy()
-                for k in range(r):
-                    if k:
-                        x *= s
-                        x %= m
+            for k in range(r):
+                if k:
+                    x *= s
+                    _mod(x, m, spare)
+                    if z is not None:
+                        z *= s
+                        _mod(z, m, spare)
+                if at is not None:
                     code[x] = at + k
-                short = np.zeros(j.size, dtype=bool)
-                for ell in _prime_factors(r):
-                    short |= j * pow(s, r // ell, m) % m == j
-                j, at = j[short], at[short]
-                length = np.full(j.size, r, dtype=np.uint8)
-                for e in range(r - 1, 0, -1):
-                    if r % e == 0:  # the least e with j * s**e = j is written last
-                        length[j * pow(s, e, m) % m == j] = e
-                    code[j * pow(s, e, m) % m] = at + e
-                code[j] = at
-                size[lo : lo + short.size][short] = length
+                if z is not None:
+                    table[x] = z
+            if at is None:
+                continue
+            short = np.zeros(j.size, dtype=bool)
+            for ell in _prime_factors(r):
+                short |= j * pow(s, r // ell, m) % m == j
+            j, at = j[short], at[short]
+            length = np.full(j.size, r, dtype=np.uint8)
+            for e in range(r - 1, 0, -1):
+                if r % e == 0:  # the least e with j * s**e = j is written last
+                    length[j * pow(s, e, m) % m == j] = e
+                code[j * pow(s, e, m) % m] = at + e
+            code[j] = at
+            size[lo : lo + short.size][short] = length
+        if rotate_zech:
+            table[0 if self.p == 2 else m // 2] = m
+            self._zech = table
+            self.table_bytes += table.nbytes
+        if got is None:
             got = self._lookups[d] = (code, size)
             self.table_bytes += code.nbytes + size.nbytes
         return got
@@ -612,13 +747,14 @@ class BatchField:
 
     def _at_logs(self, j: np.ndarray):
         """The term-log writer at the logs j (int64): (s*j + lc) mod m, one
-        % per term."""
+        ``_mod`` per term."""
         m = self.order - 1
+        spare = np.empty(j.size, dtype=np.int64)
 
         def term(s: int, lc: int, into: np.ndarray) -> None:
             np.multiply(j, s, out=into)
             into += lc
-            into %= m
+            _mod(into, m, spare)
 
         return term
 
@@ -862,16 +998,19 @@ def _doubling(
 
 # -- instance cache -----------------------------------------------------------
 
-# Bytes of tables the cached fields may hold together: exp and log, built
-# or only reserved, and the zech tables, orbit_reps and orbit_lookup
-# arrays built so far.  Every field of F_3 up to t = 12 (9.6 MB of tables
-# with zech, 3.1 MB of orbit lookups, under 0.3 MB of representatives),
-# the largest tower under a 600000-point scan cap, fits, so repeated scans
-# up one tower build each field once; a larger budget only raises peak RSS.
-# A monomial tower holds the step-1 lookups and representatives from
-# r = D = 5 on, about 4 bytes per point and no exp, log or zech: 3.1 MB for
-# F_3 to t = 12, which its sums share.
-_CACHE_BYTES = 24 << 20
+# Bytes of tables the cached fields may hold together, each array counted
+# from its build on (``table_bytes``).  The budget fits the largest tower a
+# scan climbs under a 600000-point cap, so repeated scans up one tower build
+# each field once; a larger budget only raises peak RSS.  Read on the
+# quotient, a field holds zech and one orbit_lookup per step, about 4 bytes
+# per point each, with no exp or log: a sum up the F_2 tower to t = 19
+# holds 8.7 MB, the most; F_9 to t = 6 with the lookups of steps 1 and 2
+# 7.9 MB, and F_3 to t = 12 6.7 MB.  A monomial tower holds only the step-1
+# lookups and representatives, from r = D = 5 on.
+_CACHE_BYTES = 9_000_000
+# fields holding less than 1/_SMALL_SHARE of the budget are dropped only
+# after every larger one
+_SMALL_SHARE = 64
 _CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field
 _GENERATORS: dict[tuple, FieldElem] = {}
@@ -882,18 +1021,28 @@ def get_batch(ctx: FieldCtx) -> BatchField:
 
     A hit makes the field the most recent; a miss adds a new BatchField.
     Then the least recently used others are dropped until the cache's
-    ``table_bytes`` fit the budget; the field asked for stays even when it
-    alone does not, so a second scan over the same large field reuses it.
-    A zech table, orbit_reps or orbit_lookup built between two calls
-    counts from the second.
+    ``table_bytes`` fit the budget, the field asked for counted as at least
+    one table of its points at index width: whatever a caller reads of it,
+    a lookup, zech or a full table, is at least that large, so a large
+    field clears the cache before its build rather than after.  Fields
+    holding under 1/_SMALL_SHARE of the budget go only after every larger
+    one: they free little, and the low rungs of a tower are asked for by
+    every scan up it, and by the towers over them (F_9 is the second rung
+    of the F_3 tower and the first of the F_9 tower).  The field asked for
+    stays even when it alone does not fit, so a second scan over the same
+    large field reuses it.  A table built between two calls counts from
+    the second.
     """
     key = ctx.key
     bf = _CACHE.pop(key, None)
     if bf is None:
         bf = BatchField(ctx)
     _CACHE[key] = bf
-    total = sum(f.table_bytes for f in _CACHE.values())
-    for old in list(_CACHE)[:-1]:
+    total = sum(f.table_bytes for f in _CACHE.values()) - bf.table_bytes
+    total += max(bf.table_bytes, np.dtype(bf.dtype).itemsize * bf.order)
+    others = list(_CACHE)[:-1]
+    small = [k for k in others if _CACHE[k].table_bytes < _CACHE_BYTES // _SMALL_SHARE]
+    for old in [k for k in others if k not in small] + small:
         if total <= _CACHE_BYTES:
             break
         total -= _CACHE.pop(old).table_bytes

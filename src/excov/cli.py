@@ -10,6 +10,7 @@ beyond the EXCOV_CAP environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -335,9 +336,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` leaves it as it was,
+    and it reads sys.stdout and sys.stderr only as it writes."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         doc = ns.handler(ns)
     except ExcovError as exc:

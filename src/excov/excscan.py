@@ -14,12 +14,14 @@ by a relabelling of P1, so its fibers, its bijectivity and, when it
 permutes, its cycle lengths are those in index order; and two maps
 relabelled alike keep equal or unequal value sets and multisets.  For
 x^n or x^a/x^b the table is j -> n*j mod m, evaluated at every point
-without a generator or a table; a coefficient other than 1 builds exp
-and log, unless it lies in the prime field of a field of degree two or
-more, whose log is found mod p; a sum of two or more terms builds zech
-too.  ``value_table`` is
-the one reader that wants element indices: it converts the table with
-``BatchField.index_order``.
+without a generator or a table.  A coefficient other than 1 has its log
+read off the powers of a generator of the scan field's base, which is the
+map's own field once t >= 2, so only a scan over the map's own field
+(t = 1) builds exp and log for it.  A sum of two or more terms builds
+zech: on the Frobenius-orbit quotient (below) from its values at the
+orbit representatives, with no exp or log kept; on a full table (r = 1)
+from exp and log.  ``value_table`` is the one reader that wants element
+indices: it converts the table with ``BatchField.index_order``.
 
 A scan of a map whose coefficients lie in F_{p^d} for a d below the
 field's degree D is read off the Frobenius-orbit quotient instead: f

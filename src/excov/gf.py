@@ -108,6 +108,19 @@ class FieldCtx:
     base: Optional["FieldCtx"]
     modulus: tuple
     key: tuple = field(compare=False, default=())
+    # the raw 0 and 1, made once per field: ``_zero_raw`` and ``_one_raw``
+    # read them on every call
+    _zero: Raw = field(init=False, repr=False, compare=False)
+    _one: Raw = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.base is None:
+            zero, one = 0, 1
+        else:
+            zero = (self.base._zero,) * self.rel_degree
+            one = (self.base._one,) + zero[1:]
+        object.__setattr__(self, "_zero", zero)
+        object.__setattr__(self, "_one", one)
 
     @property
     def order(self) -> int:
@@ -278,18 +291,11 @@ class FieldElem:
 
 
 def _zero_raw(ctx: FieldCtx) -> Raw:
-    if ctx.base is None:
-        return 0
-    return tuple(_zero_raw(ctx.base) for _ in range(ctx.rel_degree))
+    return ctx._zero
 
 
 def _one_raw(ctx: FieldCtx) -> Raw:
-    if ctx.base is None:
-        return 1
-    return tuple(
-        _one_raw(ctx.base) if i == 0 else _zero_raw(ctx.base)
-        for i in range(ctx.rel_degree)
-    )
+    return ctx._one
 
 
 def _from_int_raw(ctx: FieldCtx, n: int) -> Raw:

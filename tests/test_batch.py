@@ -531,11 +531,11 @@ def test_table_width_edge_without_building_tables():
     with field_cap_scope(2**32):
         narrow = BatchField(make_field(2**31 - 1, 1))
         wide = BatchField(make_field(2147483659, 1))
-    # exp and log are counted from the start, zech once built
+    # every table is counted once built, and none is
     assert narrow.dtype is np.int32
-    assert narrow.table_bytes == 4 * (2 * narrow.order - 1)
+    assert narrow.table_bytes == 0
     assert wide.dtype is np.int64
-    assert wide.table_bytes == 8 * (2 * wide.order - 1)
+    assert wide.table_bytes == 0
     assert narrow._tables is None and wide._tables is None
     assert narrow._zech is None and wide._zech is None
     # at m = 2**31 - 2 even a sum of two int32 logs passes int32; with exp
@@ -710,43 +710,43 @@ def primes_above(n, k=1):
     return out
 
 
-def table_bytes_per_point():
-    """Table bytes per element of a large prime field, rounded up.
+# exp and log of a prime field below 2**31 points: 4 bytes per point each
+EXP_LOG_BYTES_PER_POINT = 8
 
-    Read off ``BatchField.table_bytes``, so the sizes below follow the
-    tables' width.  Tables are built lazily, so nothing large is allocated.
-    """
-    probe = BatchField(make_field(primes_above(1 << 20)[0], 1))
-    return -(-probe.table_bytes // probe.order)
+
+def with_exp_log(ctx):
+    """get_batch's field for ctx, with exp and log built: the cache counts
+    their bytes from its next get_batch call."""
+    bf = get_batch(ctx)
+    bf._exp_log()
+    return bf
 
 
 def over_budget_field():
-    """A prime field whose tables alone exceed the cache budget.
-
-    Tables are built lazily, so caching it allocates no large array.
-    """
-    return make_field(primes_above(_CACHE_BYTES // table_bytes_per_point())[0], 1)
+    """A prime field whose exp and log alone exceed the cache budget."""
+    return make_field(primes_above(_CACHE_BYTES // EXP_LOG_BYTES_PER_POINT)[0], 1)
 
 
 def test_get_batch_caches_and_evicts(empty_cache):
     a = get_batch(make_field(3, 1))
     assert get_batch(make_field(3, 1)) is a
-    get_batch(over_budget_field())
+    big = with_exp_log(over_budget_field())
+    get_batch(big.ctx)
     assert get_batch(make_field(3, 1)) is not a
 
 
 def test_generator_survives_table_eviction(empty_cache):
     ctx = make_field(17, 1)
     g = get_batch(ctx).generator()
-    get_batch(over_budget_field())
+    get_batch(with_exp_log(over_budget_field()).ctx)
     assert ctx.key not in _CACHE
     assert get_batch(ctx).generator() is g
 
 
 def test_tower_walk_builds_each_field_once(monkeypatch, empty_cache):
-    # F_3 up to t = 12 is the largest tower a scan under the acceptance
-    # suite's cap climbs; with the F_5 and F_7 towers under the same cap
-    # the tables take 17.1 MB together
+    # the F_3, F_5 and F_7 towers a scan climbs under the acceptance suite's
+    # cap; with no table built, each field counts only the one table of its
+    # points it is about to hold, and the walk drops none
     built = []
 
     class Counting(BatchField):
@@ -769,13 +769,14 @@ def test_tower_walk_builds_each_field_once(monkeypatch, empty_cache):
 
 
 def test_get_batch_drops_least_recently_used(empty_cache):
-    # each field's tables take about 0.4 of the budget: two fit, three do not
-    near = 2 * _CACHE_BYTES // (5 * table_bytes_per_point())
+    # each field's exp and log take about 0.35 of the budget, and a field
+    # counts half that while it holds less: two fit, three do not
+    near = 7 * _CACHE_BYTES // (20 * EXP_LOG_BYTES_PER_POINT)
     a, b, c = (make_field(q, 1) for q in primes_above(near, 3))
-    sizes = [BatchField(f).table_bytes for f in (a, b, c)]
+    bf_a = with_exp_log(a)
+    sizes = [bf.table_bytes for bf in (bf_a, with_exp_log(b), with_exp_log(c))]
     assert sizes[0] + sizes[2] <= _CACHE_BYTES < sum(sizes)
-    bf_a = get_batch(a)
-    get_batch(b)
+    assert list(_CACHE) == [a.key, b.key, c.key]  # c's tables not counted yet
     assert get_batch(a) is bf_a
     get_batch(c)
     assert list(_CACHE) == [a.key, c.key]
@@ -784,40 +785,46 @@ def test_get_batch_drops_least_recently_used(empty_cache):
 def test_over_budget_field_is_kept_alone(empty_cache):
     get_batch(make_field(3, 1))
     big = over_budget_field()
-    bf = get_batch(big)
+    bf = with_exp_log(big)
     assert bf.table_bytes > _CACHE_BYTES
-    assert list(_CACHE) == [big.key]
     assert get_batch(big) is bf
-    assert bf._tables is None
-
-
-def test_accounted_bytes_match_built_tables(empty_cache):
-    for ctx in FIELDS + [make_field(101, 1)]:
-        bf = get_batch(ctx)
-        tables = bf.tables()  # builds zech, counted as it is built
-        assert bf.table_bytes == sum(t.nbytes for t in tables)
-    accounted = sum(bf.table_bytes for bf in _CACHE.values())
-    assert accounted == sum(t.nbytes for bf in _CACHE.values() for t in bf.tables())
+    assert list(_CACHE) == [big.key]
 
 
 def held_bytes(bf):
-    """Bytes of the exp, log and zech tables, orbit_reps and orbit_lookup
-    arrays bf holds now."""
+    """Bytes of the exp, log and zech tables, the tower base's logs, and the
+    orbit_reps and orbit_lookup arrays bf holds now."""
     held = [*(bf._tables or ()), *bf._reps.values()]
     held += [a for lookup in bf._lookups.values() for a in lookup]
-    if bf._zech is not None:
-        held.append(bf._zech)
+    held += [a for a in (bf._zech, bf._base_logs) if a is not None]
     return sum(a.nbytes for a in held)
 
 
+def test_accounted_bytes_match_built_tables(empty_cache):
+    # a field counts what it holds, each array from its build on: nothing at
+    # first, then a quotient sum's representatives, lookup, zech and base
+    # logs, then exp and log
+    for ctx in FIELDS + [make_field(101, 1)]:
+        bf = get_batch(ctx)
+        assert bf.table_bytes == 0
+        step = 1 if ctx.k > 1 else None
+        c = ctx.from_index(ctx.base_order - 1) if ctx.base_order > 2 else 1
+        bf.eval_sparse([(3, 1), (1, c), (0, 1)], step=step)
+        assert bf._zech is not None and (bf._tables is None) == (step is not None)
+        assert bf.table_bytes == held_bytes(bf)
+        bf.tables()
+        assert bf.table_bytes == held_bytes(bf)
+    accounted = sum(bf.table_bytes for bf in _CACHE.values())
+    assert accounted == sum(held_bytes(bf) for bf in _CACHE.values())
+
+
 def test_power_map_scan_leaves_zech_unbuilt(empty_cache):
-    # exp and log are not built, yet stay reserved in table_bytes
+    # neither exp, log nor zech is built, and none is counted
     excov.exceptionality_scan(cyclic(make_field(3, 1), 5), 8)
     assert len(_CACHE) == 8
     for bf in _CACHE.values():
         assert bf._tables is None and bf._zech is None
-        reserved = np.dtype(bf.dtype).itemsize * (2 * bf.order - 1)
-        assert bf.table_bytes == reserved + held_bytes(bf)
+        assert bf.table_bytes == held_bytes(bf)
 
 
 def test_labels_of_zero_and_infinity_and_monic_terms_read_no_table():
@@ -845,6 +852,95 @@ def test_prime_field_labels_read_no_table_and_match_the_log_table(ctx):
     got = [bf.label(ctx.from_int(c).index) for c in range(ctx.p)]
     assert bf._tables is None
     assert got == bf._exp_log()[1][: ctx.p].tolist()
+
+
+TOWER_BASE_FIELDS = [
+    make_field(3, 6),  # over F_3
+    make_extension(make_field(3, 2), 3),  # 9^3 over 9
+    make_field(5, 4),  # over F_5
+    make_extension(make_field(5, 2), 2),  # 5^4 over 25
+    make_field(2, 12),  # over F_2
+    make_field(131, 2),  # over F_131
+]
+
+
+@pytest.mark.parametrize("ctx", TOWER_BASE_FIELDS, ids=lambda c: f"{c.p}^{c.k}/{c.rel_degree}")
+def test_tower_base_labels_read_no_table_and_match_the_log_table(ctx):
+    bf = BatchField(ctx)
+    K = ctx.base_order
+    got = [bf.label(i) for i in range(K)]
+    assert bf._tables is None
+    assert bf.table_bytes == held_bytes(bf)
+    assert got == bf._exp_log()[1][:K].tolist()
+
+
+ZECH_FIELDS = [(2, 6), (2, 12), (3, 4), (3, 6), (3, 12), (5, 4), (7, 3), (13, 2)]
+
+
+@pytest.mark.parametrize("p, D", ZECH_FIELDS, ids=lambda v: str(v))
+def test_zech_from_the_representatives_matches_the_log_built_one(p, D):
+    ctx = make_field(p, D)
+    want = BatchField(ctx).tables()[2]
+    m = ctx.order - 1
+    # 1 + g**j = 0 only at j = 0 for p = 2, and at j = m/2 else
+    assert (want == m).sum() == 1 and want[0 if p == 2 else m // 2] == m
+    for d in (d for d in range(1, D) if D % d == 0):
+        # with the lookup made in the same rotation passes, and after it
+        for lookup_first in (False, True):
+            bf = BatchField(ctx)
+            if lookup_first:
+                bf.orbit_lookup(d)
+            code = bf._quotient_tables(d, True)[0]
+            assert bf._tables is None, d
+            assert np.array_equal(bf._zech, want), (d, lookup_first)
+            assert code is bf.orbit_lookup(d)[0]
+            assert bf.table_bytes == held_bytes(bf)
+
+
+def test_zech_from_the_representatives_over_a_relative_extension():
+    ctx = make_extension(make_field(3, 2), 3)  # 9^3 over 9: steps 1 and 2
+    want = BatchField(ctx).tables()[2]
+    for d in (1, 2, 3):
+        bf = BatchField(ctx)
+        bf._quotient_tables(d, True)
+        assert bf._tables is None and np.array_equal(bf._zech, want), d
+
+
+def test_quotient_sum_scans_build_no_exp_or_log(empty_cache):
+    # Dickson over F_3 and a Redei map over F_9 with a non-square outside
+    # F_3: past t = 1 every field is read on the quotient, and its zech is
+    # made from the representatives
+    F3, F9 = make_field(3, 1), make_field(3, 2)
+    a = next(c for c in map(F9.from_index, range(3, 9)) if c ** 4 != F9.one())
+    for f, t_max in ((excov.dickson(F3, 7, F3.one()), 8), (excov.redei(F9, 5, a), 4)):
+        _CACHE.clear()
+        excov.exceptionality_scan(f, t_max)
+        for t in range(2, t_max + 1):
+            bf = _CACHE[make_extension(f.ctx, t).key]
+            assert bf._tables is None and bf._zech is not None, (f, t)
+            assert bf.table_bytes == held_bytes(bf)
+
+
+def test_large_field_clears_the_cache_before_its_build(empty_cache):
+    # a field asked for counts as one table of its points before it holds
+    # any: one of 4 bytes per point past the budget drops the rest at once
+    small = with_exp_log(make_field(101, 1))
+    big = make_field(primes_above(_CACHE_BYTES // 4)[0], 1)
+    bf = get_batch(big)
+    assert bf.table_bytes == 0 and list(_CACHE) == [big.key]
+    assert get_batch(small.ctx) is not small
+
+
+def test_small_fields_are_dropped_after_larger_ones(empty_cache):
+    # the least recently used field is small, so the larger one goes first
+    small = get_batch(make_field(3, 2))
+    small.eval_sparse([(2, 1), (0, 1)])  # x^2 + 1: zech, exp and log of F_9
+    near = 4 * _CACHE_BYTES // (5 * EXP_LOG_BYTES_PER_POINT)
+    large, last = (make_field(q, 1) for q in primes_above(near, 2))
+    with_exp_log(large)
+    assert 0 < small.table_bytes < _CACHE_BYTES // _batch._SMALL_SHARE
+    get_batch(last)  # 0.8 of the budget held, 0.4 asked for
+    assert list(_CACHE) == [make_field(3, 2).key, last.key]
 
 
 def test_binomial_scan_builds_zech(empty_cache):
@@ -928,7 +1024,7 @@ def test_orbit_reps_are_the_least_log_of_each_orbit(p, D):
         built += reps.nbytes
         assert bf.orbit_reps(d) is reps
     assert bf._zech is None
-    assert bf.table_bytes == np.dtype(bf.dtype).itemsize * (2 * bf.order - 1) + built
+    assert bf.table_bytes == built
 
 
 @pytest.mark.parametrize("p, D", [(2, 6), (2, 12), (3, 4), (5, 3), (67, 2)])

@@ -491,6 +491,34 @@ def test_argparse_rejects_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
+def test_main_builds_one_parser_and_answers_as_a_fresh_one(capsys, monkeypatch):
+    # errors, --help and output read sys.stdout and sys.stderr as they write,
+    # so the shared parser answers each call as a new one would
+    built = []
+    build = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    try:
+        outs = [run_cli(capsys, ["field", "--field", "3^2"]) for _ in range(2)]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        for argv in (["field"], ["frobnicate"], ["scan", "--help"], ["--help"]):
+            with pytest.raises(SystemExit) as got:
+                cli.main(argv)
+            printed = capsys.readouterr()
+            with pytest.raises(SystemExit) as want:
+                build().parse_args(argv)
+            assert got.value.code == want.value.code, argv
+            assert printed == capsys.readouterr(), argv
+        assert len(built) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 # -- installed console script -------------------------------------------------------
 
 

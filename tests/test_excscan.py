@@ -478,9 +478,10 @@ def test_scaled_power_map_reads_the_log_table(ctx, fresh_tables):
     rep = exceptionality_scan(f, t_max)
     for t in range(1, t_max + 1):
         bf = _batch._CACHE[make_extension(ctx, t).key]
-        # once D >= 2, the log of a prime-field coefficient is found by
-        # integer arithmetic mod p (``BatchField.label``), without the table
-        assert (bf._tables is not None) == (bf.D == 1 or c.index >= ctx.p), t
+        # the log of a coefficient in the scan field's base, the map's own
+        # field once t >= 2, is read off that base's powers
+        # (``BatchField.label``), without the table; a prime field has no base
+        assert (bf._tables is not None) == (c.index >= bf.ctx.base_order), t
         assert bf._zech is None
     assert list(rep.records) == [record_oracle(f, t) for t in range(1, t_max + 1)]
 

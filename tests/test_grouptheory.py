@@ -16,6 +16,7 @@ from excov.grouptheory import (
     Perm,
     PermGroup,
     _coset_fixes,
+    _member_test,
     _orbit_labels,
     _suborbit_cycles,
     analyze_rep,
@@ -528,6 +529,40 @@ def test_paired_tau_must_normalize():
     gens = [C("(1 2)", 3)]
     with pytest.raises(ValidationError, match="paired group"):
         PairedMonodromy.from_parallel(gens, gens, C("(1 3)", 3), Perm.identity(3))
+
+
+def test_member_test_confirms_each_key_hit_with_the_whole_row():
+    # a dihedral element is fixed by its images of 0 and 1, the key;
+    # swapping two later images keeps that key but leaves the group
+    E = dickson_cover_model(131, 3).group.element_array
+    member = _member_test(E)
+    assert all(member(row) for row in E)
+    for row in E[::17]:
+        other = row.copy()
+        other[[-1, -2]] = other[[-2, -1]]
+        assert not member(other)
+    # the trivial group: one row, keyed by its first image
+    ident = np.arange(5, dtype=np.int32)
+    member = _member_test(ident[None, :])
+    assert member(ident) and not member(ident[::-1].copy())
+    # every row fixes 0 and 1, so the key runs past them to column 2
+    E = np.array([[0, 1, 2, 3, 4], [0, 1, 3, 4, 2], [0, 1, 4, 2, 3]], dtype=np.int32)
+    member = _member_test(E)
+    assert all(member(row) for row in E)
+    assert not member(np.array([0, 1, 2, 4, 3], dtype=np.int32))
+
+
+def test_member_test_holds_no_copy_of_the_rows():
+    E = cyclic_cover_model(1021, 2).group.element_array
+    tracemalloc.start()
+    try:
+        member = _member_test(E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one column tells the translations apart: 1021 keys of 4 bytes
+    assert peak < E.nbytes // 20
+    assert member(E[7]) and not member(E[7][::-1].copy())
 
 
 def test_orbit_labels_number_orbits_by_least_point():
