@@ -32,10 +32,11 @@ Which reader builds which table:
   where exp and log would add 8 more.
 
 ``table_bytes`` counts what a field holds, each array from its build on.
-``get_batch`` keeps the most recent fields within ``_CACHE_BYTES``, the
-largest tower a scan climbs under the 600000-point cap, and counts the
-field asked for as at least one table of its points, so that a large
-field clears the cache before its build rather than after.
+``get_batch`` keeps the most recently used fields within ``_CACHE_BYTES``,
+which holds the towers the acceptance checks climb in turn under the
+600000-point cap, and counts the field asked for as at least one table of
+its points, so that a large field clears the cache before its build
+rather than after.
 
 The generator and the tables come from the F_p-matrix engine in ``gf``:
 multiplication by an element is a D x D matrix over F_p on its digit
@@ -140,39 +141,6 @@ def _wrap(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
     np.subtract(u, np.uint64(m), out=low)
     np.minimum(u, low, out=u)
     return x
-
-
-def _mod(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
-    """x mod m in place, for int64 x >= 0, as x - m * (x // m).
-
-    NumPy divides by a scalar with a multiply and a shift (libdivide), but
-    ``%`` with a hardware division per entry: on 122,642 values below 3m
-    (2 vCPUs) this took 0.31 ms, ``%`` 0.53 ms.  Up to about 500 values
-    the three calls cost more than the divisions (25 values: 2.1 us
-    against 0.9 us), so there it is ``%``.  spare is an int64 buffer at
-    least as long as x.
-    """
-    if x.size <= 512:
-        x %= m
-        return x
-    q = spare[: x.size]
-    np.floor_divide(x, m, out=q)
-    q *= m
-    x -= q
-    return x
-
-
-def _sort_order(v: np.ndarray) -> np.ndarray:
-    """``np.argsort`` of distinct values v >= 0.  Below 2**31 it is one
-    sort of v * 2**32 + position, whose low half is the order: on 122,642
-    values (2 vCPUs) 1.4 ms, against 3.0 ms for ``np.argsort``."""
-    if v.size == 0 or v.max() >= 2**31:
-        return np.argsort(v)
-    key = v.astype(np.int64) << 32
-    key |= np.arange(v.size)
-    key.sort()
-    key &= 0xFFFFFFFF
-    return key
 
 
 class BatchField:
@@ -389,7 +357,7 @@ class BatchField:
         del exp
         z = np.full(reps.size, m, dtype=np.int64)
         units = np.flatnonzero(y)
-        z[units[_sort_order(y[units])]] = J[_sort_order(found)]
+        z[units[np.argsort(y[units])]] = J[np.argsort(found)]
         return z
 
     def label(self, index: int) -> int:
@@ -678,7 +646,6 @@ class BatchField:
             code[m], code[Q] = n * r, (n + 1) * r
             size = np.full(n + 2, r, dtype=np.uint8)
             size[n:] = 1
-        spare = np.empty(min(n, _BLOCK), dtype=np.int64)
         for lo in range(0, n, _BLOCK):
             j = reps[lo : lo + _BLOCK].astype(np.int64)
             x = j.copy()
@@ -689,10 +656,10 @@ class BatchField:
             for k in range(r):
                 if k:
                     x *= s
-                    _mod(x, m, spare)
+                    x %= m
                     if z is not None:
                         z *= s
-                        _mod(z, m, spare)
+                        z %= m
                 if at is not None:
                     code[x] = at + k
                 if z is not None:
@@ -747,14 +714,13 @@ class BatchField:
 
     def _at_logs(self, j: np.ndarray):
         """The term-log writer at the logs j (int64): (s*j + lc) mod m, one
-        ``_mod`` per term."""
+        % per term."""
         m = self.order - 1
-        spare = np.empty(j.size, dtype=np.int64)
 
         def term(s: int, lc: int, into: np.ndarray) -> None:
             np.multiply(j, s, out=into)
             into += lc
-            _mod(into, m, spare)
+            into %= m
 
         return term
 
@@ -999,18 +965,17 @@ def _doubling(
 # -- instance cache -----------------------------------------------------------
 
 # Bytes of tables the cached fields may hold together, each array counted
-# from its build on (``table_bytes``).  The budget fits the largest tower a
-# scan climbs under a 600000-point cap, so repeated scans up one tower build
-# each field once; a larger budget only raises peak RSS.  Read on the
-# quotient, a field holds zech and one orbit_lookup per step, about 4 bytes
-# per point each, with no exp or log: a sum up the F_2 tower to t = 19
-# holds 8.7 MB, the most; F_9 to t = 6 with the lookups of steps 1 and 2
-# 7.9 MB, and F_3 to t = 12 6.7 MB.  A monomial tower holds only the step-1
-# lookups and representatives, from r = D = 5 on.
-_CACHE_BYTES = 9_000_000
-# fields holding less than 1/_SMALL_SHARE of the budget are dropped only
-# after every larger one
-_SMALL_SHARE = 64
+# from its build on (``table_bytes``).  Read on the quotient, a field holds
+# zech and one orbit_lookup per step, about 4 bytes per point each, with no
+# exp or log.  The budget holds the towers the acceptance checks climb in
+# turn under a 600000-point cap: F_3 to t = 12, F_5 to t = 8 and F_7 to
+# t = 6, each read with a sum, take 12.2 MB together.  At 16 MB the checks
+# build 89 fields, 82 of them distinct (the F_5 tower to 5**6 and F_11 a
+# second time), and the tower-sweep benchmark builds each field of a round
+# once.  The checks build each field once from 22 MB on, but from 18 MB on
+# the big-field benchmark keeps the last large field's tables through the
+# next one's build, and peaks 5 to 8 MB higher.
+_CACHE_BYTES = 16_000_000
 _CACHE: dict[tuple, BatchField] = {}  # in use order, most recent last
 # generators per ctx.key; one element each, kept when _CACHE drops a field
 _GENERATORS: dict[tuple, FieldElem] = {}
@@ -1024,14 +989,10 @@ def get_batch(ctx: FieldCtx) -> BatchField:
     ``table_bytes`` fit the budget, the field asked for counted as at least
     one table of its points at index width: whatever a caller reads of it,
     a lookup, zech or a full table, is at least that large, so a large
-    field clears the cache before its build rather than after.  Fields
-    holding under 1/_SMALL_SHARE of the budget go only after every larger
-    one: they free little, and the low rungs of a tower are asked for by
-    every scan up it, and by the towers over them (F_9 is the second rung
-    of the F_3 tower and the first of the F_9 tower).  The field asked for
-    stays even when it alone does not fit, so a second scan over the same
-    large field reuses it.  A table built between two calls counts from
-    the second.
+    field clears the cache before its build rather than after.  The field
+    asked for stays even when it alone does not fit, so a second scan over
+    the same large field reuses it.  A table built between two calls
+    counts from the second.
     """
     key = ctx.key
     bf = _CACHE.pop(key, None)
@@ -1040,9 +1001,7 @@ def get_batch(ctx: FieldCtx) -> BatchField:
     _CACHE[key] = bf
     total = sum(f.table_bytes for f in _CACHE.values()) - bf.table_bytes
     total += max(bf.table_bytes, np.dtype(bf.dtype).itemsize * bf.order)
-    others = list(_CACHE)[:-1]
-    small = [k for k in others if _CACHE[k].table_bytes < _CACHE_BYTES // _SMALL_SHARE]
-    for old in [k for k in others if k not in small] + small:
+    for old in list(_CACHE)[:-1]:
         if total <= _CACHE_BYTES:
             break
         total -= _CACHE.pop(old).table_bytes
