@@ -20,8 +20,9 @@ Which reader builds which table:
 - An evaluation never reads exp, and reads log only for a unit outside
   the tower base K, the field under this one (``label``; log 1 = 0 under
   every generator).  A scan field's base is the map's own field, so once
-  t >= 2 no coefficient of a scanned map, nor its value at 0 or infinity,
-  needs log; a scan of x**n or x**a / x**b searches no generator either.
+  t >= 2 no coefficient of a scanned map needs log, nor its values at 0
+  and infinity, which are label differences of its coefficients; a scan
+  of x**n or x**a / x**b searches no generator either.
 - zech is built when a sum of two or more terms is evaluated, or
   ``tables()`` asked for.  On the Frobenius-orbit quotient (below) it is
   filled from its values at the orbit representatives with no log table,
@@ -59,8 +60,11 @@ A sparse polynomial (``eval_sparse``) is evaluated one log at a time:
 term by term, each new term added by one Zech gather.  Its table is in
 log coordinates, the value logs it computes anyway: the unit g**j is
 label j, 0 is label m and infinity label Q, and slot j holds the label
-of f(g**j), slot m that of f(0).  ``index_order`` alone turns a table
-into element indices.  When the coefficients lie in F_{p**d} for a
+of f(g**j), slot m that of f(0) and slot Q that of f(infinity).  The two
+ends are read off the labels of the constant and lead coefficients and
+the degrees, so every slot of a table is written here and none is left
+to the caller.  ``index_order`` alone turns a table into element
+indices.  When the coefficients lie in F_{p**d} for a
 d < D, x -> x**(p**d) commutes with f, and in log space that map is
 j -> j * p**d mod m.  Given that step, ``eval_sparse`` evaluates f only
 at the least log of each of these orbits (``orbit_reps``), about m*d/D
@@ -362,7 +366,7 @@ class BatchField:
 
     def label(self, index: int) -> int:
         """The log-coordinate label of an element index: log x for a unit,
-        m for 0; Q, standing for infinity, stays Q.
+        m for 0.
 
         log 1 = 0 under every generator, so 1 reads no table.  When
         D >= 2, a unit c of the tower base K (index below |K|) reads none
@@ -370,10 +374,8 @@ class BatchField:
         for the k < |K| - 1 with h**k = c, read off the |K| - 1 powers of h,
         made once (``_exp_rows`` of h).  Every other unit reads log: on a
         scan field, whose base is the map's field, that is none of the
-        coefficients and none of the values at 0 and infinity."""
+        coefficients."""
         m, K = self.order - 1, self._base_order
-        if index == self.order:
-            return index
         if index <= 1:
             return m if index == 0 else 0
         if index >= K:  # always when D = 1: K is then 1
@@ -420,26 +422,29 @@ class BatchField:
         den: Sequence[tuple[int, FieldElem | int]] | None = None,
         step: int | None = None,
     ) -> np.ndarray:
-        """Label table of sum(c * x**e): slot j < m holds the label of
-        f(g**j), slot m that of f(0), so a zero is m.  With ``den``, the
-        quotient by that sum, whose poles are Q.  Coefficients may come
-        from any field below this one.  A new int64 table of Q + 1 slots;
-        the last is left for the caller, which writes the value at
-        infinity there.
+        """Label table of sum(c * x**e) on P1: slot j < m holds the label of
+        f(g**j), slot m that of f(0) and slot Q that of f(infinity), so a
+        zero is m.  With ``den``, the quotient by that sum, whose poles are
+        Q; where both sums vanish, the pole wins.  Coefficients may come
+        from any field below this one.  A new int64 table of Q + 1 slots,
+        every one written.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
-        by ``_logs_at``, and x = 0 takes the constant terms.  With ``step``
-        a d < D dividing D with every coefficient in F_{p**d}, f commutes
-        with x -> x**(p**d), and only the least log of each of its orbits
+        by ``_logs_at``.  The two ends take no evaluation: f(0) is read off
+        the constant coefficients and f(infinity) off the degrees and the
+        lead coefficients (``_term_logs``).  With ``step`` a d < D dividing
+        D with every coefficient in F_{p**d}, f commutes with
+        x -> x**(p**d), and only the least log of each of its orbits
         (``orbit_reps(d)``) is evaluated: slot i holds the
         ``orbit_lookup(d)`` code (orbit * r + rotation) of the value at
-        representative i, slot n = ``orbit_reps(d).size`` that of f(0), and
-        slot n + 1 is the caller's, all at the lookup's width.
+        representative i, slot n = ``orbit_reps(d).size`` that of f(0) and
+        slot n + 1 that of f(infinity), all at the lookup's width.  Step D,
+        or None, is the full table.
         """
         Q, m = self.order, self.order - 1
         sums = self._sums(terms, den)
-        has_sum = any(len(logs) > 1 for _, logs in sums)
-        if step is None:
+        has_sum = any(len(logs) > 1 for logs, *_ in sums)
+        if step in (None, self.D):
             reps = code = None
             n = m
             out = np.empty(Q + 1, dtype=np.int64)
@@ -468,11 +473,11 @@ class BatchField:
                 term = self._progression(lo, ramp, bases, spare)
             v = out[lo:hi] if code is None else v_buf[: hi - lo]
             t = None if sum_buf is None else sum_buf[: hi - lo]
-            zeros = self._logs_at(term, sums[0][1], v, t)
+            zeros = self._logs_at(term, sums[0][0], v, t)
             poles = None
             if den is not None:
                 dv = dv_buf[: hi - lo]
-                poles = self._logs_at(term, sums[1][1], dv, t)
+                poles = self._logs_at(term, sums[1][0], dv, t)
                 v += m
                 v -= dv  # in (0, 2m)
                 _wrap(v, m, dv.view(np.uint64))
@@ -482,13 +487,14 @@ class BatchField:
                 v[poles] = Q  # after the zeros: a pole wins
             if code is not None:
                 out[lo:hi] = code[v]
-        top = sums[0][0]
-        if den is None:
-            at_zero = top.index
-        else:
-            bottom = sums[1][0]
-            at_zero = Q if bottom.is_zero() else (top / bottom).index
-        out[n] = self.label(at_zero) if code is None else code[self.label(at_zero)]
+        # f(0) is the ratio of the constant terms and f(infinity) that of
+        # the lead terms, or a pole or a zero where the degrees differ
+        _, top0, dn, top = sums[0]
+        _, bot0, dd, bot = sums[1] if den is not None else ([], 0, 0, 0)
+        ends = [(top0, bot0), (top if dn >= dd else m, bot if dd >= dn else m)]
+        for slot, (a, b) in enumerate(ends, n):
+            x = Q if b == m else m if a == m else (a - b) % m
+            out[slot] = x if code is None else code[x]
         return out
 
     def index_order(self, table: np.ndarray) -> np.ndarray:
@@ -506,19 +512,18 @@ class BatchField:
 
     def _term_logs(
         self, terms: Sequence[tuple[int, FieldElem | int]]
-    ) -> tuple[FieldElem, list[tuple[int, int]]]:
-        """The value at 0 of sum(c * x**e), and (e mod m, log c) per nonzero term."""
+    ) -> tuple[list[tuple[int, int]], int, int, int]:
+        """(e mod m, log c) per exponent e whose coefficients sum to c != 0,
+        then the label of the constant coefficient, the degree and the label
+        of the lead coefficient: m, -1 and m for the zero sum."""
         m = self.order - 1
-        const = self.ctx.zero()
-        logs = []
+        coeffs: dict[int, FieldElem] = {}
         for e, c in terms:
             c = _lift(self.ctx, c)
-            if c.is_zero():
-                continue
-            if e == 0:
-                const = const + c
-            logs.append((e % m, self.label(c.index)))
-        return const, logs
+            coeffs[e] = coeffs[e] + c if e in coeffs else c
+        logs = {e: self.label(c.index) for e, c in coeffs.items() if not c.is_zero()}
+        deg = max(logs, default=-1)
+        return [(e % m, lc) for e, lc in logs.items()], logs.get(0, m), deg, logs.get(deg, m)
 
     def orbit_step(self, *maps: tuple[Sequence, Sequence | None]) -> int:
         """The Frobenius step d on which maps, each given as (terms, den),
@@ -529,16 +534,16 @@ class BatchField:
         steps.  That d is taken when some map has a sum of two or more
         terms; single-term maps (x**n, c * x**n, x**a / x**b) take it only
         once r = D/d reaches ``_QUOTIENT_MIN_R``, and D otherwise."""
-        sums = [s for h in maps for s in self._sums(*h)]
-        d = self._frobenius_step([lc for _, logs in sums for _, lc in logs])
-        single = all(len(logs) <= 1 for _, logs in sums)
+        sums = [s[0] for h in maps for s in self._sums(*h)]
+        d = self._frobenius_step([lc for logs in sums for _, lc in logs])
+        single = all(len(logs) <= 1 for logs in sums)
         return d if not single or self.D // d >= _QUOTIENT_MIN_R else self.D
 
     def _sums(
         self,
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None,
-    ) -> list[tuple[FieldElem, list[tuple[int, int]]]]:
+    ) -> list[tuple[list[tuple[int, int]], int, int, int]]:
         """``_term_logs`` of the numerator, and of ``den`` if given."""
         return [self._term_logs(ts) for ts in (terms, den) if ts is not None]
 

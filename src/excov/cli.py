@@ -30,17 +30,23 @@ def parse_curve_spec(spec: str) -> lattes.EllipticCurveQ:
     if s == "ogg":
         return lattes.ogg_curve()
     if s.startswith("[") and s.endswith("]"):
-        parts = s[1:-1].split(",")
-        if len(parts) != 5:
-            raise ValidationError(
-                f"curve spec {spec!r}: need five coefficients a1,a2,a3,a4,a6"
-            )
-        try:
-            a1, a2, a3, a4, a6 = (int(x) for x in parts)
-        except ValueError:
-            raise ValidationError(f"curve spec {spec!r}: coefficients must be integers") from None
-        return lattes.EllipticCurveQ(a1, a2, a3, a4, a6)
+        return lattes.EllipticCurveQ(*_int_list(s[1:-1], f"curve spec {spec!r}", 5))
     raise ValidationError(f"curve spec {spec!r}: expected \"ogg\" or \"[a1,a2,a3,a4,a6]\"")
+
+
+def _int_list(text: str, what: str, count: Optional[int] = None) -> list[int]:
+    """The comma-separated integers of text, exactly count of them when
+    count is given; what names the flag or spec in an error."""
+    parts = text.split(",")
+    if count is not None and len(parts) != count:
+        raise ValidationError(f"{what}: need {count} comma-separated integers, got {len(parts)}")
+    out = []
+    for part in parts:
+        try:
+            out.append(int(part))
+        except ValueError:
+            raise ValidationError(f"{what}: bad integer {part!r}") from None
+    return out
 
 
 def _field_doc(ctx: FieldCtx) -> dict:
@@ -136,13 +142,7 @@ def _parse_model_spec(spec: str) -> tuple[str, int, int]:
         raise ValidationError(
             f"model spec {spec!r}: expected cyclic:n,q or dickson:n,q"
         )
-    parts = body.split(",")
-    if len(parts) != 2:
-        raise ValidationError(f"model spec {spec!r}: need exactly n,q")
-    try:
-        n, q = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ValidationError(f"model spec {spec!r}: n and q must be integers") from None
+    n, q = _int_list(body, f"model spec {spec!r} (n,q)", 2)
     return head, n, q
 
 
@@ -151,14 +151,7 @@ def cmd_nielsen(ns) -> dict:
     if len(chosen) != 1:
         raise ValidationError("pick exactly one of --dickson N, --cyclic N, --modular p,k")
     if ns.modular is not None:
-        parts = ns.modular.split(",")
-        if len(parts) != 2:
-            raise ValidationError(f"--modular {ns.modular!r}: expected p,k")
-        try:
-            p, k = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValidationError(f"--modular {ns.modular!r}: p and k must be integers") from None
-        mc = nielsen.modular_nielsen(p, k)
+        mc = nielsen.modular_nielsen(*_int_list(ns.modular, f"--modular {ns.modular!r} (p,k)", 2))
         return {
             "family": "modular",
             "p": mc.p,
@@ -212,16 +205,6 @@ def cmd_selftest(ns) -> dict:
             {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
         ],
     }
-
-
-def _int_list(text: str, flag: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        try:
-            out.append(int(part))
-        except ValueError:
-            raise ValidationError(f"{flag}: bad integer {part!r}") from None
-    return out
 
 
 # -- output -----------------------------------------------------------------------

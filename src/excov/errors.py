@@ -48,6 +48,8 @@ def field_cap() -> int:
     """Current enumeration budget: the most entries one table may hold.
 
     It caps field orders, p^2 for pencils and isogeny map degrees, the
+    degree n of a family map (power, Dickson, Chebyshev and its twists,
+    Redei), whose n + 1 coefficients are built from a short spec, the
     order * degree entries of a permutation group's closure, the
     size * r * n entries of a braid orbit of r-tuples on n letters, and the
     N^2 entries a tower on N letters needs at least.  The innermost

@@ -9,7 +9,10 @@ pairs live here too.
 Every table here is in log coordinates (``_batch``): with g the field's
 generator and m = q^t - 1, the unit g^j is label j, 0 is label m and
 infinity label q^t, and slot j holds the label of f(g^j), slot m that of
-f(0) and slot q^t that of f(infinity).  This is the same map conjugated
+f(0) and slot q^t that of f(infinity).  ``BatchField.eval_sparse`` fills
+every slot, the two ends from the labels of the constant and lead
+coefficients, so a table is used here as it comes, with no value taken
+through the scalar engine.  This is the same map conjugated
 by a relabelling of P1, so its fibers, its bijectivity and, when it
 permutes, its cycle lengths are those in index order; and two maps
 relabelled alike keep equal or unequal value sets and multisets.  For
@@ -45,11 +48,11 @@ from typing import Optional, Union
 import numpy as np
 
 from . import frobset
-from ._batch import BatchField, get_batch, permutation_period
+from ._batch import get_batch, permutation_period
 from .errors import CapExceededError, ValidationError, check_power_cap
 from .frobset import FrobeniusSet
 from .gf import FieldCtx, make_extension
-from .projmap import P1Point, Poly, RationalMap, eval_p1
+from .projmap import Poly, RationalMap
 
 DEFAULT_FIT_DEPTH = 24
 
@@ -74,20 +77,7 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     if isinstance(f, Poly):
         f = RationalMap(f)
     bf = get_batch(_scan_field(f, t))
-    return bf.index_order(_table(f, bf, bf.D))
-
-
-def _table(f: RationalMap, bf: BatchField, d: int) -> np.ndarray:
-    """The table of f over bf's field in log coordinates, the value at
-    infinity last.  Over every log when d = D; for a Frobenius step d < D
-    of f, the ``orbit_lookup(d)`` code of f at each orbit representative,
-    then at 0 and at infinity (``BatchField.eval_sparse``)."""
-    num, den = _terms(f)
-    full = d == bf.D
-    tab = bf.eval_sparse(num, den, step=None if full else d)
-    at_inf = bf.label(eval_p1(f, P1Point.infinity(bf.ctx)).index())
-    tab[-1] = at_inf if full else bf.orbit_lookup(d)[0][at_inf]
-    return tab
+    return bf.index_order(bf.eval_sparse(*_terms(f)))
 
 
 def _terms(f: RationalMap) -> tuple[list, Optional[list]]:
@@ -199,7 +189,7 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
     their size."""
     bf = get_batch(_scan_field(f, t))
     d = bf.orbit_step(_terms(f))
-    tab = _table(f, bf, d)
+    tab = bf.eval_sparse(*_terms(f), step=d)
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
     tgt, counts = _fibers(size, r, tab)
@@ -276,5 +266,5 @@ def _dp_flags(
     d = bf.orbit_step(*(_terms(h) for h in maps))
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
-    cf, cg = (_fibers(size, r, _table(h, bf, d))[1] for h in maps)
+    cf, cg = (_fibers(size, r, bf.eval_sparse(*_terms(h), step=d))[1] for h in maps)
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

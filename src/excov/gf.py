@@ -108,8 +108,7 @@ class FieldCtx:
     base: Optional["FieldCtx"]
     modulus: tuple
     key: tuple = field(compare=False, default=())
-    # the raw 0 and 1, made once per field: ``_zero_raw`` and ``_one_raw``
-    # read them on every call
+    # the raw 0 and 1, made once per field and read by the raw arithmetic
     _zero: Raw = field(init=False, repr=False, compare=False)
     _one: Raw = field(init=False, repr=False, compare=False)
 
@@ -146,10 +145,10 @@ class FieldCtx:
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, _zero_raw(self))
+        return FieldElem(self, self._zero)
 
     def one(self) -> "FieldElem":
-        return FieldElem(self, _one_raw(self))
+        return FieldElem(self, self._one)
 
     def from_int(self, n: int) -> "FieldElem":
         """The image of the integer n in the prime subfield."""
@@ -164,10 +163,7 @@ class FieldCtx:
         """Root of the defining modulus; equals 1 in the prime field."""
         if self.base is None:
             return self.one()
-        raw = tuple(
-            _one_raw(self.base) if i == 1 else _zero_raw(self.base)
-            for i in range(self.rel_degree)
-        )
+        raw = tuple(self.base._one if i == 1 else self.base._zero for i in range(self.rel_degree))
         return FieldElem(self, raw)
 
     def embed(self, e: "FieldElem") -> "FieldElem":
@@ -211,7 +207,7 @@ class FieldElem:
         return tuple(out)
 
     def is_zero(self) -> bool:
-        return self.raw == _zero_raw(self.ctx)
+        return self.raw == self.ctx._zero
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -280,7 +276,8 @@ class FieldElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        return FieldElem(self.ctx, _pow_raw(self.ctx, self.raw, e))
+        ctx = self.ctx
+        return FieldElem(ctx, _power(self.raw, e, partial(_mul_raw, ctx), ctx._one))
 
     def __repr__(self) -> str:
         return f"<{','.join(map(str, self.prime_coeffs()))} in {self.ctx.p}^{self.ctx.k}>"
@@ -290,19 +287,11 @@ class FieldElem:
 # raw arithmetic
 
 
-def _zero_raw(ctx: FieldCtx) -> Raw:
-    return ctx._zero
-
-
-def _one_raw(ctx: FieldCtx) -> Raw:
-    return ctx._one
-
-
 def _from_int_raw(ctx: FieldCtx, n: int) -> Raw:
     if ctx.base is None:
         return n % ctx.p
     first = _from_int_raw(ctx.base, n)
-    return (first,) + tuple(_zero_raw(ctx.base) for _ in range(ctx.rel_degree - 1))
+    return (first,) + tuple(ctx.base._zero for _ in range(ctx.rel_degree - 1))
 
 
 def _embed_raw(ctx: FieldCtx, src: FieldCtx, raw: Raw) -> Raw:
@@ -311,7 +300,7 @@ def _embed_raw(ctx: FieldCtx, src: FieldCtx, raw: Raw) -> Raw:
     if ctx.base is None:
         raise ValidationError(f"{src} is not in the tower under {ctx}")
     first = _embed_raw(ctx.base, src, raw)
-    return (first,) + tuple(_zero_raw(ctx.base) for _ in range(ctx.rel_degree - 1))
+    return (first,) + tuple(ctx.base._zero for _ in range(ctx.rel_degree - 1))
 
 
 def _add_raw(ctx: FieldCtx, a: Raw, b: Raw) -> Raw:
@@ -334,7 +323,7 @@ def _mul_raw(ctx: FieldCtx, a: Raw, b: Raw) -> Raw:
     if ctx.base is None:
         return (a * b) % ctx.p
     base, t = ctx.base, ctx.rel_degree
-    zero = _zero_raw(base)
+    zero = base._zero
     prod = [zero] * (2 * t - 1)
     for i, ai in enumerate(a):
         if ai == zero:
@@ -353,10 +342,6 @@ def _mul_raw(ctx: FieldCtx, a: Raw, b: Raw) -> Raw:
     return tuple(prod[:t])
 
 
-def _pow_raw(ctx: FieldCtx, a: Raw, e: int) -> Raw:
-    return _power(a, e, partial(_mul_raw, ctx), _one_raw(ctx))
-
-
 def _inv_raw(ctx: FieldCtx, a: Raw) -> Raw:
     if ctx.base is None:
         if a % ctx.p == 0:
@@ -366,8 +351,8 @@ def _inv_raw(ctx: FieldCtx, a: Raw) -> Raw:
     base = ctx.base
     r0, r1 = list(ctx.modulus), _poly_trim(base, list(a))
     s0: list = []
-    s1: list = [_one_raw(base)]
-    while _poly_deg(base, r1) > 0:
+    s1: list = [base._one]
+    while len(r1) > 1:
         q, rem = _poly_divmod(base, r0, r1)
         r0, r1 = r1, rem
         s0, s1 = s1, _poly_sub(base, s0, _poly_mul(base, q, s1))
@@ -377,7 +362,7 @@ def _inv_raw(ctx: FieldCtx, a: Raw) -> Raw:
     c = r1[0]
     cinv = _inv_raw(base, c)
     inv_poly = [_mul_raw(base, x, cinv) for x in s1]
-    inv_poly += [_zero_raw(base)] * (ctx.rel_degree - len(inv_poly))
+    inv_poly += [base._zero] * (ctx.rel_degree - len(inv_poly))
     return tuple(inv_poly[: ctx.rel_degree])
 
 
@@ -415,19 +400,15 @@ def _flatten_raw(ctx: FieldCtx, a: Raw, out: list[int]) -> None:
 
 
 def _poly_trim(ctx: FieldCtx, p: list) -> list:
-    zero = _zero_raw(ctx)
+    zero = ctx._zero
     while p and p[-1] == zero:
         p.pop()
     return p
 
 
-def _poly_deg(ctx: FieldCtx, p: list) -> int:
-    return len(p) - 1 if p else -1
-
-
 def _poly_sub(ctx: FieldCtx, a: list, b: list) -> list:
     n = max(len(a), len(b))
-    zero = _zero_raw(ctx)
+    zero = ctx._zero
     out = []
     for i in range(n):
         x = a[i] if i < len(a) else zero
@@ -445,7 +426,7 @@ def _poly_mul(ctx: FieldCtx, a: list, b: list) -> list:
     if ctx.base is None and n >= 4 and (ctx.p - 1) ** 2 * n < 1 << 63:
         prod = np.convolve(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
         return _poly_trim(ctx, (prod % ctx.p).tolist())
-    zero = _zero_raw(ctx)
+    zero = ctx._zero
     out = [zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == zero:
@@ -460,7 +441,7 @@ def _poly_divmod(ctx: FieldCtx, a: list, b: list) -> tuple[list, list]:
     if not b:
         raise ValidationError("polynomial division by zero")
     a = _poly_trim(ctx, list(a))
-    zero = _zero_raw(ctx)
+    zero = ctx._zero
     lead_inv = _inv_raw(ctx, b[-1])
     q = [zero] * max(0, len(a) - len(b) + 1)
     r = list(a)
@@ -693,7 +674,7 @@ def _relative_extension(base: FieldCtx, t: int) -> FieldCtx:
         if hit.size:
             i = int(idx[hit[0]])
             mod = tuple(_raw_from_index(base, i // q**j % q) for j in range(t))
-            ctx = _mk_ctx(base.p, base.k * t, base, mod + (_one_raw(base),))
+            ctx = _mk_ctx(base.p, base.k * t, base, mod + (base._one,))
             _EXT_CACHE[(base.key, t)] = ctx
             return ctx
     raise InternalInvariantError(  # pragma: no cover - an irreducible always exists

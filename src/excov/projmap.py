@@ -11,11 +11,10 @@ power maps) are built from closed coefficient formulas.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .errors import InternalInvariantError, ValidationError
+from .errors import InternalInvariantError, ValidationError, check_field_cap
 from .gf import FieldCtx, FieldElem, _poly_divmod, _poly_gcd, _poly_mul, _power
 
 CoeffLike = Union[FieldElem, int]
@@ -336,15 +335,22 @@ def cyclic(ctx: FieldCtx, n: int) -> RationalMap:
     """The power map x^n."""
     if n < 1:
         raise ValidationError("power map needs n >= 1")
+    check_field_cap(n, "map degree")
     return RationalMap(Poly(ctx, [0] * n + [1]))
 
 
 def _dickson_poly(ctx: FieldCtx, n: int, a: CoeffLike) -> Poly:
+    """sum over i <= n/2 of n/(n-i) * C(n-i, i) * (-a)**i * x**(n-2i), each
+    integer factor stepped from the one before by an exact ratio."""
+    check_field_cap(n, "map degree")
     a = _lift(ctx, a)
     coeffs = [ctx.zero()] * (n + 1)
+    c, power = 1, ctx.one()
     for i in range(n // 2 + 1):
-        c = n * math.comb(n - i, i) // (n - i)  # exact integer
-        coeffs[n - 2 * i] = ctx.from_int(c) * ((-a) ** i)
+        if i:
+            c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // (i * (n - i))
+            power = power * -a
+        coeffs[n - 2 * i] = ctx.from_int(c) * power
     return Poly(ctx, coeffs)
 
 
@@ -408,14 +414,17 @@ def redei(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
         raise ValidationError("twist parameter must be nonzero")
     if a ** ((ctx.order - 1) // 2) == ctx.one():
         raise ValidationError("twist parameter must be a non-square")
+    check_field_cap(n, "map degree")
     A = [ctx.zero()] * (n + 1)
     B = [ctx.zero()] * (n + 1)
+    c, power = 1, ctx.one()  # C(n, j) and a**(j // 2)
     for j in range(n + 1):
-        c = ctx.from_int(math.comb(n, j))
         if j % 2 == 0:
-            A[n - j] = c * a ** (j // 2)
+            A[n - j] = ctx.from_int(c) * power
         else:
-            B[n - j] = c * a ** ((j - 1) // 2)
+            B[n - j] = ctx.from_int(c) * power
+            power = power * a
+        c = c * (n - j) // (j + 1)
     return RationalMap(Poly(ctx, A), Poly(ctx, B))
 
 

@@ -30,7 +30,7 @@ from excov.acceptance import SCAN_CAP
 from excov.errors import CapExceededError, ValidationError, field_cap_scope
 from excov.excscan import value_table
 from excov.gf import _is_prime, make_extension, make_field
-from excov.projmap import _lift, cyclic
+from excov.projmap import P1Point, Poly, RationalMap, _lift, cyclic, eval_p1
 
 
 FIELDS = [
@@ -831,8 +831,10 @@ def test_power_map_scan_leaves_zech_unbuilt(empty_cache):
 
 def test_labels_of_zero_and_infinity_and_monic_terms_read_no_table():
     bf = BatchField(make_field(101, 1))
-    assert (bf.label(0), bf.label(101)) == (100, 101)
-    lab = bf.eval_sparse([(3, 1)], [(5, 1)])[:-1]  # x^3 / x^5, a pole at 0
+    assert bf.label(0) == 100
+    lab = bf.eval_sparse([(3, 1)], [(5, 1)])  # x^3 / x^5, a pole at 0
+    assert lab[-1] == 100  # and a zero at infinity
+    lab = lab[:-1]
     assert np.array_equal(lab, np.append(-2 * np.arange(100) % 100, 101))
     assert bf._tables is None
     vals = bf.index_order(lab)  # index order reads exp
@@ -1086,14 +1088,13 @@ def random_sums(rng, base, trial):
 
 def assert_quotient_reads_full_table(bf, terms, den, d):
     """The quotient's codes are the ``orbit_lookup(d)`` codes of the full
-    table's values at ``orbit_reps(d)`` and at 0; each table's last slot is
-    the caller's."""
+    table's values at ``orbit_reps(d)``, at 0 and at infinity."""
     full = bf.eval_sparse(terms, den)
     got = bf.eval_sparse(terms, den, step=d)
-    at = np.append(bf.orbit_reps(d), bf.order - 1)
+    at = np.append(bf.orbit_reps(d), [bf.order - 1, bf.order])
     code = bf.orbit_lookup(d)[0]
-    assert got.size == at.size + 1 and got.dtype == code.dtype
-    assert np.array_equal(got[:-1], code[full[at]]), (terms, den, d)
+    assert got.size == at.size and got.dtype == code.dtype
+    assert np.array_equal(got, code[full[at]]), (terms, den, d)
 
 
 @pytest.mark.parametrize("p, k, t", ORBIT_FIELDS, ids=lambda v: str(v))
@@ -1165,9 +1166,8 @@ def test_log_coordinate_table_relabels_the_index_table(p, k, t):
         assert np.array_equal(from_labels(bf, lab), np.full(K.order, value))
         assert np.array_equal(bf.index_order(lab), np.full(K.order, value))
     # a scan's table of Q + 1 slots keeps slot Q, infinity, in place
-    lab = bf.eval_sparse([(1, 1)], [(2, 1)])  # 1/x
-    lab[-1] = K.order
-    assert bf.index_order(lab)[[0, K.order]].tolist() == [K.order, K.order]
+    lab = bf.eval_sparse([(1, 1)], [(2, 1)])  # 1/x: a pole at 0, a zero at infinity
+    assert bf.index_order(lab)[[0, K.order]].tolist() == [K.order, 0]
 
 
 def test_orbit_path_marks_poles():
@@ -1185,3 +1185,56 @@ def test_orbit_path_marks_poles():
     node = code[bf.label(K.embed(a).index)] // 3
     assert bf.eval_sparse(num, den, step=2)[node] == code[K.order]
     assert set(bf._reps) == {2}
+
+
+def end_cases(a):
+    """(terms, den) pairs that reach each rule for the ends: a is a unit
+    of the base other than 1, and no case has both constant terms 0, so
+    the reduced map has the same values at 0 and at infinity."""
+    return [
+        ([(0, a), (2, 1), (5, 2)], None),  # a polynomial: a pole at infinity
+        ([(1, a), (3, 1)], None),  # a zero at 0
+        ([(0, a)], None),  # a constant
+        ([], None),  # the zero map
+        ([(3, 1), (3, -1), (1, 1)], None),  # x: the top exponent cancels
+        ([(3, 1), (0, a)], [(1, 1), (0, 1)]),  # deg num > deg den
+        ([(1, a)], [(2, 1), (0, 1)]),  # deg num < deg den
+        ([(2, a), (0, 1)], [(2, 2), (1, 1)]),  # equal degrees, a pole at 0
+        ([(2, a), (0, 1)], [(2, 1), (0, a)]),  # equal degrees, units at both ends
+        ([(2, 1), (0, 1)], [(3, 1), (3, -1), (2, 2), (0, 1)]),  # den's top cancels
+        ([], [(1, 1), (0, a)]),  # the zero map as a quotient
+    ]
+
+
+def as_map(base, terms, den):
+    """The RationalMap of the sum, or of the quotient of the two sums."""
+
+    def poly(ts):
+        coeffs = [base.zero()] * (max((e for e, _ in ts), default=0) + 1)
+        for e, c in ts:
+            coeffs[e] = coeffs[e] + _lift(base, c)
+        return Poly(base, coeffs)
+
+    return RationalMap(poly(terms), None if den is None else poly(den))
+
+
+@pytest.mark.parametrize(
+    "p, k, t", [(5, 1, 4), (3, 2, 3), (2, 2, 3), (7, 1, 1), (3, 2, 1)], ids=lambda v: str(v)
+)
+def test_table_ends_match_scalar_engine_at_zero_and_infinity(p, k, t):
+    # slots m and Q of a full table, and the last two codes of the quotient
+    # table over the base's step, hold f(0) and f(infinity) as eval_p1 has them
+    base = make_field(p, k)
+    K = make_extension(base, t)
+    bf = BatchField(K)
+    Q, m = K.order, K.order - 1
+    for terms, den in end_cases(base.gen() if k > 1 else base.from_int(2)):
+        f = as_map(base, terms, den)
+        want = [eval_p1(f, P1Point.of(K.zero())).index(), eval_p1(f, P1Point.infinity(K)).index()]
+        full = bf.eval_sparse(terms, den)
+        assert full.size == Q + 1
+        assert from_labels(bf, full[[m, Q]]).tolist() == want, (terms, den)
+        if t > 1:
+            code = bf.orbit_lookup(k)[0]
+            got = bf.eval_sparse(terms, den, step=k)
+            assert got[-2:].tolist() == code[full[[m, Q]]].tolist(), (terms, den)

@@ -108,13 +108,13 @@ def _dp_eval_calls(capsys, monkeypatch, field, tmax):
 def test_dp_subcommand_evaluates_each_map_once_per_t(capsys, monkeypatch):
     # both flags come from one table per map and t
     calls = _dp_eval_calls(capsys, monkeypatch, "5", 3)
-    assert calls == [(q, None) for q in (5, 5, 25, 25, 125, 125)]
+    assert calls == [(5**t, t) for t in (1, 1, 2, 2, 3, 3)]  # step D: full tables
 
 
 def test_dp_subcommand_evaluates_each_map_once_per_t_on_the_quotient(capsys, monkeypatch):
     # F_{3^t} for t >= 5: both maps on the orbit quotient of step 1
     calls = _dp_eval_calls(capsys, monkeypatch, "3", 7)
-    steps = [None] * 4 + [1] * 3
+    steps = [1, 2, 3, 4] + [1] * 3  # step D, then step 1
     assert calls == [(3**t, step) for t, step in enumerate(steps, 1) for _ in range(2)]
 
 
@@ -402,6 +402,27 @@ def test_dp_without_any_t_exits_2(capsys, tmax):
     assert json.loads(err)["error"] == {"message": "t_max must be >= 1", "type": "ValidationError"}
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["frobset", "--mod", "12", "--residues", "1,x"], "--residues"),
+        (["group", "--model", "cyclic:5"], "model spec 'cyclic:5'"),
+        (["group", "--model", "cyclic:5,3,2"], "model spec 'cyclic:5,3,2'"),
+        (["group", "--model", "dickson:5,q"], "model spec 'dickson:5,q'"),
+        (["nielsen", "--modular", "3"], "--modular '3'"),
+        (["nielsen", "--modular", "3,k"], "--modular '3,k'"),
+        (["oit", "--curve", "[0,0,0,1]", "--p", "3", "--lmax", "5"], "curve spec '[0,0,0,1]'"),
+        (["oit", "--curve", "[0,0,0,1,a]", "--p", "3", "--lmax", "5"], "curve spec '[0,0,0,1,a]'"),
+    ],
+)
+def test_bad_integer_lists_exit_2_naming_their_flag_or_spec(capsys, argv, named):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    error = json.loads(err)["error"]
+    assert error["type"] == "ValidationError" and error["message"].startswith(named)
+
+
 def test_nielsen_without_selector_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["nielsen"])
     assert code == 2
@@ -554,6 +575,7 @@ def test_console_script_error_code():
         "nielsen --cyclic 30011",
         "nielsen --dickson 30011",
         "oit --curve ogg --p 1000000000000000003 --lmax 5",
+        "map --field 3 --map cyclic:1000000000000",
     ],
 )
 def test_outsized_structural_inputs_exit_3_without_traceback(argv):

@@ -16,7 +16,6 @@ from excov.excscan import (
     TRecord,
     _dp_flags,
     _record,
-    _table,
     _terms,
     dp_range_test,
     exceptionality_scan,
@@ -320,8 +319,8 @@ def quotient_features(f, t):
     bf = get_batch(make_extension(f.ctx, t))
     d = bf.orbit_step(_terms(f))
     assert d < bf.D  # evaluated on representatives, so read off the quotient
-    code = _table(f, bf, d)
-    full = _table(f, bf, bf.D)
+    code = bf.eval_sparse(*_terms(f), step=d)
+    full = bf.eval_sparse(*_terms(f), step=bf.D)
     tab = np.append(full[bf.orbit_reps(d)], full[-2:])  # then f(0), f(infinity)
     lookup, size = bf.orbit_lookup(d)
     assert np.array_equal(code, lookup[tab])
@@ -574,8 +573,8 @@ C4, C8 = G64**21, G64**9  # in F_4 and in F_8, not in F_2
 
 
 def dp_with_steps(f, g, t, monkeypatch):
-    """_dp_flags(f, g, t), and the step each evaluation was given: None for
-    a full table."""
+    """_dp_flags(f, g, t), and the step each evaluation was given: the
+    field's degree D for a full table."""
     steps = []
     eval_sparse = _batch.BatchField.eval_sparse
 
@@ -619,7 +618,8 @@ DP_CASES = [  # (f, g, t, the common step of the quotient, None for full tables)
 @pytest.mark.parametrize("f, g, t, step", DP_CASES, ids=lambda v: str(v)[:40])
 def test_dp_flags_on_the_quotient_match_index_order_oracle(f, g, t, step, monkeypatch):
     flags, steps = dp_with_steps(f, g, t, monkeypatch)
-    assert steps == [step, step]  # each map evaluated once, on one quotient
+    full = f.ctx.k * t  # D, the step of a full table
+    assert steps == [step or full] * 2  # each map evaluated once, on one quotient
     assert flags == dp_oracle(f, g, t)
 
 
@@ -632,7 +632,7 @@ def test_octic_pair_flags_match_index_order_oracle(p, monkeypatch):
         f, g = poly(ctx, [0] * 8 + [1]), poly(ctx, [0] * 8 + [c])
         for t in range(1, monic_t_max(ctx) + 1):
             flags, steps = dp_with_steps(f, g, t, monkeypatch)
-            assert steps == [1 if t >= _QUOTIENT_MIN_R else None] * 2
+            assert steps == [1 if t >= _QUOTIENT_MIN_R else t] * 2
             assert flags == dp_oracle(f, g, t), (c, t)
             seen.add(flags)
     if p in (3, 5, 7):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from excov.errors import ValidationError, field_cap_scope
+from excov.errors import CapExceededError, ValidationError, field_cap_scope
 from excov.gf import _is_prime, make_extension, make_field
 from excov.projmap import (
     P1Point,
@@ -350,6 +350,44 @@ def test_redei_rejects_bad_parameters():
         redei(F7, 5, 2)  # 2 is a square mod 7
     with pytest.raises(ValidationError):
         redei(F7, 5, 0)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31])
+def test_family_coefficients_match_closed_forms(p):
+    # the running products against math.comb, with a a non-square
+    ctx = make_field(p, 1)
+    a = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) != 1)
+    for n in range(1, 61):
+        for b in (1, a):
+            want = [0] * (n + 1)
+            for i in range(n // 2 + 1):
+                want[n - 2 * i] = n * math.comb(n - i, i) // (n - i) * (-b) ** i
+            assert dickson(ctx, n, b) == RationalMap(Poly(ctx, want)), (n, b)
+        if n % 2:
+            top = [math.comb(n, j) * a ** (j // 2) * (j % 2 == 0) for j in range(n + 1)]
+            bottom = [math.comb(n, j) * a ** (j // 2) * (j % 2) for j in range(n + 1)]
+            closed = RationalMap(Poly(ctx, top[::-1]), Poly(ctx, bottom[::-1]))
+            assert redei(ctx, n, a) == closed, n
+
+
+FAMILIES = {
+    "cyclic": lambda n: cyclic(F7, n),
+    "dickson": lambda n: dickson(F7, n, 1),
+    "chebyshev": lambda n: chebyshev(F7, n),
+    "chebyshev_twist": lambda n: chebyshev_twist(F7, n, 3),
+    "redei": lambda n: redei(F7, n, 3),  # 3 is a non-square mod 7
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_family_map_degree_is_capped(family):
+    # the degree is checked before any coefficient is built
+    build = FAMILIES[family]
+    with field_cap_scope(101):
+        assert build(101).degree == 101
+        for n in (103, 10**12 + 1):
+            with pytest.raises(CapExceededError, match="map degree"):
+                build(n)
 
 
 def test_families_reject_even_characteristic():
