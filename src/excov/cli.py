@@ -73,8 +73,8 @@ def cmd_map(ns) -> dict:
         "spec": ns.map,
         "degree": m.degree,
         "polynomial": m.is_polynomial,
-        "num_indices": [c.index for c in m.num.coeffs],
-        "den_indices": [c.index for c in m.den.coeffs],
+        "num_indices": m.num.indices(),
+        "den_indices": m.den.indices(),
     }
 
 

@@ -9,22 +9,23 @@ pairs live here too.
 Every table here is in log coordinates (``_batch``): with g the field's
 generator and m = q^t - 1, the unit g^j is label j, 0 is label m and
 infinity label q^t, and slot j holds the label of f(g^j), slot m that of
-f(0) and slot q^t that of f(infinity).  ``BatchField.eval_sparse`` fills
-every slot, the two ends from the labels of the constant and lead
-coefficients, so a table is used here as it comes, with no value taken
-through the scalar engine.  This is the same map conjugated
-by a relabelling of P1, so its fibers, its bijectivity and, when it
-permutes, its cycle lengths are those in index order; and two maps
-relabelled alike keep equal or unequal value sets and multisets.  For
-x^n or x^a/x^b the table is j -> n*j mod m, evaluated at every point
-without a generator or a table.  A coefficient other than 1 has its log
-read off the powers of a generator of the scan field's base, which is the
-map's own field once t >= 2, so only a scan over the map's own field
-(t = 1) builds exp and log for it.  A sum of two or more terms builds
-zech: on the Frobenius-orbit quotient (below) from its values at the
-orbit representatives, with no exp or log kept; on a full table (r = 1)
-from exp and log.  ``value_table`` is the one reader that wants element
-indices: it converts the table with ``BatchField.index_order``.
+f(0) and slot q^t that of f(infinity).  ``BatchField.eval_sparse`` reads
+the map's ``Poly.terms`` as they are held (the denominator's only when f
+is not a polynomial) and fills every slot, the two ends from the labels
+of the constant and lead coefficients, so a table is used here as it
+comes, with no value taken through the scalar engine.  This is the same
+map conjugated by a relabelling of P1, so its fibers, its bijectivity
+and, when it permutes, its cycle lengths are those in index order; and
+two maps relabelled alike keep equal or unequal value sets and
+multisets.  For x^n or x^a/x^b the table is j -> n*j mod m, evaluated at
+every point without a generator or a table.  A coefficient other than 1
+has its log read off the powers of a generator of the scan field's base,
+which is the map's own field once t >= 2, so only a scan over the map's
+own field (t = 1) builds exp and log for it.  A sum of two or more terms
+builds zech: on the Frobenius-orbit quotient (below) from its values at
+the orbit representatives, with no exp or log kept; on a full table
+(r = 1) from exp and log.  ``value_table`` is the one reader that wants
+element indices: it converts the table with ``BatchField.index_order``.
 
 A scan of a map whose coefficients lie in F_{p^d} for a d below the
 field's degree D is read off the Frobenius-orbit quotient instead: f
@@ -64,10 +65,6 @@ def _scan_field(f: RationalMap, t: int) -> FieldCtx:
     return make_extension(f.ctx, t)
 
 
-def _poly_terms(p: Poly) -> list[tuple[int, object]]:
-    return [(i, c) for i, c in enumerate(p.coeffs) if not c.is_zero()]
-
-
 def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     """Value of f at every point of P1(F_{q^t}), as element indices.
 
@@ -77,13 +74,8 @@ def value_table(f: Union[RationalMap, Poly], t: int) -> np.ndarray:
     if isinstance(f, Poly):
         f = RationalMap(f)
     bf = get_batch(_scan_field(f, t))
-    return bf.index_order(bf.eval_sparse(*_terms(f)))
-
-
-def _terms(f: RationalMap) -> tuple[list, Optional[list]]:
-    """The nonzero (exponent, coefficient) terms of f's numerator, and of
-    its denominator unless f is a polynomial."""
-    return _poly_terms(f.num), None if f.is_polynomial else _poly_terms(f.den)
+    den = None if f.is_polynomial else f.den.terms
+    return bf.index_order(bf.eval_sparse(f.num.terms, den))
 
 
 @dataclass(frozen=True)
@@ -188,8 +180,9 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
     the table on return, before the next t builds tables up to q times
     their size."""
     bf = get_batch(_scan_field(f, t))
-    d = bf.orbit_step(_terms(f))
-    tab = bf.eval_sparse(*_terms(f), step=d)
+    terms = f.num.terms, None if f.is_polynomial else f.den.terms
+    d = bf.orbit_step(terms)
+    tab = bf.eval_sparse(*terms, step=d)
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
     tgt, counts = _fibers(size, r, tab)
@@ -263,8 +256,9 @@ def _dp_flags(
         raise ValidationError("maps over different fields")
     maps = [RationalMap(h) if isinstance(h, Poly) else h for h in (f, g)]
     bf = get_batch(_scan_field(maps[0], t))
-    d = bf.orbit_step(*(_terms(h) for h in maps))
+    terms = [(h.num.terms, None if h.is_polynomial else h.den.terms) for h in maps]
+    d = bf.orbit_step(*terms)
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
-    cf, cg = (_fibers(size, r, bf.eval_sparse(*_terms(h), step=d))[1] for h in maps)
+    cf, cg = (_fibers(size, r, bf.eval_sparse(*ts, step=d))[1] for ts in terms)
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

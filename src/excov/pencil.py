@@ -78,7 +78,7 @@ def pencil_scan(f: Poly) -> PencilReport:
     k = (2 * n_f + p) // (2 * p)  # nearest integer to N_f / p
     return PencilReport(
         p=p,
-        coeffs=tuple(c.index for c in f.coeffs),
+        coeffs=tuple(f.indices()),
         e_values=tuple(e_values),
         w=w,
         n_f=n_f,

@@ -1,18 +1,25 @@
 """Polynomial and rational self-maps of the projective line.
 
-Polynomials carry their coefficient field; rational maps are kept reduced
-(coprime numerator/denominator, monic denominator) so degrees and point
-evaluation are always well defined.  ``Poly`` wraps field elements around
-the polynomial arithmetic of ``gf``: products, division with remainder,
-gcds and powers run there on raw coefficients.  The classical permutation
-families (power maps, Dickson, Chebyshev and its twists, quotient twists of
-power maps) are built from closed coefficient formulas.
+A polynomial carries its coefficient field and holds only its nonzero
+terms, (exponent, coefficient) pairs ascending by exponent, which the
+scans read as they are: x^n is one term and Dickson's D_n about n/2.
+``Poly(ctx, coeffs)`` takes dense low-to-high coefficients, and products,
+division with remainder, gcds and composition run in ``gf`` on a dense
+list of raw coefficients.  Rational maps are kept reduced (coprime
+numerator/denominator, monic denominator) so degrees and point evaluation
+are always well defined.  The classical permutation families (power maps,
+Dickson, Chebyshev and its twists, quotient twists of power maps) are
+written as terms from closed formulas.  The Rédei map A/B is exempt from
+the reducing gcd, as A and B are coprime by construction (see ``redei``).
 """
 
 from __future__ import annotations
 
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Union
 
 from .errors import InternalInvariantError, ValidationError, check_field_cap
 from .gf import FieldCtx, FieldElem, _poly_divmod, _poly_gcd, _poly_mul, _power
@@ -21,51 +28,78 @@ CoeffLike = Union[FieldElem, int]
 
 
 def _lift(ctx: FieldCtx, c: CoeffLike) -> FieldElem:
-    if isinstance(c, int):
-        return ctx.from_int(c)
-    if c.ctx == ctx:
-        return c
-    if ctx.in_chain(c.ctx):
-        return ctx.embed(c)
-    raise ValidationError(f"coefficient from {c.ctx} does not lie under {ctx}")
+    if isinstance(c, FieldElem):
+        if c.ctx == ctx:
+            return c
+        if ctx.in_chain(c.ctx):
+            return ctx.embed(c)
+        raise ValidationError(f"coefficient from {c.ctx} does not lie under {ctx}")
+    if isinstance(c, numbers.Integral):
+        return ctx.from_int(int(c))
+    raise ValidationError(f"coefficient {c!r} is neither an integer nor a field element")
 
 
 class Poly:
-    """Univariate polynomial over one field, low-to-high coefficients."""
+    """Univariate polynomial over one field, held as its nonzero terms."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: FieldCtx, coeffs: Iterable[CoeffLike]):
-        lifted = [_lift(ctx, c) for c in coeffs]
-        while lifted and lifted[-1].is_zero():
-            lifted.pop()
+        """From dense coefficients, low to high."""
         self.ctx = ctx
-        self.coeffs = tuple(lifted)
+        lifted = (_lift(ctx, c) for c in coeffs)
+        self.terms = tuple((e, c) for e, c in enumerate(lifted) if not c.is_zero())
+
+    @classmethod
+    def _of_terms(cls, ctx: FieldCtx, terms: Iterable[tuple[int, FieldElem]]) -> "Poly":
+        """From (e, c) pairs of ctx ascending by e, dropping those with c = 0."""
+        p = cls.__new__(cls)
+        p.ctx = ctx
+        p.terms = tuple((e, c) for e, c in terms if not c.is_zero())
+        return p
+
+    def _dense(self, zero, of_coeff: Callable[[FieldElem], object]) -> list:
+        """of_coeff of each coefficient, low to high, with zero at the gaps."""
+        out = [zero] * (self.degree + 1)
+        for e, c in self.terms:
+            out[e] = of_coeff(c)
+        return out
+
+    @property
+    def coeffs(self) -> tuple[FieldElem, ...]:
+        """Dense coefficients, low to high, up to the leading one."""
+        return tuple(self._dense(self.ctx.zero(), lambda c: c))
+
+    def indices(self) -> list[int]:
+        """The element indices of ``coeffs``, as plain ints (0 for 0)."""
+        return self._dense(0, attrgetter("index"))
 
     @property
     def degree(self) -> int:
         """-1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self.terms[-1][0] if self.terms else -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def lead(self) -> FieldElem:
         if self.is_zero():
             raise ValidationError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.terms[-1][1]
 
     def coeff(self, i: int) -> FieldElem:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        k = bisect_left(self.terms, (i,))  # (i,) sorts before (i, c)
+        if k < len(self.terms) and self.terms[k][0] == i:
+            return self.terms[k][1]
         return self.ctx.zero()
 
     def _raws(self) -> list:
-        return [c.raw for c in self.coeffs]
+        return self._dense(self.ctx._zero, attrgetter("raw"))
 
     def _of_raws(self, raws: list) -> "Poly":
-        return Poly(self.ctx, [FieldElem(self.ctx, r) for r in raws])
+        ctx = self.ctx
+        return Poly._of_terms(ctx, ((e, FieldElem(ctx, r)) for e, r in enumerate(raws)))
 
     # -- ring structure ------------------------------------------------------
 
@@ -77,14 +111,15 @@ class Poly:
         return Poly(self.ctx, [other])
 
     def __add__(self, other):
-        o = self._match(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.ctx, [self.coeff(i) + o.coeff(i) for i in range(n)])
+        sums = dict(self.terms)
+        for e, c in self._match(other).terms:
+            sums[e] = sums[e] + c if e in sums else c
+        return Poly._of_terms(self.ctx, sorted(sums.items()))  # exponents are distinct
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.ctx, [-c for c in self.coeffs])
+        return Poly._of_terms(self.ctx, ((e, -c) for e, c in self.terms))
 
     def __sub__(self, other):
         return self + (-self._match(other))
@@ -95,7 +130,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (FieldElem, int)):
             s = _lift(self.ctx, other)
-            return Poly(self.ctx, [c * s for c in self.coeffs])
+            return Poly._of_terms(self.ctx, ((e, c * s) for e, c in self.terms))
         o = self._match(other)
         return self._of_raws(_poly_mul(self.ctx, self._raws(), o._raws()))
 
@@ -123,12 +158,14 @@ class Poly:
     # -- evaluation and composition -------------------------------------------
 
     def __call__(self, x: Union[FieldElem, int]) -> FieldElem:
+        """The sum of c * x**e, by Horner's rule over the gaps between terms."""
         if isinstance(x, int):
             x = self.ctx.from_int(x)
-        acc = x.ctx.zero()  # tower coercion lifts coefficients as needed
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        acc, prev = x.ctx.zero(), self.degree  # tower coercion lifts coefficients as needed
+        for e, c in reversed(self.terms):
+            acc = acc * x ** (prev - e) + c
+            prev = e
+        return acc * x ** max(prev, 0)
 
     def compose(self, inner: "Poly") -> "Poly":
         o = self._match(inner)
@@ -141,20 +178,17 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.ctx == other.ctx
-            and self.coeffs == other.coeffs
+            and self.terms == other.terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self.coeffs))
+        return hash((self.ctx, self.terms))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
         parts = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c.is_zero():
-                continue
+        for i, c in reversed(self.terms):
             cs = str(c.index)
             if i == 0:
                 parts.append(cs)
@@ -213,10 +247,14 @@ class RationalMap:
         if num.is_zero():
             num = Poly(num.ctx, [])
             den = Poly(num.ctx, [1])
-        else:
+        elif num.degree > 0 and den.degree > 0:
             g = num.gcd(den)
             if g.degree > 0:
                 num, den = num // g, den // g
+        self._normalise(num, den)
+
+    def _normalise(self, num: Poly, den: Poly) -> None:
+        """Hold num/den with den monic; ``redei`` takes this step alone."""
         s = den.lead.inverse()
         self.num = num * s
         self.den = den * s
@@ -295,31 +333,21 @@ def eval_p1(f: RationalMap, x: Union[P1Point, FieldElem, int]) -> P1Point:
 
 def compose(outer: RationalMap, inner: RationalMap) -> RationalMap:
     """outer . inner on the projective line; degrees multiply."""
-    if isinstance(outer, Poly):
-        outer = RationalMap(outer)
-    if isinstance(inner, Poly):
-        inner = RationalMap(inner)
+    outer, inner = (RationalMap(h) if isinstance(h, Poly) else h for h in (outer, inner))
     if outer.ctx != inner.ctx:
         raise ValidationError("composition across different fields")
     want = outer.degree * inner.degree
     if inner.is_polynomial:
-        g = inner.num
-        num = outer.num.compose(g)
-        den = outer.den.compose(g)
-        out = RationalMap(num, den)
-    else:
-        u, v = inner.num, inner.den
-        d = outer.degree
+        out = RationalMap(outer.num.compose(inner.num), outer.den.compose(inner.num))
+    else:  # the sums of c_i u^i v^(d-i), by Horner's rule in u
+        u, v, d = inner.num, inner.den, outer.degree
         vp = [Poly(outer.ctx, [1])]
-        up = [Poly(outer.ctx, [1])]
         for _ in range(d):
             vp.append(vp[-1] * v)
-            up.append(up[-1] * u)
-        num = Poly(outer.ctx, [])
-        den = Poly(outer.ctx, [])
-        for i in range(d + 1):
-            num = num + up[i] * vp[d - i] * outer.num.coeff(i)
-            den = den + up[i] * vp[d - i] * outer.den.coeff(i)
+        num = den = Poly(outer.ctx, [])
+        for i in range(d, -1, -1):
+            num = num * u + vp[d - i] * outer.num.coeff(i)
+            den = den * u + vp[d - i] * outer.den.coeff(i)
         out = RationalMap(num, den)
     if out.degree != want:  # pragma: no cover - composition is multiplicative
         raise InternalInvariantError(
@@ -336,45 +364,40 @@ def cyclic(ctx: FieldCtx, n: int) -> RationalMap:
     if n < 1:
         raise ValidationError("power map needs n >= 1")
     check_field_cap(n, "map degree")
-    return RationalMap(Poly(ctx, [0] * n + [1]))
+    return RationalMap(Poly._of_terms(ctx, [(n, ctx.one())]))
 
 
 def _dickson_poly(ctx: FieldCtx, n: int, a: CoeffLike) -> Poly:
     """sum over i <= n/2 of n/(n-i) * C(n-i, i) * (-a)**i * x**(n-2i), each
     integer factor stepped from the one before by an exact ratio."""
+    if ctx.p == 2:
+        raise ValidationError("family needs odd characteristic")
+    if n < 1:
+        raise ValidationError("family needs n >= 1")
     check_field_cap(n, "map degree")
     a = _lift(ctx, a)
-    coeffs = [ctx.zero()] * (n + 1)
+    terms = []  # from the top down
     c, power = 1, ctx.one()
     for i in range(n // 2 + 1):
         if i:
             c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // (i * (n - i))
             power = power * -a
-        coeffs[n - 2 * i] = ctx.from_int(c) * power
-    return Poly(ctx, coeffs)
+        terms.append((n - 2 * i, ctx.from_int(c) * power))
+    return Poly._of_terms(ctx, reversed(terms))
 
 
 def dickson(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
     """Middle-binomial family: the unique f with f(y + a/y) = y^n + (a/y)^n."""
-    if ctx.p == 2:
-        raise ValidationError("family needs odd characteristic")
-    if n < 1:
-        raise ValidationError("family needs n >= 1")
     return RationalMap(_dickson_poly(ctx, n, a))
 
 
 def chebyshev(ctx: FieldCtx, n: int) -> RationalMap:
     """Normalized so that doubling the argument halves into the a=1 family."""
-    if ctx.p == 2:
-        raise ValidationError("family needs odd characteristic")
-    if n < 1:
-        raise ValidationError("family needs n >= 1")
     d = _dickson_poly(ctx, n, 1)
     two = ctx.from_int(2)
     half = two.inverse()
     # T_n(x) = D_{n,1}(2x) / 2
-    coeffs = [c * (two**i) * half for i, c in enumerate(d.coeffs)]
-    return RationalMap(Poly(ctx, coeffs))
+    return RationalMap(Poly._of_terms(ctx, ((i, c * two**i * half) for i, c in d.terms)))
 
 
 def chebyshev_twist(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
@@ -390,12 +413,9 @@ def chebyshev_twist(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
     a = _lift(ctx, a)
     if a.is_zero():
         raise ValidationError("twist parameter must be nonzero")
-    t = chebyshev(ctx, n).as_poly()
+    t = chebyshev(ctx, n).as_poly()  # n is odd, so every exponent j is odd
     ainv = a.inverse()
-    out = [ctx.zero()] * (n + 1)
-    for j in range(1, n + 1, 2):
-        out[j] = t.coeff(j) * ainv ** ((j - 1) // 2)
-    return RationalMap(Poly(ctx, out))
+    return RationalMap(Poly._of_terms(ctx, ((j, c * ainv ** ((j - 1) // 2)) for j, c in t.terms)))
 
 
 def redei(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
@@ -403,7 +423,9 @@ def redei(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
 
     Splitting (x+u)^n = A(x) + u*B(x) with u^2 = a gives the map A/B, the
     conjugate of x^n by (x-u)/(x+u); it fixes infinity under the
-    homogeneous-limit convention.
+    homogeneous-limit convention.  A and B are coprime, so no gcd is
+    taken: a common root x0 would give (x0+u)^n = (x0-u)^n = 0, so
+    x0 = -u = u and u = 0, but a != 0.
     """
     if ctx.p == 2:
         raise ValidationError("family needs odd characteristic")
@@ -415,17 +437,16 @@ def redei(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
     if a ** ((ctx.order - 1) // 2) == ctx.one():
         raise ValidationError("twist parameter must be a non-square")
     check_field_cap(n, "map degree")
-    A = [ctx.zero()] * (n + 1)
-    B = [ctx.zero()] * (n + 1)
+    A, B = [], []  # terms, from the top down
     c, power = 1, ctx.one()  # C(n, j) and a**(j // 2)
     for j in range(n + 1):
-        if j % 2 == 0:
-            A[n - j] = ctx.from_int(c) * power
-        else:
-            B[n - j] = ctx.from_int(c) * power
+        (B if j % 2 else A).append((n - j, ctx.from_int(c) * power))
+        if j % 2:
             power = power * a
         c = c * (n - j) // (j + 1)
-    return RationalMap(Poly(ctx, A), Poly(ctx, B))
+    f = object.__new__(RationalMap)
+    f._normalise(Poly._of_terms(ctx, A[::-1]), Poly._of_terms(ctx, B[::-1]))
+    return f
 
 
 # -- equivalences --------------------------------------------------------------
@@ -438,14 +459,6 @@ def _affine_poly(ctx: FieldCtx, pair: tuple[CoeffLike, CoeffLike]) -> Poly:
     return Poly(ctx, [t, s])
 
 
-def _affine_inverse(ctx: FieldCtx, pair: tuple[CoeffLike, CoeffLike]):
-    s, t = (_lift(ctx, pair[0]), _lift(ctx, pair[1]))
-    if s.is_zero():
-        raise ValidationError("affine map needs nonzero scale")
-    sinv = s.inverse()
-    return (sinv, -t * sinv)
-
-
 def affine_conjugate(
     f: RationalMap,
     outer: tuple[CoeffLike, CoeffLike],
@@ -456,13 +469,12 @@ def affine_conjugate(
     When inner is omitted it defaults to outer's inverse, giving an honest
     change of coordinate.
     """
-    if isinstance(f, Poly):
-        f = RationalMap(f)
     ctx = f.ctx
-    if inner is None:
-        inner = _affine_inverse(ctx, outer)
-    op = RationalMap(_affine_poly(ctx, outer))
-    ip = RationalMap(_affine_poly(ctx, inner))
+    op = _affine_poly(ctx, outer)
+    if inner is None:  # x -> (x - t) / s
+        sinv = op.lead.inverse()
+        inner = (sinv, -op.coeff(0) * sinv)
+    ip = _affine_poly(ctx, inner)
     return compose(op, compose(f, ip))
 
 
@@ -496,26 +508,20 @@ def decompose_tame_poly(f: Union[Poly, RationalMap]) -> list[tuple[Poly, Poly]]:
         # build h = x^m + c_{m-1} x^{m-1} + ... + c_1 x from the top of f:
         # below the lead, coefficient n-k of lead*h^r is r*c_{m-k} plus a
         # polynomial in already-known c's, and r is invertible by tameness
-        h_coeffs = [ctx.zero()] * (m + 1)
-        h_coeffs[m] = ctx.one()
         r_inv = ctx.from_int(r).inverse()
-        h = Poly(ctx, h_coeffs)
+        h = Poly(ctx, [0] * m + [1])
         for k in range(1, m):
             hr = _power(h, r, Poly.__mul__, Poly(ctx, [1]))
             delta = (f.coeff(n - k) * lead_inv) - hr.coeff(n - k)
-            h_coeffs[m - k] = delta * r_inv
-            h = Poly(ctx, h_coeffs)
+            h = h + Poly(ctx, [0] * (m - k) + [delta * r_inv])
         # digit test: expand f in powers of h; constants iff f factors through h
-        rem = f
-        digits = []
-        ok = True
+        rem, digits = f, []
         for _ in range(r + 1):
             rem, d = divmod(rem, h)
             if d.degree > 0:
-                ok = False
                 break
             digits.append(d.coeff(0))
-        if ok and rem.is_zero():
+        if len(digits) == r + 1 and rem.is_zero():
             g = Poly(ctx, digits)
             if g.compose(h) == f:
                 out.append((g, h))

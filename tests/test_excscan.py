@@ -16,7 +16,6 @@ from excov.excscan import (
     TRecord,
     _dp_flags,
     _record,
-    _terms,
     dp_range_test,
     exceptionality_scan,
     idp_multiset_test,
@@ -312,15 +311,21 @@ def test_records_match_index_order_oracle_past_two_blocks(f, t):
     assert _record(f, t, True) == record_oracle(f, t)
 
 
+def terms_of(f):
+    """f as ``eval_sparse`` reads it: its numerator's terms, and its
+    denominator's unless f is a polynomial."""
+    return f.num.terms, None if f.is_polynomial else f.den.terms
+
+
 def quotient_features(f, t):
     """The features of the quotient rule that f shows at t, read off its
     full table and its orbit quotient; the quotient's codes must be the
     ``orbit_lookup`` codes of the full table's values."""
     bf = get_batch(make_extension(f.ctx, t))
-    d = bf.orbit_step(_terms(f))
+    d = bf.orbit_step(terms_of(f))
     assert d < bf.D  # evaluated on representatives, so read off the quotient
-    code = bf.eval_sparse(*_terms(f), step=d)
-    full = bf.eval_sparse(*_terms(f), step=bf.D)
+    code = bf.eval_sparse(*terms_of(f), step=d)
+    full = bf.eval_sparse(*terms_of(f), step=bf.D)
     tab = np.append(full[bf.orbit_reps(d)], full[-2:])  # then f(0), f(infinity)
     lookup, size = bf.orbit_lookup(d)
     assert np.array_equal(code, lookup[tab])
@@ -393,7 +398,7 @@ def brute_flags(f, t):
 )
 def test_record_flags_read_off_the_histogram_match_brute_counts(f, t, full, bij, surj):
     bf = get_batch(make_extension(f.ctx, t))
-    assert (bf.orbit_step(_terms(f)) == bf.D) is full
+    assert (bf.orbit_step(terms_of(f)) == bf.D) is full
     rec = _record(f, t, True)
     assert (rec.bijective, rec.surjective, rec.value_counts) == brute_flags(f, t)
     assert (rec.bijective, rec.surjective) == (bij, surj)
@@ -557,7 +562,7 @@ def test_single_term_records_match_index_order_oracle():
     for f, d, ts in SINGLE_TERM_CASES:
         for t in ts:
             bf = get_batch(make_extension(f.ctx, t))
-            step = bf.orbit_step(_terms(f))
+            step = bf.orbit_step(terms_of(f))
             r = bf.D // d
             assert step == (d if r >= _QUOTIENT_MIN_R else bf.D), (f, t)
             paths.add((min(r, _QUOTIENT_MIN_R), step < bf.D))

@@ -1,8 +1,11 @@
 """Maps on the projective line: families, composition, decomposition."""
 
+import functools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
 from excov.errors import CapExceededError, ValidationError, field_cap_scope
@@ -122,6 +125,13 @@ def test_poly_arithmetic_matches_schoolbook(ctx):
             for _ in range(3):
                 a, b = coeffs(la), coeffs(lb)
                 A, B = Poly(ctx, a), Poly(ctx, b)
+                # sparse round trip: only the nonzero terms are held
+                assert list(A.coeffs) == a and A.degree == la - 1
+                assert A.terms == tuple((e, c) for e, c in enumerate(a) if not c.is_zero())
+                padded = Poly(ctx, a + [ctx.zero()] * 2)  # trailing zeros
+                assert padded == A and hash(padded) == hash(A) and repr(padded) == repr(A)
+                x = ctx.from_index(rng.randrange(ctx.order))  # against Horner on a
+                assert A(x) == functools.reduce(lambda acc, c: acc * x + c, reversed(a), ctx.zero())
                 assert list((A * B).coeffs) == school_mul(ctx, a, b)
                 assert list(A.gcd(B).coeffs) == school_gcd(ctx, a, b)
                 if not b:
@@ -130,6 +140,51 @@ def test_poly_arithmetic_matches_schoolbook(ctx):
                     continue
                 q, r = divmod(A, B)
                 assert (list(q.coeffs), list(r.coeffs)) == school_divmod(ctx, a, b)
+
+
+K9 = make_field(3, 2)
+E9 = make_extension(K9, 2)
+
+
+@pytest.mark.parametrize(
+    "ctx, dense, degree, text",
+    [
+        (F7, [0, 3, 0, 0, 1, 0, 0], 4, "Poly(x^4 + 3*x)"),  # interior and trailing zeros
+        (F7, [6, 0, 0, 2], 3, "Poly(2*x^3 + 6)"),
+        (F7, [], -1, "Poly(0)"),
+        (F7, [0, 0, 0], -1, "Poly(0)"),
+        (F7, [5], 0, "Poly(5)"),
+        # coefficients from the subfield F_9 of F_81, and from F_3 under both
+        (E9, [K9.from_index(5), 0, K9.one()], 2, f"Poly(x^2 + {E9.embed(K9.from_index(5)).index})"),
+        (E9, [F3.from_int(2), F3.one()], 1, f"Poly(x + {E9.embed(F3.from_int(2)).index})"),
+    ],
+)
+def test_sparse_poly_keeps_the_dense_view(ctx, dense, degree, text):
+    p = Poly(ctx, dense)
+    lifted = [ctx.from_int(c) if isinstance(c, int) else ctx.embed(c) for c in dense]
+    while lifted and lifted[-1].is_zero():
+        lifted.pop()
+    assert p.coeffs == tuple(lifted) and p.degree == degree and repr(p) == text
+    assert p.indices() == [c.index for c in lifted]
+    assert [p.coeff(i) for i in range(-1, degree + 3)] == (
+        [ctx.zero()] + lifted + [ctx.zero()] * 2
+    )
+    same = Poly(ctx, lifted)
+    assert same == p and hash(same) == hash(p)
+    assert all(not c.is_zero() and c.ctx == ctx for _, c in p.terms)
+
+
+def test_numpy_integer_coefficients_lift_like_ints():
+    assert dickson(F5, 5, np.int64(2)) == dickson(F5, 5, 2)
+    assert Poly(F5, [np.int64(1), np.int32(0), np.int64(7)]) == Poly(F5, [1, 0, 7])
+    assert Poly(F5, [1, 2]) * np.int64(3) == Poly(F5, [3, 6])
+
+
+@pytest.mark.parametrize("bad", ["2", 2.0, None, [2]])
+def test_coefficients_neither_int_nor_field_element_are_rejected(bad):
+    for build in (lambda: Poly(F5, [1, bad]), lambda: dickson(F5, 5, bad)):
+        with pytest.raises(ValidationError, match="neither an integer nor a field element"):
+            build()
 
 
 def test_prime_field_products_stay_exact_past_int64():
@@ -368,6 +423,69 @@ def test_family_coefficients_match_closed_forms(p):
             bottom = [math.comb(n, j) * a ** (j // 2) * (j % 2) for j in range(n + 1)]
             closed = RationalMap(Poly(ctx, top[::-1]), Poly(ctx, bottom[::-1]))
             assert redei(ctx, n, a) == closed, n
+
+
+def dense_dickson(ctx, n, a):
+    """D_n(x, a) as a dense coefficient list, as the families were once built."""
+    a = ctx.from_int(a) if isinstance(a, int) else a
+    out = [ctx.zero()] * (n + 1)
+    for i in range(n // 2 + 1):
+        out[n - 2 * i] = ctx.from_int(n * math.comb(n - i, i) // (n - i)) * (-a) ** i
+    return out
+
+
+def dense_chebyshev(ctx, n):
+    two = ctx.from_int(2)
+    return [c * two**i * two.inverse() for i, c in enumerate(dense_dickson(ctx, n, 1))]
+
+
+def dense_twist(ctx, n, a):
+    ainv = ctx.from_int(a).inverse()
+    return [c * ainv ** ((j - 1) // 2) if j % 2 else ctx.zero()
+            for j, c in enumerate(dense_chebyshev(ctx, n))]
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F7, K9], ids=repr)
+def test_family_terms_match_their_dense_builds(ctx):
+    a = next(i for i in range(1, ctx.p) if pow(i, (ctx.p - 1) // 2, ctx.p) != 1)
+    for n in range(1, 31):
+        assert cyclic(ctx, n) == RationalMap(Poly(ctx, [0] * n + [1])), n
+        assert cyclic(ctx, n).num.terms == ((n, ctx.one()),)
+        assert dickson(ctx, n, a) == RationalMap(Poly(ctx, dense_dickson(ctx, n, a))), n
+        assert chebyshev(ctx, n) == RationalMap(Poly(ctx, dense_chebyshev(ctx, n))), n
+        if n % 2:
+            want = RationalMap(Poly(ctx, dense_twist(ctx, n, a)))
+            assert chebyshev_twist(ctx, n, a) == want, n
+
+
+def redei_parts(ctx, n, a):
+    """A and B of (x+u)^n = A(x) + u*B(x) with u^2 = a, dense."""
+    A, B = [ctx.zero()] * (n + 1), [ctx.zero()] * (n + 1)
+    for j in range(n + 1):
+        (B if j % 2 else A)[n - j] = ctx.from_int(math.comb(n, j)) * a ** (j // 2)
+    return Poly(ctx, A), Poly(ctx, B)
+
+
+@pytest.mark.parametrize("ctx", [F3, F5, F7, K9], ids=repr)
+def test_redei_equals_its_gcd_reduced_quotient(ctx):
+    # redei takes no gcd; the reference does, and finds A and B coprime
+    nonsquares = [
+        ctx.from_index(i) for i in range(1, ctx.order)
+        if ctx.from_index(i) ** ((ctx.order - 1) // 2) != ctx.one()
+    ]
+    assert len(nonsquares) == (ctx.order - 1) // 2
+    for n in range(1, 16, 2):
+        for a in nonsquares:
+            A, B = redei_parts(ctx, n, a)
+            assert A.gcd(B).degree == 0
+            assert redei(ctx, n, a) == RationalMap(A, B), (n, a)
+
+
+def test_redei_of_degree_20001_builds_in_budget():
+    start = time.perf_counter()
+    f = redei(F5, 20001, 2)
+    assert time.perf_counter() - start < 2.0
+    assert f.degree == 20001 and f.den.lead == F5.one()
 
 
 FAMILIES = {
