@@ -94,11 +94,17 @@ int64.  A sum or product of two logs can pass int32, so log arithmetic
 is int64, after a cast, and divides as little as it can.  On a full
 table the logs j of a block are consecutive, so the logs
 (e*j + log c) mod m of a term are an arithmetic progression: its base
-over one block is formed once per call, with one ``%``, and each block
-adds a Python-int offset to it.  Every later sum, a Zech step, the
+over one block is formed once per call, with one reduction, and each
+block adds a Python-int offset to it.  Every later sum, a Zech step, the
 running sum or numerator minus denominator, lies in [0, 2m) and is
 reduced by ``_wrap`` with no division at all.  On the quotient the
-representatives are not consecutive, so a term costs one ``%`` there.
+representatives are not consecutive, so a term costs one reduction
+there, formed in the call's scratch buffer and written into place.  Every
+reduction of an integer array by one modulus, here and in ``gf``, is
+``gf._rem``, x - m * (x // m): ``floor_divide`` by a scalar multiplies
+and shifts where ``%`` divides every element, about 2.5 to 6 times
+slower.  The float digit blocks of the generator search and the exp
+build are reduced by ``_mod_p``.
 Its products e*j, and those of ``pow_indices``, are below m**2, so
 fields with m**2 >= 2**63 are refused with ``CapExceededError`` before
 any table is built rather than allowed to wrap.  Whole-field tables are
@@ -115,7 +121,15 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .gf import FieldCtx, FieldElem, _element_matrices, _index_blocks, _power, _prime_factors
+from .gf import (
+    FieldCtx,
+    FieldElem,
+    _element_matrices,
+    _index_blocks,
+    _power,
+    _prime_factors,
+    _rem,
+)
 from .projmap import _lift
 
 # digit rows of g**j per block of the exp build, and prefixes per block of
@@ -136,9 +150,10 @@ def _wrap(x: np.ndarray, m: int, spare: np.ndarray) -> np.ndarray:
 
     Viewed as uint64, x - m wraps to a value past 2**63 exactly when x < m,
     so the lesser of x and x - m is x mod m.  spare is a uint64 buffer at
-    least as long as x.  On 65,536 random values in [0, 2m) (2 vCPUs, a
-    16 us copy in each) this took 50 us, ``%`` 250 us and a masked
-    ``np.subtract(..., where=x >= m)`` 587 us.
+    least as long as x.  On 65,536 random values in [0, 2m), m = 3**12 - 1
+    (2 vCPUs, a 16 us copy in each), this took 55-59 us, the shared
+    reduction ``_rem`` into a buffer 112-117 us, ``%`` 655-671 us and a
+    masked ``np.subtract(..., where=x >= m)`` 655-710 us.
     """
     u = x.view(np.uint64)
     low = spare[: u.size]
@@ -225,8 +240,8 @@ class BatchField:
                 for bit in range(max(exps, default=0).bit_length()):
                     sel = [i for i, e in enumerate(exps) if e >> bit & 1]
                     if sel:
-                        pw[:, sel] = pw[:, sel] @ sq % p
-                    sq = sq @ sq % p
+                        pw[:, sel] = self._mod_p(pw[:, sel] @ sq)
+                    sq = self._mod_p(sq @ sq)
                 hit = np.flatnonzero(~(pw == one).all(axis=2).any(axis=1))
                 if hit.size:
                     g = _GENERATORS[self.ctx.key] = self.ctx.from_index(int(idx[hit[0]]))
@@ -291,10 +306,11 @@ class BatchField:
             yield lo, block[: m - lo]
 
     def _mod_p(self, y: np.ndarray) -> np.ndarray:
-        """y mod p, in place, for a product of digit rows and a matrix over
-        F_p in the work dtype.
+        """y mod p, in place when D >= 2, for a product of digit rows and a
+        matrix over F_p in the work dtype.
 
-        A prime field's int64 products are reduced by %.  When D >= 2 the
+        A prime field's int64 products are reduced by ``_rem``, the shared
+        integer reduction, with no hardware division.  When D >= 2 the
         work dtype is a float with t mantissa bits and unit roundoff
         u = 2**-t, and each entry of y is a sum of D products of digits,
         an integer y <= D * (p-1)**2 < 2**(t-2), so the sum is exact.
@@ -309,11 +325,14 @@ class BatchField:
         y - p * floor is exactly y mod p.  On a 4096 x 13 block over F_3
         (2 vCPUs, a copy of the block included) this takes 0.04 ms in
         float32 and 0.07 ms in float64, against 0.92 ms for
-        ``np.remainder`` and 0.14 ms for a round trip through int32.
+        ``np.remainder`` and 0.14 ms for a round trip through int32, and
+        ``_rem`` on the block at int64 about 0.1 ms.  The generator search
+        reduces its matrix stacks here too: searching the 26 fields of the
+        F_3, F_5 and F_7 towers up to 600,000 points took 7.8 ms, against
+        11.9 ms with a float ``% p`` (best of 40).
         """
         if self.D == 1:
-            y %= self.p
-            return y
+            return _rem(y, self.p)
         q = y + self._work(0.5)
         q *= self._work(1) / self._work(self.p)
         np.floor(q, out=q)
@@ -331,7 +350,7 @@ class BatchField:
             zech = np.empty(m, dtype=self.dtype)
             for lo in range(0, m, _BLOCK):
                 plus_one = exp[lo : lo + _BLOCK] + 1
-                plus_one -= (plus_one % p == 0) * p  # a multiply: faster than a masked scatter
+                plus_one -= (_rem(plus_one, p) == 0) * p  # a multiply: faster than a masked scatter
                 zech[lo : lo + _BLOCK] = log[plus_one]
             self._zech = zech
             self.table_bytes += zech.nbytes
@@ -349,7 +368,7 @@ class BatchField:
         exp = self._exp()
         y = exp[reps].astype(np.int64)
         y += 1
-        y -= (y % p == 0) * p
+        y -= (_rem(y, p) == 0) * p
         mask = np.zeros(self.order, dtype=bool)
         mask[y] = True
         mask[0] = False
@@ -398,8 +417,7 @@ class BatchField:
         exp, log = self._exp_log()
         k = log[idx].astype(np.int64)
         k *= e % m
-        k %= m
-        return np.where(idx == 0, 0, exp[k])
+        return np.where(idx == 0, 0, exp[_rem(k, m)])
 
     def quadratic_character(self, idx: np.ndarray) -> np.ndarray:
         """chi(x) per index: 0 at zero (log[0] = m is even, so masked), else
@@ -411,7 +429,7 @@ class BatchField:
     def mul_indices(self, a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
         m = self.order - 1
         exp, log = self._exp_log()
-        out = exp[(log[a_idx].astype(np.int64) + log[b_idx]) % m]
+        out = exp[_rem(log[a_idx].astype(np.int64) + log[b_idx], m)]
         return np.where((a_idx == 0) | (b_idx == 0), 0, out)
 
     # -- whole-field evaluation ------------------------------------------------
@@ -421,13 +439,15 @@ class BatchField:
         terms: Sequence[tuple[int, FieldElem | int]],
         den: Sequence[tuple[int, FieldElem | int]] | None = None,
         step: int | None = None,
+        logs: list | None = None,
     ) -> np.ndarray:
         """Label table of sum(c * x**e) on P1: slot j < m holds the label of
         f(g**j), slot m that of f(0) and slot Q that of f(infinity), so a
         zero is m.  With ``den``, the quotient by that sum, whose poles are
         Q; where both sums vanish, the pole wins.  Coefficients may come
         from any field below this one.  A new int64 table of Q + 1 slots,
-        every one written.
+        every one written.  ``logs`` is ``term_logs(terms, den)``, when the
+        caller has it already.
 
         Each sum is evaluated in log space, at blocks of ``_BLOCK`` logs j,
         by ``_logs_at``.  The two ends take no evaluation: f(0) is read off
@@ -442,8 +462,8 @@ class BatchField:
         or None, is the full table.
         """
         Q, m = self.order, self.order - 1
-        sums = self._sums(terms, den)
-        has_sum = any(len(logs) > 1 for logs, *_ in sums)
+        sums = self.term_logs(terms, den) if logs is None else logs
+        has_sum = any(len(ts) > 1 for ts, *_ in sums)
         if step in (None, self.D):
             reps = code = None
             n = m
@@ -453,22 +473,24 @@ class BatchField:
             n = reps.size
             out = np.empty(n + 2, dtype=code.dtype)
         # block buffers, reused: the value logs on the quotient, where out
-        # holds codes; the denominator's logs; a term's logs within a sum
+        # holds codes; the denominator's logs; a term's logs within a sum;
+        # the term writers' scratch
         width = min(_BLOCK, n)
         v_buf = None if code is None else np.empty(width, dtype=np.int64)
         dv_buf = None if den is None else np.empty(width, dtype=np.int64)
         sum_buf = np.empty(width, dtype=np.int64) if has_sum else None
-        ramp = bases = spare = None
+        spare = np.empty(width, dtype=np.uint64)
+        ramp = bases = None
         if reps is None:
             ramp = np.arange(width, dtype=np.int64)
             if n > _BLOCK:  # each term's progression base is made once per call
-                bases, spare = {}, np.empty(width, dtype=np.uint64)
+                bases = {}
         for lo in range(0, n, _BLOCK):
             hi = min(lo + _BLOCK, n)
             if reps is not None:
-                term = self._at_logs(reps[lo:hi].astype(np.int64))
+                term = self._at_logs(reps[lo:hi], spare)
             elif bases is None:  # a full table of one block is its own base
-                term = self._at_logs(ramp)
+                term = self._at_logs(ramp, spare)
             else:
                 term = self._progression(lo, ramp, bases, spare)
             v = out[lo:hi] if code is None else v_buf[: hi - lo]
@@ -525,26 +547,28 @@ class BatchField:
         deg = max(logs, default=-1)
         return [(e % m, lc) for e, lc in logs.items()], logs.get(0, m), deg, logs.get(deg, m)
 
-    def orbit_step(self, *maps: tuple[Sequence, Sequence | None]) -> int:
-        """The Frobenius step d on which maps, each given as (terms, den),
-        are read together: D for the full tables.
+    def orbit_step(self, *maps: list) -> int:
+        """The Frobenius step d on which maps, each given as the
+        ``term_logs`` of its terms and den, are read together: D for the
+        full tables.
 
         Every map commutes with x -> x**(p**d) for the least d dividing D
         with all their coefficients in F_{p**d}, the lcm of their own
         steps.  That d is taken when some map has a sum of two or more
         terms; single-term maps (x**n, c * x**n, x**a / x**b) take it only
         once r = D/d reaches ``_QUOTIENT_MIN_R``, and D otherwise."""
-        sums = [s[0] for h in maps for s in self._sums(*h)]
+        sums = [s[0] for logs in maps for s in logs]
         d = self._frobenius_step([lc for logs in sums for _, lc in logs])
         single = all(len(logs) <= 1 for logs in sums)
         return d if not single or self.D // d >= _QUOTIENT_MIN_R else self.D
 
-    def _sums(
+    def term_logs(
         self,
         terms: Sequence[tuple[int, FieldElem | int]],
-        den: Sequence[tuple[int, FieldElem | int]] | None,
+        den: Sequence[tuple[int, FieldElem | int]] | None = None,
     ) -> list[tuple[list[tuple[int, int]], int, int, int]]:
-        """``_term_logs`` of the numerator, and of ``den`` if given."""
+        """``_term_logs`` of the numerator, and of ``den`` if given: what
+        ``orbit_step`` and ``eval_sparse`` read of a map, formed once."""
         return [self._term_logs(ts) for ts in (terms, den) if ts is not None]
 
     def _frobenius_step(self, lcs: list[int]) -> int:
@@ -593,7 +617,7 @@ class BatchField:
                 if n == r:
                     parts.append(v[r % k == 0].astype(self.dtype))
                     continue
-                low = v // weight[k - 1] % q
+                low = _rem(v // weight[k - 1], q)
                 ends = np.cumsum(q - low)
                 cuts = np.searchsorted(ends, np.arange(_CHUNK, ends[-1], _CHUNK), side="right")
                 bounds = [0, *cuts.tolist(), v.size]
@@ -652,19 +676,23 @@ class BatchField:
             size = np.full(n + 2, r, dtype=np.uint8)
             size[n:] = 1
         for lo in range(0, n, _BLOCK):
-            j = reps[lo : lo + _BLOCK].astype(np.int64)
-            x = j.copy()
-            z = z_reps[lo : lo + _BLOCK] if rotate_zech else None  # rotated in place
+            j = reps[lo : lo + _BLOCK]
+            # the rotations x of j, and of its Zech values z, each multiplied
+            # by s in place and reduced into the spare buffer, which then
+            # takes the buffer the product was in
+            x = j.astype(np.int64)
+            spare = np.empty_like(x)
+            z = z_reps[lo : lo + _BLOCK] if rotate_zech else None
             at = None
             if got is None:
                 at = np.arange(lo * r, (lo + j.size) * r, r, dtype=code.dtype)
             for k in range(r):
                 if k:
                     x *= s
-                    x %= m
+                    x, spare = _rem(x, m, out=spare), x
                     if z is not None:
                         z *= s
-                        z %= m
+                        z, spare = _rem(z, m, out=spare), z
                 if at is not None:
                     code[x] = at + k
                 if z is not None:
@@ -673,13 +701,15 @@ class BatchField:
                 continue
             short = np.zeros(j.size, dtype=bool)
             for ell in _prime_factors(r):
-                short |= j * pow(s, r // ell, m) % m == j
-            j, at = j[short], at[short]
+                np.multiply(j, pow(s, r // ell, m), out=x, dtype=np.int64)
+                short |= _rem(x, m, out=spare) == j
+            j, at = j[short].astype(np.int64), at[short]
             length = np.full(j.size, r, dtype=np.uint8)
             for e in range(r - 1, 0, -1):
+                y = _rem(j * pow(s, e, m), m)
                 if r % e == 0:  # the least e with j * s**e = j is written last
-                    length[j * pow(s, e, m) % m == j] = e
-                code[j * pow(s, e, m) % m] = at + e
+                    length[y == j] = e
+                code[y] = at + e
             code[j] = at
             size[lo : lo + short.size][short] = length
         if rotate_zech:
@@ -697,16 +727,17 @@ class BatchField:
         """The term-log writer of the full-table block of logs j = lo + i,
         i < ramp.size, ramp[i] = i: term (s, lc) has log (s*j + lc) mod m,
         its progression base[i] = (s*i + lc) mod m shifted by s*lo mod m.
-        Each base is made once per term and call, in ``bases``; every block
-        after the first adds its offset and wraps, with no division."""
+        Each base is made once per term and call, in ``bases``, by one
+        ``_rem`` of s*i + lc formed in ``spare``; every block after the
+        first adds its offset and wraps, with no division."""
         m = self.order - 1
 
         def term(s: int, lc: int, into: np.ndarray) -> None:
             base = bases.get((s, lc))
             if base is None:
-                base = bases[s, lc] = ramp * s
-                base += lc
-                base %= m
+                prod = np.multiply(ramp, s, out=spare[: ramp.size].view(np.int64))
+                prod += lc
+                base = bases[s, lc] = _rem(prod, m)
             base = base[: into.size]
             off = s * lo % m
             if off:
@@ -717,15 +748,17 @@ class BatchField:
 
         return term
 
-    def _at_logs(self, j: np.ndarray):
-        """The term-log writer at the logs j (int64): (s*j + lc) mod m, one
-        % per term."""
+    def _at_logs(self, j: np.ndarray, spare: np.ndarray):
+        """The term-log writer at the logs j, at any integer width:
+        (s*j + lc) mod m, formed at int64 in spare, a uint64 buffer at least
+        as long as j, and reduced into place by one ``_rem`` per term."""
         m = self.order - 1
+        prod = spare[: j.size].view(np.int64)
 
         def term(s: int, lc: int, into: np.ndarray) -> None:
-            np.multiply(j, s, out=into)
-            into += lc
-            into %= m
+            np.multiply(j, s, out=prod, dtype=np.int64)
+            np.add(prod, lc, out=prod)
+            _rem(prod, m, out=into)
 
         return term
 
@@ -896,7 +929,7 @@ def _cycle_weights(
             nxt[done] = -1 - rank
             gap[done] = step if acc is None else acc[ends]
             if rot is not None:
-                gap_rot[done] = acc_rot[ends] % r
+                gap_rot[done] = _rem(acc_rot[ends], r)
             keep = ~stop
             walker, pos, to = walker[keep], pos[keep], to[keep]
             if acc is not None:

@@ -174,15 +174,18 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
     read off the histogram, with no further pass over the counts.  When
     f is bijective the node map is a bijection that keeps lengths, whose
     period ``permutation_period`` reads with the rotations: each node's
-    rotation, tab mod r, scaled from Z/|O| to Z/r by r // |O|, in one
-    int8 array (1 byte per node, r <= 31), which the kernel reads as it
-    is.  The fiber counts are freed before the period kernel runs, and
-    the table on return, before the next t builds tables up to q times
-    their size."""
+    rotation, tab mod r = tab - r * tgt with ``tgt = tab // r`` from
+    ``_fibers``, formed in tab's own buffer and scaled from Z/|O| to Z/r by
+    r // |O|, in one int8 array (1 byte per node, r <= 31), which the
+    kernel reads as it is.  The fiber counts are freed before the period
+    kernel runs, and on the quotient the table too, before the next t
+    builds tables up to q times their size.  The map's term logs are
+    formed once, for the step and the table."""
     bf = get_batch(_scan_field(f, t))
     terms = f.num.terms, None if f.is_polynomial else f.den.terms
-    d = bf.orbit_step(terms)
-    tab = bf.eval_sparse(*terms, step=d)
+    logs = bf.term_logs(*terms)
+    d = bf.orbit_step(logs)
+    tab = bf.eval_sparse(*terms, step=d, logs=logs)
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
     tgt, counts = _fibers(size, r, tab)
@@ -196,7 +199,9 @@ def _record(f: RationalMap, t: int, with_periods: bool) -> TRecord:
         return TRecord(t, bij, surj, hist, None)
     if size is None:
         return TRecord(t, bij, surj, hist, permutation_period(tab))
-    rot = np.remainder(tab, r, out=np.empty(tab.shape, dtype=np.int8), casting="unsafe")
+    tab -= tgt * r
+    rot = tab.astype(np.int8)
+    del tab
     rot *= r // size
     return TRecord(t, bij, surj, hist, permutation_period(tgt, rot, r))
 
@@ -257,8 +262,11 @@ def _dp_flags(
     maps = [RationalMap(h) if isinstance(h, Poly) else h for h in (f, g)]
     bf = get_batch(_scan_field(maps[0], t))
     terms = [(h.num.terms, None if h.is_polynomial else h.den.terms) for h in maps]
-    d = bf.orbit_step(*terms)
+    logs = [bf.term_logs(*ts) for ts in terms]
+    d = bf.orbit_step(*logs)
     r = bf.D // d
     size = None if r == 1 else bf.orbit_lookup(d)[1]
-    cf, cg = (_fibers(size, r, bf.eval_sparse(*ts, step=d))[1] for ts in terms)
+    cf, cg = (
+        _fibers(size, r, bf.eval_sparse(*ts, step=d, logs=ls))[1] for ts, ls in zip(terms, logs)
+    )
     return bool(np.array_equal(cf > 0, cg > 0)), bool(np.array_equal(cf, cg))

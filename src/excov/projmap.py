@@ -9,7 +9,10 @@ list of raw coefficients.  Rational maps are kept reduced (coprime
 numerator/denominator, monic denominator) so degrees and point evaluation
 are always well defined.  The classical permutation families (power maps,
 Dickson, Chebyshev and its twists, quotient twists of power maps) are
-written as terms from closed formulas.  The Rédei map A/B is exempt from
+written as terms from closed formulas.  Their binomial coefficients are
+taken mod p by Lucas's theorem, and only the terms nonzero mod p are
+built: Dickson's are found by an array scan over the exponents, Rédei's
+read off the base-p digits of n.  The Rédei map A/B is exempt from
 the reducing gcd, as A and B are coprime by construction (see ``redei``).
 """
 
@@ -21,8 +24,19 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Union
 
+import numpy as np
+
 from .errors import InternalInvariantError, ValidationError, check_field_cap
-from .gf import FieldCtx, FieldElem, _poly_divmod, _poly_gcd, _poly_mul, _power
+from .gf import (
+    FieldCtx,
+    FieldElem,
+    _exact_dtype,
+    _poly_divmod,
+    _poly_gcd,
+    _poly_mul,
+    _power,
+    _rem,
+)
 
 CoeffLike = Union[FieldElem, int]
 
@@ -367,22 +381,83 @@ def cyclic(ctx: FieldCtx, n: int) -> RationalMap:
     return RationalMap(Poly._of_terms(ctx, [(n, ctx.one())]))
 
 
+# values of i per block of the Dickson coefficient scan, to bound its temporaries
+_LUCAS_BLOCK = 1 << 16
+
+
+def _factorials_mod_p(p: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """x! mod p and its inverse mod p for 0 <= x <= min(top, p - 1), at
+    ``_exact_dtype(p, 1)``, so that the product of two entries is exact."""
+    n = min(top, p - 1) + 1
+    fact = [1] * n
+    for x in range(1, n):
+        fact[x] = fact[x - 1] * x % p
+    inv = [1] * n
+    inv[-1] = pow(fact[-1], -1, p)
+    for x in range(n - 1, 1, -1):
+        inv[x - 1] = inv[x] * x % p
+    dt = _exact_dtype(p, 1)
+    return np.array(fact, dtype=dt), np.array(inv, dtype=dt)
+
+
+def _binomials_mod_p(
+    top: np.ndarray, bot: np.ndarray, p: int, fact: np.ndarray, inv: np.ndarray
+) -> np.ndarray:
+    """C(top, bot) mod p per entry, for int64 arrays with 0 <= bot <= top.
+
+    By Lucas's theorem C(top, bot) is the product over the base-p digits
+    of C(top_k, bot_k) mod p, each x!/(y!(x-y)!) read off ``fact`` and
+    ``inv`` (``_factorials_mod_p`` up to the largest digit), and 0 when
+    some bot_k > top_k.  An entry is dropped at the first such digit.
+    """
+    out = np.zeros(top.shape, dtype=fact.dtype)
+    at = np.arange(top.size)
+    val = np.ones(top.size, dtype=fact.dtype)
+    while at.size and top.any():  # bot <= top, so top = 0 leaves bot = 0
+        x, y = _rem(top, p), _rem(bot, p)
+        keep = np.flatnonzero(y <= x)
+        at, top, bot, val, x, y = (v[keep] for v in (at, top, bot, val, x, y))
+        val = _rem(_rem(val * fact[x], p) * inv[y], p)
+        val = _rem(val * inv[x - y], p)
+        top, bot = top // p, bot // p
+    out[at] = val
+    return out
+
+
+def _base_digits(n: int, p: int) -> list[int]:
+    """The base-p digits of n >= 0, low first."""
+    out = []
+    while n:
+        n, d = divmod(n, p)
+        out.append(d)
+    return out
+
+
 def _dickson_poly(ctx: FieldCtx, n: int, a: CoeffLike) -> Poly:
-    """sum over i <= n/2 of n/(n-i) * C(n-i, i) * (-a)**i * x**(n-2i), each
-    integer factor stepped from the one before by an exact ratio."""
+    """sum over i <= n/2 of n/(n-i) * C(n-i, i) * (-a)**i * x**(n-2i).
+
+    The integer factor is C(n-i, i) + C(n-i-1, i-1), each binomial taken
+    mod p by Lucas's theorem (``_binomials_mod_p``) over blocks of i, so
+    only the terms whose factor is nonzero mod p are built: 3,072 of the
+    90,001 for n = 180,001 over F_3."""
     if ctx.p == 2:
         raise ValidationError("family needs odd characteristic")
     if n < 1:
         raise ValidationError("family needs n >= 1")
     check_field_cap(n, "map degree")
     a = _lift(ctx, a)
-    terms = []  # from the top down
-    c, power = 1, ctx.one()
-    for i in range(n // 2 + 1):
-        if i:
-            c = c * (n - 2 * i + 2) * (n - 2 * i + 1) // (i * (n - i))
-            power = power * -a
-        terms.append((n - 2 * i, ctx.from_int(c) * power))
+    p, unit_period = ctx.p, ctx.order - 1
+    half = n // 2 if a else 0  # D_n(x, 0) = x**n
+    fact, inv = _factorials_mod_p(p, n)
+    terms = [(n, ctx.one())]  # from the top down; i = 0
+    for lo in range(1, half + 1, _LUCAS_BLOCK):
+        i = np.arange(lo, min(lo + _LUCAS_BLOCK, half + 1), dtype=np.int64)
+        c = _binomials_mod_p(n - i, i, p, fact, inv)
+        c += _binomials_mod_p(n - 1 - i, i - 1, p, fact, inv)
+        c = _rem(c, p)
+        hit = np.flatnonzero(c)
+        for k, ck in zip(i[hit].tolist(), c[hit].tolist()):
+            terms.append((n - 2 * k, ctx.from_int(ck) * (-a) ** (k % unit_period)))
     return Poly._of_terms(ctx, reversed(terms))
 
 
@@ -437,15 +512,23 @@ def redei(ctx: FieldCtx, n: int, a: CoeffLike) -> RationalMap:
     if a ** ((ctx.order - 1) // 2) == ctx.one():
         raise ValidationError("twist parameter must be a non-square")
     check_field_cap(n, "map degree")
-    A, B = [], []  # terms, from the top down
-    c, power = 1, ctx.one()  # C(n, j) and a**(j // 2)
-    for j in range(n + 1):
-        (B if j % 2 else A).append((n - j, ctx.from_int(c) * power))
-        if j % 2:
-            power = power * a
-        c = c * (n - j) // (j + 1)
+    # by Lucas's theorem C(n, j) != 0 mod p exactly when each base-p digit
+    # of j is at most n's, and it is then the product of the digits'
+    # binomials: the j are built from the top digit down, ascending
+    p, digits = ctx.p, _base_digits(n, ctx.p)
+    fact, inv = _factorials_mod_p(p, max(digits))
+    j = np.zeros(1, dtype=np.int64)
+    c = np.ones(1, dtype=fact.dtype)
+    for nk in reversed(digits):
+        y = np.arange(nk + 1)
+        row = _binomials_mod_p(np.full(y.size, nk), y, p, fact, inv)
+        j = (j[:, None] * p + y).ravel()
+        c = _rem(c[:, None] * row, p).ravel()
+    A, B = [], []  # terms, ascending by exponent n - j
+    for jk, ck in zip(j[::-1].tolist(), c[::-1].tolist()):
+        (B if jk % 2 else A).append((n - jk, ctx.from_int(ck) * a ** (jk // 2 % (ctx.order - 1))))
     f = object.__new__(RationalMap)
-    f._normalise(Poly._of_terms(ctx, A[::-1]), Poly._of_terms(ctx, B[::-1]))
+    f._normalise(Poly._of_terms(ctx, A), Poly._of_terms(ctx, B))
     return f
 
 

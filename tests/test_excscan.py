@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from excov import _batch
+from excov import _batch, excscan
 from excov._batch import _BLOCK, _QUOTIENT_MIN_R, get_batch, permutation_period
 from excov.errors import CapExceededError, ValidationError
 from excov.excscan import (
@@ -322,7 +322,7 @@ def quotient_features(f, t):
     full table and its orbit quotient; the quotient's codes must be the
     ``orbit_lookup`` codes of the full table's values."""
     bf = get_batch(make_extension(f.ctx, t))
-    d = bf.orbit_step(terms_of(f))
+    d = bf.orbit_step(bf.term_logs(*terms_of(f)))
     assert d < bf.D  # evaluated on representatives, so read off the quotient
     code = bf.eval_sparse(*terms_of(f), step=d)
     full = bf.eval_sparse(*terms_of(f), step=bf.D)
@@ -377,6 +377,55 @@ def test_quotient_records_match_index_order_oracle(f, t, features):
     assert _record(f, t, True) == record_oracle(f, t)
 
 
+@pytest.mark.parametrize(
+    "f, t", [(f, t) for f, t, features in QUOTIENT_CASES if "rotation" in features]
+    + [(dickson(F3, 7, 1), 10), (cyclic(F3, 5), 5), (cyclic(F2, 3), 9), (dickson(F3, 7, 1), 5)],
+    ids=_case_id,
+)
+def test_quotient_record_rotations_are_the_codes_mod_r(f, t, monkeypatch):
+    # _record forms the rotations as tab - r * (tab // r), in tab's buffer;
+    # they must be np.remainder(tab, r), scaled by r // |O|
+    seen = []
+
+    def spy(perm, rot=None, r=1):
+        seen.append((perm.copy(), None if rot is None else rot.copy(), r))
+        return permutation_period(perm, rot, r)
+
+    monkeypatch.setattr(excscan, "permutation_period", spy)
+    rec = _record(f, t, True)
+    assert rec.bijective and rec == record_oracle(f, t)
+    bf = get_batch(make_extension(f.ctx, t))
+    d = bf.orbit_step(bf.term_logs(*terms_of(f)))
+    assert d < bf.D
+    code = bf.eval_sparse(*terms_of(f), step=d)
+    size = bf.orbit_lookup(d)[1]
+    (perm, rot, r), = seen
+    assert r == bf.D // d and rot.dtype == np.int8
+    assert np.array_equal(perm, code // r)
+    assert np.array_equal(rot, np.remainder(code, r) * (r // size))
+
+
+def test_term_logs_are_formed_once_per_map(monkeypatch):
+    # one _term_logs per numerator and denominator of each map read, though
+    # both the step and the table read them
+    calls = []
+    term_logs = _batch.BatchField._term_logs
+
+    def spy(self, terms):
+        calls.append(terms)
+        return term_logs(self, terms)
+
+    monkeypatch.setattr(_batch.BatchField, "_term_logs", spy)
+    f, g = rat(F3, [0, 1, 1], [2, 0, 0, 1]), dickson(F3, 7, 1)
+    for t in (1, 6):
+        calls.clear()
+        _record(f, t, True)
+        assert calls == [f.num.terms, f.den.terms]
+        calls.clear()
+        _dp_flags(f, g, t)
+        assert calls == [f.num.terms, f.den.terms, g.num.terms]
+
+
 def brute_flags(f, t):
     """(bijective, surjective, histogram) from the scalar engine's value at
     every point, counted point by point."""
@@ -398,7 +447,7 @@ def brute_flags(f, t):
 )
 def test_record_flags_read_off_the_histogram_match_brute_counts(f, t, full, bij, surj):
     bf = get_batch(make_extension(f.ctx, t))
-    assert (bf.orbit_step(terms_of(f)) == bf.D) is full
+    assert (bf.orbit_step(bf.term_logs(*terms_of(f))) == bf.D) is full
     rec = _record(f, t, True)
     assert (rec.bijective, rec.surjective, rec.value_counts) == brute_flags(f, t)
     assert (rec.bijective, rec.surjective) == (bij, surj)
@@ -562,7 +611,7 @@ def test_single_term_records_match_index_order_oracle():
     for f, d, ts in SINGLE_TERM_CASES:
         for t in ts:
             bf = get_batch(make_extension(f.ctx, t))
-            step = bf.orbit_step(terms_of(f))
+            step = bf.orbit_step(bf.term_logs(*terms_of(f)))
             r = bf.D // d
             assert step == (d if r >= _QUOTIENT_MIN_R else bf.D), (f, t)
             paths.add((min(r, _QUOTIENT_MIN_R), step < bf.D))

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from excov import _batch
 from excov._batch import BatchField
 from excov.errors import field_cap_scope
-from excov.gf import make_extension, make_field
+from excov.gf import _prime_factors, _prime_list, make_extension, make_field
 
 GOLDEN = json.loads((Path(__file__).parent / "field_golden.json").read_text())
 
@@ -35,3 +36,31 @@ def test_field_key_and_generator_are_unchanged(row):
             ctx = make_extension(ctx, t)
     assert ctx.key == as_tuple(row["key"])
     assert BatchField(ctx).generator().index == row["generator"]
+
+
+def least_generator(ctx):
+    """Oracle: the least index of multiplicative order Q - 1, by scalar
+    powers; above the prime field the search starts at p, as prime-field
+    elements have orders dividing p - 1."""
+    m, one = ctx.order - 1, ctx.one()
+    exps = [m // r for r in _prime_factors(m)]
+    if ctx.k == 1:
+        return next(g for g in range(1, ctx.p) if all(pow(g, e, ctx.p) != 1 for e in exps))
+    return next(
+        g for g in range(ctx.p, ctx.order) if all(ctx.from_index(g) ** e != one for e in exps)
+    )
+
+
+def test_generator_is_the_least_of_full_order_up_to_2_16(monkeypatch):
+    # every field F_{p^k} with p^k <= 2**16 (6,635 of them, 93 with k >= 2),
+    # searched afresh: the cache of generators found before is emptied
+    monkeypatch.setattr(_batch, "_GENERATORS", {})
+    count = 0
+    for p in _prime_list(2**16):
+        k = 1
+        while p**k <= 2**16:
+            ctx = make_field(p, k)
+            assert BatchField(ctx).generator().index == least_generator(ctx), (p, k)
+            count += 1
+            k += 1
+    assert count == 6635

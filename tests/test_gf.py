@@ -22,7 +22,9 @@ from excov.gf import (
     _element_matrices,
     _is_prime,
     _prime_factors,
+    _REM_MIN_SIZE,
     _prime_list,
+    _rem,
     make_extension,
     make_field,
     parse_field_spec,
@@ -199,6 +201,63 @@ def test_quadratic_extension_across_the_int64_product_edge(p):
     idx = least_quadratic_index(p)
     assert ctx.modulus == (idx % p, idx // p, 1)
     assert_matrices_match_scalar_products(ctx, random.Random(p))
+
+
+def rem_inputs(m, rng):
+    """int64 values around the products the kernels reduce, below m**2 and
+    int64's ends: products of residues up to (m - 1)**2 where it fits,
+    multiples of m and their neighbours, and their negatives."""
+    top = np.iinfo(np.int64).max
+    vals = [0, 1, m - 1, m, m + 1, 2 * m - 1, 2 * m, top, top - 1]
+    vals += [min((m - 1) * (m - 1), top), min(m * (m - 1), top)]
+    vals += [min(rng.randrange(m) * rng.randrange(m), top) for _ in range(200)]
+    vals += [k * m + d for k in (3, 2**20, top // m) for d in (-1, 0, 1) if k * m + d <= top]
+    vals += [-v for v in vals] + [np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1]
+    return np.array(vals, dtype=np.int64)
+
+
+def both_paths(x):
+    """x below ``_REM_MIN_SIZE``, where _rem takes %, and tiled past it."""
+    assert x.size < _REM_MIN_SIZE
+    return [x, np.resize(x, 3 * _REM_MIN_SIZE + 1)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 255, 2**31 - 1, 2**31 - 5, 2**31, 2**32 - 5, 2**32 + 15])
+def test_rem_matches_remainder_and_python_at_int64(m):
+    for x in both_paths(rem_inputs(m, random.Random(m))):
+        want = x % m
+        got = _rem(x, m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.tolist() == [v % m for v in x.tolist()]  # Python ints, no wrap
+        out = np.empty_like(x)
+        assert _rem(x, m, out=out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("m", [3, 65521, 2**31 - 1, 2**31, 2**32 - 5])
+def test_rem_of_int32_promotes_like_remainder(m):
+    # NumPy 2 keeps int32 against a Python int and refuses one past int32;
+    # NumPy 1.24 promotes by value.  _rem must follow % either way
+    rng = random.Random(m)
+    info = np.iinfo(np.int32)
+    vals = [0, 1, -1, info.max, info.min, info.max - 1, info.min + 1]
+    vals += [rng.randint(info.min, info.max) for _ in range(200)]
+    for x in both_paths(np.array(vals, dtype=np.int32)):
+        try:
+            want = x % m
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                _rem(x, m)
+            continue
+        got = _rem(x, m)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.tolist() == [v % m for v in x.tolist()]
+
+
+def test_rem_of_object_arrays_is_exact():
+    # past int64 the F_p-matrix engine computes in Python integers
+    m = 2147483659
+    for x in both_paths(np.array([(m - 1) ** 2 * 3, -(m**2) - 1, 0, m, 7], dtype=object)):
+        assert _rem(x, m).tolist() == [v % m for v in x.tolist()]
 
 
 def test_f9_modulus_value():
